@@ -1,5 +1,7 @@
 //! Experiment sizing.
 
+use spindle_obs::ObsConfig;
+
 /// Sizing knobs shared by every experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExpConfig {
@@ -13,6 +15,10 @@ pub struct ExpConfig {
     pub family_drives: u32,
     /// Drives examined individually in the hour-scale table.
     pub t4_drives: u32,
+    /// What the simulators of the experiments' environment runs
+    /// record. Off in both presets; the `experiments` binary sets it
+    /// from its flags.
+    pub obs: ObsConfig,
 }
 
 impl ExpConfig {
@@ -25,6 +31,7 @@ impl ExpConfig {
             hour_weeks: 8,
             family_drives: 1000,
             t4_drives: 32,
+            obs: ObsConfig::disabled(),
         }
     }
 
@@ -38,6 +45,7 @@ impl ExpConfig {
             hour_weeks: 2,
             family_drives: 60,
             t4_drives: 8,
+            obs: ObsConfig::disabled(),
         }
     }
 }
@@ -59,5 +67,8 @@ mod tests {
         assert!(f.ms_span_secs > q.ms_span_secs);
         assert!(f.family_drives > q.family_drives);
         assert_eq!(ExpConfig::default(), f);
+        // Observers stay off unless a front end asks for them.
+        assert_eq!(f.obs, ObsConfig::disabled());
+        assert_eq!(q.obs, ObsConfig::disabled());
     }
 }

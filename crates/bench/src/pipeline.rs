@@ -13,19 +13,6 @@ use spindle_synth::hourgen::{HourSeriesSpec, WEEK_HOURS};
 use spindle_synth::presets::Environment;
 use spindle_trace::Request;
 use std::sync::Arc;
-use std::sync::OnceLock;
-
-/// Observability applied to [`EnvRun`]s that do not carry their own
-/// config (set once by the `experiments` binary's `--metrics` flag).
-static GLOBAL_OBS: OnceLock<ObsConfig> = OnceLock::new();
-
-/// Turns on observability for every subsequent [`EnvRun`] constructed
-/// without an explicit config: simulators attach an observer resolving
-/// against [`spindle_obs::global()`]. First call wins; later calls are
-/// ignored.
-pub fn enable_observability(cfg: ObsConfig) {
-    let _ = GLOBAL_OBS.set(cfg);
-}
 
 /// One environment's generated trace and simulation outcome.
 #[derive(Debug)]
@@ -42,7 +29,9 @@ pub struct EnvRun {
 }
 
 impl EnvRun {
-    /// Generates and simulates one environment under `cfg`.
+    /// Generates and simulates one environment under `cfg`; the
+    /// simulator records what `cfg.obs` asks for into
+    /// [`spindle_obs::global()`].
     ///
     /// # Errors
     ///
@@ -85,11 +74,7 @@ impl EnvRun {
         sim_cfg: SimConfig,
         obs: Option<(&ObsConfig, &MetricsRegistry)>,
     ) -> Result<Self> {
-        let obs = obs.or_else(|| GLOBAL_OBS.get().map(|c| (c, spindle_obs::global())));
-        let registry = match obs {
-            Some((_, r)) => r,
-            None => spindle_obs::global(),
-        };
+        let (obs_cfg, registry) = obs.unwrap_or((&cfg.obs, spindle_obs::global()));
 
         let spec = env.spec(cfg.ms_span_secs);
         let requests = {
@@ -99,17 +84,15 @@ impl EnvRun {
 
         let mut sim = DiskSim::new(DriveProfile::cheetah_15k(), sim_cfg);
         let mut events = None;
-        if let Some((obs_cfg, reg)) = obs {
-            if obs_cfg.metrics || obs_cfg.events {
-                let mut observer = SimObserver::new(reg, obs_cfg);
-                // A globally installed flight recorder (the binary's
-                // `--trace-out`) gets the sim-time tracks of every run.
-                if let Some(rec) = spindle_obs::recorder::installed() {
-                    observer = observer.with_flight(rec);
-                }
-                events = observer.event_log();
-                sim.attach_observer(observer);
+        if obs_cfg.metrics || obs_cfg.events {
+            let mut observer = SimObserver::new(registry, obs_cfg);
+            // A globally installed flight recorder (the binary's
+            // `--trace-out`) gets the sim-time tracks of every run.
+            if let Some(rec) = spindle_obs::recorder::installed() {
+                observer = observer.with_flight(rec);
             }
+            events = observer.event_log();
+            sim.attach_observer(observer);
         }
         let result = {
             let _span = ObsSpan::new(registry, "pipeline.simulate");
@@ -215,6 +198,15 @@ mod tests {
         assert!(run.events.unwrap().total_recorded() > 0);
         assert!(snap.span("pipeline.generate").is_some());
         assert!(snap.span("pipeline.simulate").is_some());
+    }
+
+    #[test]
+    fn config_observability_reaches_the_simulator() {
+        let mut cfg = ExpConfig::quick();
+        cfg.ms_span_secs = 60.0;
+        cfg.obs = ObsConfig::enabled();
+        let run = EnvRun::new(Environment::Web, &cfg).unwrap();
+        assert!(run.events.is_some(), "cfg.obs asked for event tracing");
     }
 
     #[test]

@@ -185,28 +185,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     None
 }
 
-/// Writes `contents` to `path`, creating missing parent directories;
-/// failures name the offending path.
-///
-/// # Errors
-///
-/// Returns a human-readable message naming `path`.
-pub fn write_file_creating_parents(path: &str, contents: &str) -> Result<(), String> {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() && !parent.exists() {
-            std::fs::create_dir_all(parent).map_err(|e| {
-                format!(
-                    "cannot create directory `{}` for output file `{path}`: {e}",
-                    parent.display()
-                )
-            })?;
-        }
-    }
-    std::fs::write(p, contents.as_bytes())
-        .map_err(|e| format!("cannot write output file `{path}`: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,20 +284,5 @@ mod tests {
             assert!(bytes > 4096, "peak RSS {bytes} bytes");
             assert!(bytes < 1 << 40, "peak RSS {bytes} bytes");
         }
-    }
-
-    #[test]
-    fn writer_creates_parents_and_names_failures() {
-        let dir = std::env::temp_dir().join("spindle-bench-record-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let nested = dir.join("x/y/r.json");
-        write_file_creating_parents(nested.to_str().unwrap(), "{}").unwrap();
-        assert_eq!(std::fs::read_to_string(&nested).unwrap(), "{}");
-        let blocker = dir.join("plain");
-        std::fs::write(&blocker, "f").unwrap();
-        let err = write_file_creating_parents(blocker.join("r.json").to_str().unwrap(), "{}")
-            .unwrap_err();
-        assert!(err.contains("r.json"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

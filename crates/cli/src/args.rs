@@ -1,86 +1,8 @@
-//! Minimal flag parser: `--key value`, `--key=value`, and `--flag`
-//! forms.
+//! Subcommand option parsing: the front end's one `--key value` /
+//! `--key=value` parser, shared with the global options and the
+//! `experiments` binary.
 
-use std::collections::BTreeMap;
-
-/// Parsed command-line options.
-#[derive(Debug, Default)]
-pub struct Options {
-    values: BTreeMap<String, String>,
-    flags: Vec<String>,
-}
-
-/// Parses `--key value` / `--key=value` pairs and bare `--flag`s from
-/// `argv`.
-///
-/// `boolean_flags` lists the options that take no value.
-///
-/// # Errors
-///
-/// Returns a message for unknown syntax (non-`--` tokens), a missing
-/// value, or a value attached to a boolean flag.
-pub fn parse(argv: &[String], boolean_flags: &[&str]) -> Result<Options, String> {
-    let mut out = Options::default();
-    let mut it = argv.iter().peekable();
-    while let Some(arg) = it.next() {
-        let Some(key) = arg.strip_prefix("--") else {
-            return Err(format!(
-                "unexpected argument `{arg}` (options start with --)"
-            ));
-        };
-        if let Some((key, value)) = key.split_once('=') {
-            if boolean_flags.contains(&key) {
-                return Err(format!("flag --{key} takes no value"));
-            }
-            out.values.insert(key.to_owned(), value.to_owned());
-        } else if boolean_flags.contains(&key) {
-            out.flags.push(key.to_owned());
-        } else {
-            let value = it
-                .next()
-                .ok_or_else(|| format!("option --{key} needs a value"))?;
-            out.values.insert(key.to_owned(), value.clone());
-        }
-    }
-    Ok(out)
-}
-
-impl Options {
-    /// String value of `--key`, if present.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    /// Whether the bare `--flag` was given.
-    pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
-
-    /// Parsed value of `--key`, or `default` when absent.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the value does not parse as `T`.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Display,
-    {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("bad value for --{key}: {e}")),
-        }
-    }
-
-    /// Required value of `--key`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the option is absent.
-    pub fn required(&self, key: &str) -> Result<&str, String> {
-        self.get(key)
-            .ok_or_else(|| format!("missing required option --{key}"))
-    }
-}
+pub(crate) use spindle_pulse::front::{parse, Options};
 
 #[cfg(test)]
 mod tests {

@@ -11,37 +11,19 @@ use spindle_disk::profile::DriveProfile;
 use spindle_disk::scheduler::SchedulerKind;
 use spindle_disk::sim::{DiskSim, SimConfig, SimResult};
 use spindle_harden::io::FaultyReader;
-use spindle_obs::sink::{JsonSink, MetricsSink, TextSink};
-use spindle_obs::{progress, FlightRecorder, LogLevel, ObsConfig, ObsSpan, TraceEventSink};
+use spindle_obs::{progress, ObsConfig, ObsSpan};
+use spindle_pulse::front::{self, Arity, Invocation, SHARED};
 use spindle_synth::family::FamilySpec;
 use spindle_synth::hourgen::{HourSeriesSpec, WEEK_HOURS};
 use spindle_synth::presets::parse_environment;
 use spindle_trace::{binary, csv, text, Request, SkipReport};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::io::{BufReader, BufWriter, Write};
+use std::sync::Arc;
+
+pub(crate) use spindle_pulse::front::write_output_file;
 
 pub(crate) type CmdResult = Result<(), Box<dyn std::error::Error>>;
-
-/// Set while a `--metrics` invocation is in flight so the simulation
-/// helpers attach observers against the global registry.
-static METRICS_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Set while a `--lenient` invocation is in flight so the trace
-/// readers skip malformed records instead of failing.
-static LENIENT_ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// The `--trace-out` destination of the invocation in flight, so the
-/// `report` subcommand can link the timeline it is being exported next
-/// to.
-static TRACE_PATH: Mutex<Option<String>> = Mutex::new(None);
-
-/// The trace destination of the current invocation, when `--trace-out`
-/// was given.
-pub(crate) fn trace_out_path() -> Option<String> {
-    TRACE_PATH.lock().expect("trace path lock").clone()
-}
 
 const HELP: &str = "\
 spindle — disk workload characterization toolkit
@@ -172,197 +154,22 @@ memory during simulate); anything else uses the text format.
 Options accept both `--key value` and `--key=value`.
 ";
 
-/// Observability-related options peeled off the command line before
-/// subcommand parsing.
-#[derive(Debug, Default)]
-struct ObsArgs {
-    /// Requested dump format: `"text"` or `"json"`.
-    metrics: Option<&'static str>,
-    /// Dump destination file (stderr when absent).
-    out: Option<String>,
-    /// Chrome trace-event export destination (`--trace-out FILE`).
-    trace: Option<String>,
-    level: Option<LogLevel>,
-    /// Worker count for parallel stages (`--jobs N`).
-    jobs: Option<usize>,
-    /// Deterministic fault-injection spec (`--faults SPEC`).
-    faults: Option<String>,
-    /// Skip malformed trace records instead of failing (`--lenient`).
-    lenient: bool,
-    /// Serve live telemetry over HTTP (`--serve [ADDR]`); the inner
-    /// option is the explicit address when one was given.
-    serve: Option<Option<String>>,
-    /// Render the live terminal dashboard (`--live`).
-    live: bool,
-}
+/// The global options only `spindle` accepts.
+const SPINDLE_ONLY: &[(&str, Arity)] = &[("metrics-out", Arity::Value), ("lenient", Arity::Flag)];
 
-/// Whether a `--serve` operand names a socket address rather than the
-/// next option or subcommand (addresses always carry a `:port`).
-fn looks_like_addr(s: &str) -> bool {
-    !s.starts_with('-') && s.contains(':')
-}
-
-fn extract_obs_args(argv: &[String]) -> Result<(ObsArgs, Vec<String>), String> {
-    let mut obs = ObsArgs::default();
-    let mut rest = Vec::with_capacity(argv.len());
+/// Peels the global options off `argv` and resolves them.
+fn globals(argv: &[String]) -> Result<(Invocation, Vec<String>), String> {
     // `spindle loadtest --jobs M` means total submissions, not worker
     // threads; leave the option for the subcommand parser there.
-    let jobs_is_subcommand_option = argv.first().is_some_and(|cmd| cmd == "loadtest");
-    let mut it = argv.iter().peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--metrics" | "--metrics=text" => obs.metrics = Some("text"),
-            "--metrics=json" => obs.metrics = Some("json"),
-            s if s.starts_with("--metrics=") => {
-                return Err(format!(
-                    "bad metrics format `{}` (expected text or json)",
-                    &s["--metrics=".len()..]
-                ));
-            }
-            "--metrics-out" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "option --metrics-out needs a value".to_owned())?;
-                obs.out = Some(value.clone());
-            }
-            s if s.starts_with("--metrics-out=") => {
-                obs.out = Some(s["--metrics-out=".len()..].to_owned());
-            }
-            "--trace-out" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "option --trace-out needs a value".to_owned())?;
-                obs.trace = Some(value.clone());
-            }
-            s if s.starts_with("--trace-out=") => {
-                obs.trace = Some(s["--trace-out=".len()..].to_owned());
-            }
-            "--faults" => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "option --faults needs a value".to_owned())?;
-                obs.faults = Some(value.clone());
-            }
-            s if s.starts_with("--faults=") => {
-                obs.faults = Some(s["--faults=".len()..].to_owned());
-            }
-            "--lenient" => obs.lenient = true,
-            "--live" => obs.live = true,
-            "--serve" => {
-                // The address operand is optional; consume the next
-                // token only when it looks like host:port so a bare
-                // `--serve simulate ...` still parses.
-                let addr = match it.peek() {
-                    Some(next) if looks_like_addr(next) => {
-                        Some(it.next().expect("peeked token exists").clone())
-                    }
-                    _ => None,
-                };
-                obs.serve = Some(addr);
-            }
-            s if s.starts_with("--serve=") => {
-                obs.serve = Some(Some(s["--serve=".len()..].to_owned()));
-            }
-            "--verbose" => obs.level = Some(LogLevel::Verbose),
-            "--quiet" => obs.level = Some(LogLevel::Quiet),
-            "--jobs" if !jobs_is_subcommand_option => {
-                let value = it
-                    .next()
-                    .ok_or_else(|| "option --jobs needs a value".to_owned())?;
-                obs.jobs = Some(
-                    spindle_engine::parse_jobs(value)
-                        .map_err(|e| format!("bad value for --jobs: {e}"))?,
-                );
-            }
-            s if s.starts_with("--jobs=") && !jobs_is_subcommand_option => {
-                obs.jobs = Some(
-                    spindle_engine::parse_jobs(&s["--jobs=".len()..])
-                        .map_err(|e| format!("bad value for --jobs: {e}"))?,
-                );
-            }
-            _ => rest.push(arg.clone()),
-        }
-    }
-    // `--metrics-out FILE` alone implies a text dump.
-    if obs.out.is_some() && obs.metrics.is_none() {
-        obs.metrics = Some("text");
-    }
-    Ok((obs, rest))
-}
-
-/// Starts the live-telemetry consumers (`--serve`/`--live`) and, when
-/// the `SPINDLE_TELEMETRY_SINK` variable names a local sink (the serve
-/// daemon sets it for its children), the frame exporter. Strictly
-/// read-only over the metrics registry and writing only to
-/// stderr/sockets, so enabling them cannot change any computed result
-/// or experiment stdout. `phase` names the subcommand in `/status`.
-fn start_telemetry(
-    obs: &ObsArgs,
-    phase: &str,
-) -> Result<
-    (
-        Option<spindle_pulse::Session>,
-        Option<spindle_pulse::Exporter>,
-    ),
-    String,
-> {
-    let session = spindle_pulse::Session::start(
-        spindle_obs::global(),
-        obs.serve.as_ref().map(Option::as_deref),
-        obs.live,
-        0,
-        phase,
-    )?;
-    // The exporter shares the session's status when one exists so
-    // progress frames mirror `/status`; an exporter-only run gets a
-    // private status that never registers the progress counter, which
-    // keeps the metrics registry byte-identical with telemetry off.
-    let status = session.as_ref().map_or_else(
-        || {
-            let s = Arc::new(spindle_pulse::RunStatus::new(0));
-            s.set_phase(phase);
-            s
-        },
-        |s| Arc::clone(&s.status),
-    );
-    let exporter = spindle_pulse::Exporter::from_env(spindle_obs::global(), status, phase);
-    Ok((session, exporter))
-}
-
-/// Writes `contents` to `path`, creating any missing parent
-/// directories. Failures name the offending path instead of surfacing
-/// a bare [`std::io::Error`].
-pub(crate) fn write_output_file(path: &str, contents: &str) -> CmdResult {
-    let p = std::path::Path::new(path);
-    if let Some(parent) = p.parent() {
-        if !parent.as_os_str().is_empty() && !parent.exists() {
-            std::fs::create_dir_all(parent).map_err(|e| {
-                format!(
-                    "cannot create directory `{}` for output file `{path}`: {e}",
-                    parent.display()
-                )
-            })?;
-        }
-    }
-    std::fs::write(p, contents.as_bytes())
-        .map_err(|e| format!("cannot write output file `{path}`: {e}"))?;
-    Ok(())
-}
-
-fn dump_metrics(format: &str, out: Option<&str>) -> CmdResult {
-    let snapshot = spindle_obs::global().snapshot();
-    let rendered = match format {
-        "json" => JsonSink.export_string(&snapshot)?,
-        _ => TextSink.export_string(&snapshot)?,
-    };
-    match out {
-        Some(path) => {
-            write_output_file(path, &rendered)?;
-            progress!("wrote metrics to {path}");
-        }
-        None => eprint!("{rendered}"),
-    }
-    Ok(())
+    let loadtest = argv.first().is_some_and(|cmd| cmd == "loadtest");
+    let known: Vec<(&str, Arity)> = SHARED
+        .iter()
+        .chain(SPINDLE_ONLY)
+        .filter(|(name, _)| !(loadtest && *name == "jobs"))
+        .copied()
+        .collect();
+    let (opts, rest) = front::peel(argv, &known)?;
+    Ok((Invocation::resolve(&opts, "")?, rest))
 }
 
 /// Dispatches a parsed command line.
@@ -371,112 +178,27 @@ fn dump_metrics(format: &str, out: Option<&str>) -> CmdResult {
 ///
 /// Returns a human-readable message for any failure.
 pub fn dispatch(argv: &[String]) -> CmdResult {
-    let (obs, argv) = extract_obs_args(argv)?;
-    if let Some(level) = obs.level {
-        spindle_obs::logger::set_level(level);
-    }
-    if let Some(jobs) = obs.jobs {
-        // Parallel stages size their default pools from this variable,
-        // so one flag governs the whole invocation.
-        std::env::set_var(spindle_engine::JOBS_ENV, jobs.to_string());
-    }
-    if obs.metrics.is_some() {
-        METRICS_ENABLED.store(true, Ordering::Relaxed);
-    }
-    // A telemetry sink in the environment (the serve daemon sets one
-    // for its children) needs the simulator observers attached, or the
-    // streamed snapshots would carry no disk counters. Registry-only,
-    // so stdout and every artifact stay byte-identical; without
-    // --metrics no dump is written either.
-    if std::env::var(spindle_obs::frame::SINK_ENV).is_ok_and(|v| !v.is_empty()) {
-        METRICS_ENABLED.store(true, Ordering::Relaxed);
-    }
-    if obs.lenient {
-        LENIENT_ENABLED.store(true, Ordering::Relaxed);
-    }
-    // The fault plan for this invocation: an explicit --faults wins
-    // over the SPINDLE_FAULTS environment variable.
-    let fault_plan = match &obs.faults {
-        Some(spec) => Some(
-            spindle_harden::FaultPlan::parse(spec)
-                .map_err(|e| format!("bad value for --faults: {e}"))?,
-        ),
-        None => spindle_harden::plan_from_env()
-            .map_err(|e| format!("bad {}: {e}", spindle_harden::FAULTS_ENV))?,
-    };
-    let faults_installed = fault_plan.is_some();
-    if let Some(plan) = fault_plan {
-        progress!("fault plan: {}", plan.spec());
-        spindle_harden::install(Arc::new(plan));
-    }
-    // A requested trace installs a flight recorder for the whole
-    // invocation: spans and pool workers report wall-clock slices, and
-    // the simulation helpers attach sim-time instrumentation. A trace
-    // context in the environment (the serve daemon mints one per job
-    // attempt) does the same even without --trace-out: the recorded
-    // spans ship upstream over the frame protocol at exporter shutdown
-    // instead of landing in a local file. Observer-only either way —
-    // stdout and every artifact stay byte-identical.
-    let traced = obs.trace.is_some() || spindle_obs::TraceContext::from_env().is_some();
-    let recorder = traced.then(|| {
-        let rec = Arc::new(FlightRecorder::new());
-        spindle_obs::recorder::install(Arc::clone(&rec));
-        if let Some(path) = &obs.trace {
-            *TRACE_PATH.lock().expect("trace path lock") = Some(path.clone());
-        }
-        rec
-    });
-    let (telemetry, exporter) = start_telemetry(&obs, argv.first().map_or("idle", String::as_str))?;
-    let result = dispatch_command(&argv);
-    // The session banks its final sample during finish(), so the
-    // exporter flushes after it: its window batches then carry the
-    // complete wheel (the daemon rebuilds its own wheel from snapshots
-    // either way).
-    let rollups = telemetry.as_ref().map(|t| Arc::clone(t.rollups()));
-    if let Some(t) = telemetry {
-        t.finish();
-    }
-    if let Some(e) = exporter {
-        e.finish(rollups.as_deref());
-    }
-    let result = result.and_then(|()| {
-        if let Some(format) = obs.metrics {
-            dump_metrics(format, obs.out.as_deref())?;
-        }
-        if let (Some(rec), Some(path)) = (&recorder, &obs.trace) {
-            write_output_file(path, &TraceEventSink::full().export_string(rec)?)?;
-            progress!("wrote trace to {path} (load it in Perfetto or chrome://tracing)");
-        }
-        Ok(())
-    });
-    if recorder.is_some() {
-        spindle_obs::recorder::uninstall();
-        *TRACE_PATH.lock().expect("trace path lock") = None;
-    }
-    if faults_installed {
-        spindle_harden::uninstall();
-    }
-    if obs.lenient {
-        LENIENT_ENABLED.store(false, Ordering::Relaxed);
-    }
-    result
+    let (inv, argv) = globals(argv)?;
+    let phase = argv.first().map_or("idle", String::as_str);
+    inv.run(phase, phase, 0, |_| dispatch_command(&argv, &inv))?;
+    Ok(())
 }
 
-fn dispatch_command(argv: &[String]) -> CmdResult {
+fn dispatch_command(argv: &[String], inv: &Invocation) -> CmdResult {
     let Some((cmd, rest)) = argv.split_first() else {
         print!("{HELP}");
         return Ok(());
     };
     match cmd.as_str() {
         "generate" => generate(&parse(rest, &["binary"])?),
-        "simulate" => simulate(&parse(rest, &["no-write-back"])?),
-        "analyze" => analyze(&parse(rest, &[])?),
-        "report" => crate::report::report(&parse(rest, &[])?),
-        "observe" => crate::observe::observe(&parse(rest, &["no-write-back"])?),
+        "simulate" => simulate(&parse(rest, &["no-write-back"])?, inv),
+        "analyze" => analyze(&parse(rest, &[])?, inv),
+        "report" => crate::report::report(&parse(rest, &[])?, inv),
+        "observe" => crate::observe::observe(&parse(rest, &["no-write-back"])?, inv),
         "family" => family(&parse(rest, &[])?),
         "hourgen" => hourgen(&parse(rest, &[])?),
-        "power" => power(&parse(rest, &["no-write-back"])?),
-        "anonymize" => anonymize(&parse(rest, &[])?),
+        "power" => power(&parse(rest, &["no-write-back"])?, inv),
+        "anonymize" => anonymize(&parse(rest, &[])?, inv),
         "bench" => bench(rest),
         "trace" => trace_cmd(rest),
         "serve" => serve_cmd(rest),
@@ -651,7 +373,7 @@ fn serve_cmd(rest: &[String]) -> CmdResult {
                          [--retry-base-ms MS] [--breaker-cooldown SECS] [--drain-timeout SECS]";
     // One optional leading positional: the bind address.
     let (addr, rest) = match rest.first() {
-        Some(first) if looks_like_addr(first) => (first.clone(), &rest[1..]),
+        Some(first) if front::is_addr(first) => (first.clone(), &rest[1..]),
         Some(first) if !first.starts_with("--") => {
             return Err(
                 format!("bad serve address `{first}` (expected HOST:PORT; {USAGE})").into(),
@@ -810,12 +532,20 @@ fn publish_skips(skips: &SkipReport, path: &str) {
     progress!("lenient: {skips} in {path}");
 }
 
-pub(crate) fn read_trace(path: &str) -> Result<Vec<Request>, Box<dyn std::error::Error>> {
+/// Opens a trace file behind the invocation's reader faults: a
+/// pass-through unless the plan carries io@/short@ sites.
+fn open_trace(path: &str, inv: &Invocation) -> std::io::Result<FaultyReader<File>> {
+    let plan = inv.faults.as_deref().cloned().unwrap_or_default();
+    Ok(FaultyReader::new(File::open(path)?, &plan))
+}
+
+pub(crate) fn read_trace(
+    path: &str,
+    inv: &Invocation,
+) -> Result<Vec<Request>, Box<dyn std::error::Error>> {
     let _span = ObsSpan::new(spindle_obs::global(), "cli.read_trace");
-    let lenient = LENIENT_ENABLED.load(Ordering::Relaxed);
-    // The fault wrapper is a pass-through unless an installed plan
-    // carries io@/short@ sites.
-    let file = FaultyReader::from_installed(File::open(path)?);
+    let lenient = inv.lenient;
+    let file = open_trace(path, inv)?;
     let (requests, skips) = if path.ends_with(".bin") {
         // The binary codec has no record-level recovery: a damaged
         // length prefix poisons everything after it.
@@ -874,22 +604,12 @@ fn generate(opts: &Options) -> CmdResult {
     Ok(())
 }
 
-fn build_sim(opts: &Options) -> Result<DiskSim, Box<dyn std::error::Error>> {
-    build_sim_inner(opts, None)
-}
-
-/// Like [`build_sim`], but always attaches an observer feeding the
-/// given simulated-time rollup wheel (the `observe` subcommand's
-/// multi-time-scale ingestion path).
-pub(crate) fn build_sim_observed(
+/// The simulator the options describe, observed as the invocation
+/// asks; `rollups` (the `observe` subcommand's simulated-time wheel)
+/// attaches an observer feeding it in any case.
+pub(crate) fn build_sim(
     opts: &Options,
-    rollups: Arc<spindle_obs::RollupSet>,
-) -> Result<DiskSim, Box<dyn std::error::Error>> {
-    build_sim_inner(opts, Some(rollups))
-}
-
-fn build_sim_inner(
-    opts: &Options,
+    inv: &Invocation,
     rollups: Option<Arc<spindle_obs::RollupSet>>,
 ) -> Result<DiskSim, Box<dyn std::error::Error>> {
     let profile = profile_by_name(opts.get("profile").unwrap_or("cheetah-15k"))?;
@@ -904,24 +624,21 @@ fn build_sim_inner(
         flush_at_end: true,
     };
     let mut sim = DiskSim::new(profile, cfg);
-    if let Some(plan) = spindle_harden::installed() {
+    if let Some(plan) = &inv.faults {
         sim.inject_faults(spindle_disk::sim::SimFaults {
             media_errors: plan.media_errors().clone(),
             timeouts: plan.timeouts().clone(),
         });
     }
-    let flight = spindle_obs::recorder::installed();
-    if METRICS_ENABLED.load(Ordering::Relaxed) || flight.is_some() || rollups.is_some() {
-        // A trace export wants the event ring mirrored onto the
-        // timeline; a metrics-only run skips the ring entirely.
-        let cfg = if flight.is_some() {
-            ObsConfig::enabled()
-        } else {
-            ObsConfig::metrics_only()
-        };
-        let mut observer = SimObserver::new(spindle_obs::global(), &cfg);
-        if let Some(rec) = flight {
-            observer = observer.with_flight(rec);
+    let obs = if rollups.is_some() && !inv.obs.metrics {
+        ObsConfig::metrics_only()
+    } else {
+        inv.obs
+    };
+    if obs.metrics {
+        let mut observer = SimObserver::new(spindle_obs::global(), &obs);
+        if let Some(rec) = &inv.recorder {
+            observer = observer.with_flight(Arc::clone(rec));
         }
         if let Some(roll) = rollups {
             observer = observer.with_rollups(roll);
@@ -933,9 +650,10 @@ fn build_sim_inner(
 
 pub(crate) fn run_simulation(
     opts: &Options,
+    inv: &Invocation,
     requests: &[Request],
 ) -> Result<SimResult, Box<dyn std::error::Error>> {
-    let mut sim = build_sim(opts)?;
+    let mut sim = build_sim(opts, inv, None)?;
     let _span = ObsSpan::new(spindle_obs::global(), "cli.simulate");
     Ok(sim.run(requests)?)
 }
@@ -945,12 +663,13 @@ pub(crate) fn run_simulation(
 /// the other end, so memory stays fixed regardless of trace length.
 fn run_simulation_streamed(
     opts: &Options,
+    inv: &Invocation,
     path: &str,
 ) -> Result<SimResult, Box<dyn std::error::Error>> {
-    let mut sim = build_sim(opts)?;
+    let mut sim = build_sim(opts, inv, None)?;
     let _span = ObsSpan::new(spindle_obs::global(), "cli.simulate");
-    let lenient = LENIENT_ENABLED.load(Ordering::Relaxed);
-    let file = FaultyReader::from_installed(File::open(path)?);
+    let lenient = inv.lenient;
+    let file = open_trace(path, inv)?;
     let (tx, rx) = spindle_engine::channel::bounded::<Request>(1024);
     let (sim_result, parse_result) = std::thread::scope(|s| {
         let reader = s.spawn(
@@ -986,15 +705,15 @@ fn run_simulation_streamed(
     Ok(result)
 }
 
-fn simulate(opts: &Options) -> CmdResult {
+fn simulate(opts: &Options, inv: &Invocation) -> CmdResult {
     let path = opts.required("in")?;
     let result = if path.ends_with(".csv") {
         // MSR-style CSV traces can dwarf memory; stream them through a
         // bounded channel instead of materializing the request vector.
-        run_simulation_streamed(opts, path)?
+        run_simulation_streamed(opts, inv, path)?
     } else {
-        let requests = read_trace(path)?;
-        run_simulation(opts, &requests)?
+        let requests = read_trace(path, inv)?;
+        run_simulation(opts, inv, &requests)?
     };
     let mut t = Table::new("simulation summary", &["metric", "value"]);
     let mut rows: Vec<(&str, String)> = vec![
@@ -1027,9 +746,9 @@ fn simulate(opts: &Options) -> CmdResult {
     Ok(())
 }
 
-fn analyze(opts: &Options) -> CmdResult {
-    let requests = read_trace(opts.required("in")?)?;
-    let result = run_simulation(opts, &requests)?;
+fn analyze(opts: &Options, inv: &Invocation) -> CmdResult {
+    let requests = read_trace(opts.required("in")?, inv)?;
+    let result = run_simulation(opts, inv, &requests)?;
     let analysis = MillisecondAnalysis::new(&requests, &result)?;
     let s = analysis.summary()?;
 
@@ -1141,10 +860,10 @@ fn family(opts: &Options) -> CmdResult {
     Ok(())
 }
 
-fn power(opts: &Options) -> CmdResult {
+fn power(opts: &Options, inv: &Invocation) -> CmdResult {
     use spindle_disk::power::{timeout_sweep, PowerModel, PowerPolicy};
-    let requests = read_trace(opts.required("in")?)?;
-    let result = run_simulation(opts, &requests)?;
+    let requests = read_trace(opts.required("in")?, inv)?;
+    let result = run_simulation(opts, inv, &requests)?;
     let model = PowerModel::enterprise_15k();
     let baseline =
         spindle_disk::power::evaluate_policy(&model, &PowerPolicy::always_on(), &result.busy)?;
@@ -1178,9 +897,9 @@ fn power(opts: &Options) -> CmdResult {
     Ok(())
 }
 
-fn anonymize(opts: &Options) -> CmdResult {
+fn anonymize(opts: &Options, inv: &Invocation) -> CmdResult {
     use spindle_trace::anonymize::Anonymizer;
-    let requests = read_trace(opts.required("in")?)?;
+    let requests = read_trace(opts.required("in")?, inv)?;
     let out_path = opts.required("out")?;
     let key: u64 = opts.get_or("key", 0xC0FF_EE00)?;
     let extent: u64 = opts.get_or("extent", 262_144)?;
@@ -1242,11 +961,6 @@ fn hourgen(opts: &Options) -> CmdResult {
     }
     Ok(())
 }
-
-// Keep `Read` in scope for the generic trace readers above without a
-// clippy unused-import warning when features shift.
-#[allow(dead_code)]
-fn _assert_read_bound<R: Read>(_: R) {}
 
 #[cfg(test)]
 mod tests {
@@ -1365,7 +1079,7 @@ mod tests {
 
     #[test]
     fn obs_args_are_peeled_off_before_subcommand_parsing() {
-        let (obs, rest) = extract_obs_args(&argv(&[
+        let (inv, rest) = globals(&argv(&[
             "simulate",
             "--metrics=json",
             "--in",
@@ -1374,17 +1088,18 @@ mod tests {
             "m.json",
         ]))
         .unwrap();
-        assert_eq!(obs.metrics, Some("json"));
-        assert_eq!(obs.out.as_deref(), Some("m.json"));
+        assert_eq!(inv.metrics, Some("json"));
+        assert_eq!(inv.metrics_out.as_deref(), Some("m.json"));
         assert_eq!(rest, argv(&["simulate", "--in", "t.bin"]));
 
         // --metrics-out alone implies a text dump.
-        let (obs, _) = extract_obs_args(&argv(&["help", "--metrics-out=m.txt"])).unwrap();
-        assert_eq!(obs.metrics, Some("text"));
-        assert_eq!(obs.out.as_deref(), Some("m.txt"));
+        let (inv, _) = globals(&argv(&["help", "--metrics-out=m.txt"])).unwrap();
+        assert_eq!(inv.metrics, Some("text"));
+        assert_eq!(inv.metrics_out.as_deref(), Some("m.txt"));
 
-        assert!(extract_obs_args(&argv(&["--metrics=xml"])).is_err());
-        assert!(extract_obs_args(&argv(&["--metrics-out"])).is_err());
+        let err = globals(&argv(&["--metrics=xml"])).unwrap_err();
+        assert!(err.contains("bad metrics format `xml`"), "{err}");
+        assert!(globals(&argv(&["--metrics-out"])).is_err());
     }
 
     #[test]
@@ -1411,7 +1126,7 @@ mod tests {
 
     #[test]
     fn faults_and_lenient_flags_are_peeled() {
-        let (obs, rest) = extract_obs_args(&argv(&[
+        let (inv, rest) = globals(&argv(&[
             "simulate",
             "--faults",
             "io@64",
@@ -1420,12 +1135,12 @@ mod tests {
             "x",
         ]))
         .unwrap();
-        assert_eq!(obs.faults.as_deref(), Some("io@64"));
-        assert!(obs.lenient);
+        assert_eq!(inv.faults.map(|p| p.spec()).as_deref(), Some("io@64"));
+        assert!(inv.lenient);
         assert_eq!(rest, argv(&["simulate", "--in", "x"]));
-        let (obs, _) = extract_obs_args(&argv(&["--faults=short@10"])).unwrap();
-        assert_eq!(obs.faults.as_deref(), Some("short@10"));
-        assert!(extract_obs_args(&argv(&["--faults"])).is_err());
+        let (inv, _) = globals(&argv(&["--faults=short@10"])).unwrap();
+        assert_eq!(inv.faults.map(|p| p.spec()).as_deref(), Some("short@10"));
+        assert!(globals(&argv(&["--faults"])).is_err());
         // A malformed spec is rejected at dispatch with a clear message.
         let err = dispatch(&argv(&["help", "--faults", "bogus@x"])).unwrap_err();
         assert!(err.to_string().contains("--faults"), "{err}");
@@ -1491,21 +1206,20 @@ mod tests {
     #[test]
     fn serve_and_live_flags_are_peeled() {
         // Bare --serve followed by the subcommand: no address consumed.
-        let (obs, rest) = extract_obs_args(&argv(&["--serve", "simulate", "--in", "x"])).unwrap();
-        assert_eq!(obs.serve, Some(None));
-        assert!(!obs.live);
+        let (inv, rest) = globals(&argv(&["--serve", "simulate", "--in", "x"])).unwrap();
+        assert_eq!(inv.serve, Some(None));
+        assert!(!inv.live);
         assert_eq!(rest, argv(&["simulate", "--in", "x"]));
 
         // --serve with a host:port operand consumes it.
-        let (obs, rest) =
-            extract_obs_args(&argv(&["--serve", "127.0.0.1:0", "--live", "help"])).unwrap();
-        assert_eq!(obs.serve, Some(Some("127.0.0.1:0".to_owned())));
-        assert!(obs.live);
+        let (inv, rest) = globals(&argv(&["--serve", "127.0.0.1:0", "--live", "help"])).unwrap();
+        assert_eq!(inv.serve, Some(Some("127.0.0.1:0".to_owned())));
+        assert!(inv.live);
         assert_eq!(rest, argv(&["help"]));
 
         // The equals form always binds.
-        let (obs, _) = extract_obs_args(&argv(&["--serve=0.0.0.0:9999"])).unwrap();
-        assert_eq!(obs.serve, Some(Some("0.0.0.0:9999".to_owned())));
+        let (inv, _) = globals(&argv(&["--serve=0.0.0.0:9999"])).unwrap();
+        assert_eq!(inv.serve, Some(Some("0.0.0.0:9999".to_owned())));
     }
 
     #[test]
@@ -1595,19 +1309,24 @@ mod tests {
 
     #[test]
     fn jobs_flag_is_peeled_and_validated() {
-        let (obs, rest) = extract_obs_args(&argv(&["family", "--jobs", "4"])).unwrap();
-        assert_eq!(obs.jobs, Some(4));
+        let (inv, rest) = globals(&argv(&["family", "--jobs", "4"])).unwrap();
+        assert_eq!(inv.jobs, Some(4));
         assert_eq!(rest, argv(&["family"]));
 
-        let (obs, _) = extract_obs_args(&argv(&["--jobs=2", "analyze"])).unwrap();
-        assert_eq!(obs.jobs, Some(2));
+        let (inv, _) = globals(&argv(&["--jobs=2", "analyze"])).unwrap();
+        assert_eq!(inv.jobs, Some(2));
 
         // Friendly rejections: zero, garbage, missing value.
-        let err = extract_obs_args(&argv(&["--jobs", "0"])).unwrap_err();
+        let err = globals(&argv(&["--jobs", "0"])).unwrap_err();
         assert!(err.contains("--jobs"), "{err}");
-        let err = extract_obs_args(&argv(&["--jobs=two"])).unwrap_err();
+        let err = globals(&argv(&["--jobs=two"])).unwrap_err();
         assert!(err.contains("positive integer"), "{err}");
-        assert!(extract_obs_args(&argv(&["--jobs"])).is_err());
+        assert!(globals(&argv(&["--jobs"])).is_err());
+
+        // `loadtest --jobs M` counts submissions: the subcommand keeps it.
+        let (inv, rest) = globals(&argv(&["loadtest", "http://x", "--jobs", "9"])).unwrap();
+        assert_eq!(inv.jobs, None);
+        assert_eq!(rest, argv(&["loadtest", "http://x", "--jobs", "9"]));
     }
 
     #[test]
@@ -1658,13 +1377,14 @@ mod tests {
 
     #[test]
     fn trace_out_is_peeled_and_validated() {
-        let (obs, rest) =
-            extract_obs_args(&argv(&["simulate", "--trace-out", "t.json", "--in", "x"])).unwrap();
-        assert_eq!(obs.trace.as_deref(), Some("t.json"));
+        let (inv, rest) =
+            globals(&argv(&["simulate", "--trace-out", "t.json", "--in", "x"])).unwrap();
+        assert_eq!(inv.trace_out.as_deref(), Some("t.json"));
+        assert!(inv.recorder.is_some(), "a trace export records the run");
         assert_eq!(rest, argv(&["simulate", "--in", "x"]));
-        let (obs, _) = extract_obs_args(&argv(&["--trace-out=d/t.json"])).unwrap();
-        assert_eq!(obs.trace.as_deref(), Some("d/t.json"));
-        assert!(extract_obs_args(&argv(&["--trace-out"])).is_err());
+        let (inv, _) = globals(&argv(&["--trace-out=d/t.json"])).unwrap();
+        assert_eq!(inv.trace_out.as_deref(), Some("d/t.json"));
+        assert!(globals(&argv(&["--trace-out"])).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! in `.md`) renders the same tables as GitHub-flavored markdown.
 
 use crate::args::Options;
-use crate::commands::{build_sim_observed, read_trace, write_output_file, CmdResult};
+use crate::commands::{build_sim, read_trace, write_output_file, CmdResult};
 use crate::report::{esc, html_table, pct};
 use spindle_disk::sim::SimResult;
 use spindle_obs::exemplar::Exemplar;
@@ -23,6 +23,7 @@ use spindle_obs::registry::Snapshot;
 use spindle_obs::rollup::ResolutionSnapshot;
 use spindle_obs::rollup::RollupSnapshot;
 use spindle_obs::{progress, ObsSpan, RollupSet};
+use spindle_pulse::front::Invocation;
 use std::sync::Arc;
 
 /// The attribution histograms the tail table rows over, in
@@ -36,7 +37,7 @@ const ATTRIBUTION_METRICS: &[(&str, &str)] = &[
     ("disk.destage_us", "idle-time destage"),
 ];
 
-pub(crate) fn observe(opts: &Options) -> CmdResult {
+pub(crate) fn observe(opts: &Options, inv: &Invocation) -> CmdResult {
     let in_path = opts.required("in")?;
     let format = match opts.get("format") {
         Some("html") | None => Format::Html,
@@ -55,10 +56,10 @@ pub(crate) fn observe(opts: &Options) -> CmdResult {
         format
     };
 
-    let requests = read_trace(in_path)?;
+    let requests = read_trace(in_path, inv)?;
     let rollups = Arc::new(RollupSet::sim());
     let result = {
-        let mut sim = build_sim_observed(opts, Arc::clone(&rollups))?;
+        let mut sim = build_sim(opts, inv, Some(Arc::clone(&rollups)))?;
         let _span = ObsSpan::new(spindle_obs::global(), "cli.simulate");
         sim.run(&requests)?
     };

@@ -9,11 +9,12 @@
 //! its own styling, so it opens anywhere without a network.
 
 use crate::args::Options;
-use crate::commands::{read_trace, run_simulation, trace_out_path, write_output_file, CmdResult};
+use crate::commands::{read_trace, run_simulation, write_output_file, CmdResult};
 use spindle_core::idle::{IdleAnalysis, AVAILABILITY_THRESHOLDS};
 use spindle_core::millisecond::MillisecondAnalysis;
 use spindle_disk::sim::SimResult;
 use spindle_obs::progress;
+use spindle_pulse::front::Invocation;
 use spindle_trace::Request;
 
 /// Time-scale buckets the report aggregates over: label and window
@@ -28,13 +29,19 @@ const TIME_SCALES: &[(&str, f64)] = &[
 /// Utilization considered "saturated" for the per-bucket share column.
 const SATURATION: f64 = 0.9;
 
-pub(crate) fn report(opts: &Options) -> CmdResult {
+pub(crate) fn report(opts: &Options, inv: &Invocation) -> CmdResult {
     let in_path = opts.required("in")?;
     let out_path = opts.get("out").unwrap_or("spindle-report.html");
-    let requests = read_trace(in_path)?;
-    let result = run_simulation(opts, &requests)?;
+    let requests = read_trace(in_path, inv)?;
+    let result = run_simulation(opts, inv, &requests)?;
     let profile = opts.get("profile").unwrap_or("cheetah-15k");
-    let html = render(in_path, profile, &requests, &result)?;
+    let html = render(
+        in_path,
+        profile,
+        inv.trace_out.as_deref(),
+        &requests,
+        &result,
+    )?;
     write_output_file(out_path, &html)?;
     progress!("wrote report to {out_path}");
     Ok(())
@@ -135,6 +142,7 @@ pub(crate) fn pct(part: usize, whole: usize) -> String {
 fn render(
     in_path: &str,
     profile: &str,
+    trace_out: Option<&str>,
     requests: &[Request],
     result: &SimResult,
 ) -> Result<String, Box<dyn std::error::Error>> {
@@ -259,13 +267,13 @@ fn render(
         &idle_rows,
     );
 
-    let timeline = match trace_out_path() {
+    let timeline = match trace_out {
         Some(path) => format!(
             "<p>Timeline: <a href=\"{0}\"><code>{0}</code></a> — open it in \
              <a href=\"https://ui.perfetto.dev\">Perfetto</a> or \
              <code>chrome://tracing</code> to see the simulated-time drive \
              tracks alongside the wall-clock worker tracks.</p>",
-            esc(&path)
+            esc(path)
         ),
         None => "<p>No timeline was exported with this report; rerun with \
                  <code>--trace-out FILE</code> to capture one.</p>"

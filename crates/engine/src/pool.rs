@@ -538,6 +538,19 @@ mod tests {
     use super::*;
     use crate::shard_seed;
 
+    /// Serializes the tests that install the process-wide flight
+    /// recorder with the tests whose tasks panic: every caught panic
+    /// records a fault slice into whatever recorder is installed, and
+    /// one test's uninstall would remove another's recorder.
+    static RECORDER_TESTS: Mutex<()> = Mutex::new(());
+
+    fn recorder_tests() -> std::sync::MutexGuard<'static, ()> {
+        // The guarded tests panic on purpose; the unit value survives.
+        RECORDER_TESTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn map_preserves_ordinal_order() {
         for jobs in [1, 2, 3, 8] {
@@ -650,6 +663,7 @@ mod tests {
 
     #[test]
     fn workers_record_activity_to_an_installed_recorder() {
+        let _serial = recorder_tests();
         use spindle_obs::recorder;
 
         let rec = Arc::new(FlightRecorder::new());
@@ -680,6 +694,7 @@ mod tests {
 
     #[test]
     fn map_reduce_still_propagates_panics() {
+        let _serial = recorder_tests();
         let pool = Pool::sequential();
         let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.map(vec![0u8, 1, 2], |i, x| {
@@ -694,6 +709,7 @@ mod tests {
 
     #[test]
     fn try_map_quarantines_the_panicking_shard() {
+        let _serial = recorder_tests();
         for jobs in [1, 2, 8] {
             let pool = Pool::new(jobs);
             let outcome = pool.try_map((0..16u64).collect(), |i, x| {
@@ -718,6 +734,7 @@ mod tests {
 
     #[test]
     fn try_run_shards_reports_the_failed_seed() {
+        let _serial = recorder_tests();
         let plan = ShardPlan::new(8, 20090);
         let outcome = Pool::new(4).try_run_shards(&plan, |ord, seed| {
             assert!(ord != 3, "shard 3 dies");
@@ -737,6 +754,7 @@ mod tests {
 
     #[test]
     fn failures_are_counted_in_metrics() {
+        let _serial = recorder_tests();
         let registry: &'static MetricsRegistry = Box::leak(Box::default());
         let pool = Pool::new(2).metrics(PoolMetrics::new(registry));
         let outcome = pool.try_map((0..8u8).collect(), |i, x| {
@@ -751,6 +769,7 @@ mod tests {
 
     #[test]
     fn quarantine_records_fault_slices() {
+        let _serial = recorder_tests();
         use spindle_obs::recorder;
 
         let rec = Arc::new(FlightRecorder::new());

@@ -1,7 +1,7 @@
 //! Byte-exact I/O fault injection.
 //!
-//! [`FaultyReader`] wraps any [`Read`] and applies the installed (or an
-//! explicit) [`FaultPlan`]'s reader faults:
+//! [`FaultyReader`] wraps any [`Read`] and applies a [`FaultPlan`]'s
+//! reader faults:
 //!
 //! * `io@N` — the read that would cross byte `N` returns an
 //!   [`std::io::Error`] naming the offset; every later read fails the
@@ -37,16 +37,6 @@ impl<R: Read> FaultyReader<R> {
             pos: 0,
             io_errors: plan.io_errors().clone(),
             short_reads: plan.short_reads().clone(),
-        }
-    }
-
-    /// Wraps `inner` with the process-wide installed plan's reader
-    /// faults; a fault-free pass-through when no plan is installed.
-    #[must_use]
-    pub fn from_installed(inner: R) -> Self {
-        match crate::installed() {
-            Some(plan) => FaultyReader::new(inner, &plan),
-            None => FaultyReader::new(inner, &FaultPlan::default()),
         }
     }
 

@@ -13,10 +13,13 @@
 //!   ordinals). Parsing is pure, so the same spec always yields the
 //!   same plan.
 //! * [`install`] publishes a plan process-wide, exactly like
-//!   [`spindle_obs::recorder::install`] publishes a flight recorder;
-//!   the `--faults SPEC` CLI flag and the [`FAULTS_ENV`] environment
-//!   variable both land here. With no plan installed every check is a
-//!   single relaxed atomic load.
+//!   [`spindle_obs::recorder::install`] publishes a flight recorder,
+//!   for the hooks that cannot be handed one: the bench matrix's
+//!   task hooks and the telemetry exporter's stall check. The front
+//!   end resolves `--faults SPEC` or the [`FAULTS_ENV`] environment
+//!   variable into one plan, passes it by value to trace readers and
+//!   the disk simulator, and installs it for the rest. With no plan
+//!   installed every check is a single relaxed atomic load.
 //! * [`io::FaultyReader`] wraps any [`std::io::Read`] and injects the
 //!   plan's I/O errors and short reads at exact byte offsets, so
 //!   trace-reader error paths are exercised byte-for-byte.
@@ -267,8 +270,8 @@ fn parse_site(token: &str, v: &str) -> Result<u64, String> {
 
 /// The process-wide fault plan slot.
 ///
-/// Deep layers (trace readers, the disk simulator, the bench matrix)
-/// consult this slot; with the slot empty — the production default —
+/// The bench matrix's task hooks and the telemetry exporter consult
+/// this slot; with the slot empty — the production default —
 /// [`installed`] is a single relaxed atomic load.
 static INSTALLED: OnceLock<Mutex<Option<Arc<FaultPlan>>>> = OnceLock::new();
 static PRESENT: AtomicBool = AtomicBool::new(false);

@@ -15,6 +15,7 @@
 //! so a resumed daemon reproduces the same context for the same
 //! attempt.
 
+use crate::hash::fnv1a64;
 use std::fmt;
 
 /// Env var carrying the encoded trace context from daemon to child.
@@ -71,15 +72,6 @@ impl fmt::Display for TraceContext {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}:{:016x}", self.trace_id, self.root_span)
     }
-}
-
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

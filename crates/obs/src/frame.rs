@@ -52,6 +52,7 @@
 //! [`RollupSet`]: crate::rollup::RollupSet
 //! [`rollup::snapshot_delta`]: crate::rollup::snapshot_delta
 
+use crate::hash::fnv1a32;
 use crate::json::Json;
 use crate::registry::{HistogramSnapshot, Snapshot};
 use crate::rollup::{ResolutionSnapshot, WindowAccum};
@@ -84,15 +85,6 @@ const KIND_PROGRESS: u8 = 4;
 const KIND_LOG: u8 = 5;
 const KIND_BYE: u8 = 6;
 const KIND_SPAN: u8 = 7;
-
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
 
 /// One telemetry frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -515,7 +507,7 @@ impl Frame {
         }
         let mut out = Vec::with_capacity(body.len() + 8);
         put_u32(&mut out, body.len() as u32);
-        put_u32(&mut out, fnv1a(&body));
+        put_u32(&mut out, fnv1a32(&body));
         out.extend_from_slice(&body);
         out
     }
@@ -840,7 +832,7 @@ impl FrameDecoder {
             }
             let expected = u32::from_le_bytes([avail[4], avail[5], avail[6], avail[7]]);
             let body = &avail[8..total];
-            let got = fnv1a(body);
+            let got = fnv1a32(body);
             if got != expected {
                 return self.poison(FrameError::Checksum { expected, got });
             }
@@ -1009,7 +1001,7 @@ mod tests {
         };
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
         wire.extend_from_slice(&body);
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
@@ -1060,7 +1052,7 @@ mod tests {
         body.extend_from_slice(b"old");
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
         wire.extend_from_slice(&body);
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
@@ -1084,7 +1076,7 @@ mod tests {
         for kind in [42u8, 200u8] {
             let body = vec![kind, 1, 2, 3];
             wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            wire.extend_from_slice(&fnv1a(&body).to_le_bytes());
+            wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
             wire.extend_from_slice(&body);
         }
         let survivor = all_kinds()[3].clone();
@@ -1100,7 +1092,7 @@ mod tests {
         let mut flipped = vec![99u8, 0, 0];
         let mut bad = Vec::new();
         bad.extend_from_slice(&(flipped.len() as u32).to_le_bytes());
-        bad.extend_from_slice(&fnv1a(&flipped).to_le_bytes());
+        bad.extend_from_slice(&fnv1a32(&flipped).to_le_bytes());
         flipped[1] ^= 0xFF;
         bad.extend_from_slice(&flipped);
         let mut dec = FrameDecoder::new();
@@ -1127,7 +1119,7 @@ mod tests {
         body.push(0xEE);
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
         wire.extend_from_slice(&body);
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
@@ -1142,7 +1134,7 @@ mod tests {
         let body = wire[8..wire.len() - 6].to_vec();
         let mut cut = Vec::new();
         cut.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        cut.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        cut.extend_from_slice(&fnv1a32(&body).to_le_bytes());
         cut.extend_from_slice(&body);
         let mut dec = FrameDecoder::new();
         dec.push(&cut);
@@ -1156,7 +1148,7 @@ mod tests {
         body.extend_from_slice(&[0, 0, 0, 0]);
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
         wire.extend_from_slice(&body);
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
@@ -1169,7 +1161,7 @@ mod tests {
         body.push(0xF0);
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
         wire.extend_from_slice(&body);
         let mut dec = FrameDecoder::new();
         dec.push(&wire);

@@ -31,6 +31,8 @@
 //!   [`TraceContext`] the serve daemon mints per job attempt and hands
 //!   to children via `SPINDLE_TRACE_CONTEXT`, tying daemon lifecycle
 //!   spans and child flight-recorder spans into one causal trace.
+//! * [`hash`] — FNV-1a, the one hash behind frame checksums, trace
+//!   ids and breaker fingerprints.
 //! * [`events`] — a fixed-capacity ring-buffer [`EventLog`] for
 //!   simulator-level events (request enqueue/dispatch/complete, cache
 //!   hit/miss, destage, idle begin/end), gated behind [`ObsConfig`].
@@ -88,6 +90,7 @@ pub mod context;
 pub mod events;
 pub mod exemplar;
 pub mod frame;
+pub mod hash;
 pub mod json;
 pub mod logger;
 pub mod prom;

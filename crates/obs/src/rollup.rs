@@ -207,10 +207,21 @@ impl Wheel {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
+/// Everything a [`RollupSet`] guards with its one mutex.
+#[derive(Debug)]
+struct State {
+    wheels: Vec<Wheel>,
+    /// The last ingested registry snapshot, for delta computation.
     prev: Option<Snapshot>,
     last_t_ns: u64,
+}
+
+impl State {
+    /// Advances the axis high-water mark and returns the wheels.
+    fn at(&mut self, t_ns: u64) -> &mut Vec<Wheel> {
+        self.last_t_ns = self.last_t_ns.max(t_ns);
+        &mut self.wheels
+    }
 }
 
 /// A set of ring-buffered rollup wheels over one time axis.
@@ -220,8 +231,7 @@ struct Inner {
 #[derive(Debug)]
 pub struct RollupSet {
     axis: &'static str,
-    wheels: Mutex<Vec<Wheel>>,
-    inner: Mutex<Inner>,
+    state: Mutex<State>,
 }
 
 impl RollupSet {
@@ -231,8 +241,11 @@ impl RollupSet {
     pub fn new(axis: &'static str, resolutions: Vec<Resolution>) -> Self {
         RollupSet {
             axis,
-            wheels: Mutex::new(resolutions.into_iter().map(Wheel::new).collect()),
-            inner: Mutex::new(Inner::default()),
+            state: Mutex::new(State {
+                wheels: resolutions.into_iter().map(Wheel::new).collect(),
+                prev: None,
+                last_t_ns: 0,
+            }),
         }
     }
 
@@ -280,16 +293,12 @@ impl RollupSet {
     /// implicit previous value is zero), so lifetime totals equal the
     /// registry's own.
     pub fn ingest_snapshot(&self, t_ns: u64, snap: &Snapshot) {
-        let mut inner = self.inner.lock().expect("rollup inner lock");
-        inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        let prev = inner.prev.take();
-        let delta = snapshot_delta(prev.as_ref(), snap);
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        let mut state = self.lock();
+        let delta = snapshot_delta(state.prev.as_ref(), snap);
+        for wheel in state.at(t_ns) {
             wheel.window_for(t_ns).merge_from(&delta);
         }
-        drop(wheels);
-        inner.prev = Some(snap.clone());
+        state.prev = Some(snap.clone());
     }
 
     /// Banks a pre-computed delta accumulator at `t_ns` — the
@@ -300,12 +309,7 @@ impl RollupSet {
     /// the newest value, so the fleet's lifetime totals equal the sum
     /// of the per-job lifetime totals bucket for bucket.
     pub fn ingest_accum(&self, t_ns: u64, delta: &WindowAccum) {
-        {
-            let mut inner = self.inner.lock().expect("rollup inner lock");
-            inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        }
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        for wheel in self.lock().at(t_ns) {
             wheel.window_for(t_ns).merge_from(delta);
         }
     }
@@ -314,12 +318,7 @@ impl RollupSet {
     /// at `t_ns` — the point-ingestion path the simulator's observer
     /// uses on the sim axis.
     pub fn record_hist(&self, name: &str, t_ns: u64, value: u64) {
-        {
-            let mut inner = self.inner.lock().expect("rollup inner lock");
-            inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        }
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        for wheel in self.lock().at(t_ns) {
             let win = wheel.window_for(t_ns);
             let h = win
                 .histograms
@@ -334,12 +333,7 @@ impl RollupSet {
         if delta == 0 {
             return;
         }
-        {
-            let mut inner = self.inner.lock().expect("rollup inner lock");
-            inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        }
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        for wheel in self.lock().at(t_ns) {
             let win = wheel.window_for(t_ns);
             *win.counters.entry(name.to_owned()).or_insert(0) += delta;
         }
@@ -347,25 +341,24 @@ impl RollupSet {
 
     /// Records a gauge's value at `t_ns` (sim-axis point ingestion).
     pub fn set_gauge(&self, name: &str, t_ns: u64, value: i64) {
-        {
-            let mut inner = self.inner.lock().expect("rollup inner lock");
-            inner.last_t_ns = inner.last_t_ns.max(t_ns);
-        }
-        let mut wheels = self.wheels.lock().expect("rollup wheels lock");
-        for wheel in wheels.iter_mut() {
+        for wheel in self.lock().at(t_ns) {
             wheel.window_for(t_ns).gauges.insert(name.to_owned(), value);
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, State> {
+        self.state.lock().expect("rollup state lock")
     }
 
     /// An immutable view of every wheel.
     #[must_use]
     pub fn snapshot(&self) -> RollupSnapshot {
-        let wheels = self.wheels.lock().expect("rollup wheels lock");
-        let last_t_ns = self.inner.lock().expect("rollup inner lock").last_t_ns;
+        let state = self.lock();
         RollupSnapshot {
             axis: self.axis,
-            last_t_ns,
-            resolutions: wheels
+            last_t_ns: state.last_t_ns,
+            resolutions: state
+                .wheels
                 .iter()
                 .map(|w| ResolutionSnapshot {
                     resolution: w.res,
@@ -856,5 +849,45 @@ mod tests {
         set.add_counter("c", 0, 1);
         let r = set.snapshot();
         assert_eq!(r.resolution("1s").unwrap().merged().counters["c"], 3);
+    }
+
+    #[test]
+    fn concurrent_ingestion_and_snapshots_never_deadlock() {
+        // A sampler tick (`ingest_snapshot`) racing a `/timescales`
+        // scrape (`snapshot`) once took the set's two mutexes in
+        // opposite orders; both sides must now always finish.
+        let set = std::sync::Arc::new(RollupSet::wall());
+        let registry = MetricsRegistry::new();
+        registry.counter("c").add(1);
+        let snap = registry.snapshot();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let ingester = {
+            let set = std::sync::Arc::clone(&set);
+            let done = done_tx.clone();
+            std::thread::spawn(move || {
+                for i in 0..2_000u64 {
+                    set.ingest_snapshot(i * 1_000_000, &snap);
+                }
+                done.send(()).expect("test thread waits");
+            })
+        };
+        let reader = {
+            let set = std::sync::Arc::clone(&set);
+            std::thread::spawn(move || {
+                for _ in 0..2_000 {
+                    let _ = set.snapshot();
+                }
+                done_tx.send(()).expect("test thread waits");
+            })
+        };
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("ingestion and snapshots deadlocked");
+        }
+        ingester.join().expect("ingester finishes");
+        reader.join().expect("reader finishes");
+        let run = set.snapshot();
+        assert_eq!(run.resolution("run").unwrap().merged().counters["c"], 1);
     }
 }

@@ -27,6 +27,10 @@
 //!   of progress, throughput, ETA, worker lanes, hottest spans, and
 //!   `events.dropped`, degrading to plain line output when stderr is
 //!   not a TTY.
+//! * [`front`] — the command-line front end both binaries share: one
+//!   option parser, one resolution of flags and environment into an
+//!   [`Invocation`](front::Invocation), and one run lifecycle around
+//!   the session, the exporter and the exports.
 //! * [`export`] — the child-side half of the cross-process telemetry
 //!   plane: when `SPINDLE_TELEMETRY_SINK` names a local sink address
 //!   (the `spindle serve` runner injects it for every job child), an
@@ -43,6 +47,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod export;
+pub mod front;
 pub mod http;
 pub mod live;
 pub mod sampler;
@@ -84,9 +89,9 @@ pub fn serve_linger() -> std::time::Duration {
 
 /// One front end's live telemetry for the duration of a run: the
 /// sampler plus whatever `--serve`/`--live` asked for, with an orderly
-/// shutdown. Both `spindle` and the `experiments` binary drive their
-/// flags through this so the lifecycle (final sample, scrape linger,
-/// stop order) cannot drift between them.
+/// shutdown. [`front::Invocation::run`] drives it for both binaries, so
+/// the lifecycle (final sample, scrape linger, stop order) cannot drift
+/// between them.
 #[derive(Debug)]
 pub struct Session {
     /// Shared progress state; the front end publishes phase changes

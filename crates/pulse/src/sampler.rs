@@ -119,13 +119,13 @@ impl Sampler {
             stop: AtomicBool::new(false),
             rollups,
         });
+        // The first sample lands before `start` returns, so consumers
+        // never see a completely empty window.
+        shared.sample_once();
         let worker = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("pulse-sampler".to_owned())
             .spawn(move || {
-                // Take the first sample immediately so consumers never
-                // see a completely empty window.
-                worker.sample_once();
                 while !worker.stop.load(Ordering::Acquire) {
                     std::thread::park_timeout(cadence);
                     if worker.stop.load(Ordering::Acquire) {

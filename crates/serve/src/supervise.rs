@@ -32,6 +32,7 @@
 use crate::job::{JobState, KillReason};
 use crate::queue::PushError;
 use crate::Shared;
+use spindle_obs::hash::fnv1a64;
 use spindle_obs::json::Json;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -143,16 +144,7 @@ impl Supervisor {
 /// spec.
 #[must_use]
 pub(crate) fn fingerprint(spec: &crate::spec::JobSpec) -> u64 {
-    fnv1a(spec.to_json().to_string().as_bytes())
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a64(spec.to_json().to_string().as_bytes())
 }
 
 /// `base * 2^attempt` plus deterministic jitter in `[0, base)` mixed
@@ -163,7 +155,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 pub(crate) fn backoff_ms(base_ms: u64, attempt: u32, id: &str) -> u64 {
     let base = base_ms.max(1);
     let exp = base.saturating_mul(1u64 << attempt.min(16));
-    let mut mix = fnv1a(id.as_bytes()) ^ (u64::from(attempt)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut mix = fnv1a64(id.as_bytes()) ^ (u64::from(attempt)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     // splitmix64 finalizer: spreads the low bits the modulo keeps.
     mix = (mix ^ (mix >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     mix = (mix ^ (mix >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

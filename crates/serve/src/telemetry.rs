@@ -1008,14 +1008,6 @@ mod tests {
 
     #[test]
     fn unknown_frame_kinds_are_skipped_and_counted_not_fatal() {
-        fn fnv1a(bytes: &[u8]) -> u32 {
-            let mut hash: u32 = 0x811c_9dc5;
-            for &b in bytes {
-                hash ^= u32::from(b);
-                hash = hash.wrapping_mul(0x0100_0193);
-            }
-            hash
-        }
         // A checksum-valid frame of a future kind between two known
         // frames: the stream survives, the skip is visible.
         let mut wire = Frame::Hello {
@@ -1027,7 +1019,7 @@ mod tests {
         .encode();
         let body = [200u8, 1, 2, 3];
         wire.extend_from_slice(&u32::try_from(body.len()).unwrap().to_le_bytes());
-        wire.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        wire.extend_from_slice(&spindle_obs::hash::fnv1a32(&body).to_le_bytes());
         wire.extend_from_slice(&body);
         wire.extend_from_slice(
             &Frame::Bye {

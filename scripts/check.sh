@@ -34,24 +34,29 @@ if [ -z "$OFFLINE" ] && ! cargo fetch >/dev/null 2>&1; then
     OFFLINE="--offline"
 fi
 
+# Every test step runs under a time limit, so a hung test fails the
+# gate instead of stalling it; --no-fail-fast runs every test binary
+# even after one fails, so one red binary cannot hide another.
+TEST_LIMIT="timeout --kill-after=30 1800"
+
 run cargo fmt --all -- --check
 run cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
-run cargo test $OFFLINE --workspace -q
+run $TEST_LIMIT cargo test $OFFLINE --workspace --no-fail-fast -q
 
 # The engine's determinism contract, called out explicitly so a
 # regression is named in the log rather than buried in the suite.
-run cargo test $OFFLINE -q -p spindle-bench --test engine_determinism
-run cargo test $OFFLINE -q -p spindle-engine --test channel_stress
+run $TEST_LIMIT cargo test $OFFLINE -q -p spindle-bench --test engine_determinism
+run $TEST_LIMIT cargo test $OFFLINE -q -p spindle-engine --test channel_stress
 
 # The robustness contracts: panic isolation and checkpoint/resume,
 # likewise named explicitly.
-run cargo test $OFFLINE -q -p spindle-bench --test fault_injection
-run cargo test $OFFLINE -q -p spindle-bench --test checkpoint_resume
+run $TEST_LIMIT cargo test $OFFLINE -q -p spindle-bench --test fault_injection
+run $TEST_LIMIT cargo test $OFFLINE -q -p spindle-bench --test checkpoint_resume
 
 # Re-run the suite with parallel execution forced on: every pool that
 # defaults its worker count must still produce sequential-identical
 # results with two workers.
-run env SPINDLE_JOBS=2 cargo test $OFFLINE --workspace -q
+run env SPINDLE_JOBS=2 $TEST_LIMIT cargo test $OFFLINE --workspace --no-fail-fast -q
 
 # Observability smoke: the flight recorder, run report, observatory
 # report, and bench record must actually come out of the shipped
