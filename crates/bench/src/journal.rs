@@ -14,16 +14,17 @@
 //! experiments execute. The concatenated stdout of a killed-then-
 //! resumed run is therefore byte-identical to an uninterrupted run.
 //!
-//! The loader is deliberately lenient about the file's *tail* (a
-//! truncated final line is exactly what a kill leaves behind) and
-//! strict about its *head*: a missing or mismatched header — different
+//! The file is a [`spindle_obs::jsonl`] log, so it shares that
+//! module's damage policy: a torn final line (what a kill leaves
+//! behind) is ignored, damage before a good record is an error. On top
+//! of that the header is strict: a mismatched fingerprint — different
 //! seed or `--quick` flag — is an error, because replaying records
 //! produced under a different configuration would silently mix
 //! incompatible outputs.
 
-use spindle_obs::json::{parse, Json};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use spindle_obs::json::Json;
+use spindle_obs::jsonl::{self, AppendLog};
+use std::path::Path;
 
 /// Schema tag on the journal's header line.
 pub const JOURNAL_SCHEMA: &str = "spindle-journal/v1";
@@ -65,22 +66,13 @@ impl JournalEntry {
     }
 }
 
-fn header_line(quick: bool, seed: u64) -> String {
-    let doc = Json::Obj(vec![
-        ("schema".to_owned(), Json::Str(JOURNAL_SCHEMA.to_owned())),
-        ("quick".to_owned(), Json::Bool(quick)),
-        ("seed".to_owned(), Json::Uint(seed)),
-    ]);
-    format!("{doc}\n")
-}
-
 /// An append-side journal handle.
 ///
-/// Every [`Journal::append`] writes one JSON line, flushes it, and
-/// fsyncs the file before returning.
+/// Every [`Journal::append`] writes one JSON line and fsyncs it before
+/// returning.
 #[derive(Debug)]
 pub struct Journal {
-    writer: BufWriter<File>,
+    log: AppendLog,
     records: u64,
 }
 
@@ -93,33 +85,28 @@ impl Journal {
     /// # Errors
     ///
     /// Fails when the file exists but carries no valid header, when
-    /// its header was written by a different configuration, or on I/O
-    /// errors.
+    /// its header was written by a different configuration, when it is
+    /// damaged before its last record, or on I/O errors.
     pub fn open_resume(
         path: &str,
         quick: bool,
         seed: u64,
     ) -> Result<(Journal, Vec<JournalEntry>), String> {
-        let (entries, fresh) = match std::fs::read_to_string(path) {
-            Ok(text) => (load_entries(path, &text, quick, seed)?, false),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => (Vec::new(), true),
-            Err(e) => return Err(format!("cannot read journal `{path}`: {e}")),
+        let path = Path::new(path);
+        let entries = if path.exists() {
+            load_entries(path, quick, seed)?
+        } else {
+            Vec::new()
         };
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| format!("cannot open journal `{path}`: {e}"))?;
-        let mut journal = Journal {
-            writer: BufWriter::new(file),
-            records: entries.len() as u64,
-        };
-        if fresh {
-            journal
-                .write_line(&header_line(quick, seed))
-                .map_err(|e| format!("cannot write journal header to `{path}`: {e}"))?;
-        }
-        Ok((journal, entries))
+        let header = Json::Obj(vec![
+            ("schema".to_owned(), Json::Str(JOURNAL_SCHEMA.to_owned())),
+            ("quick".to_owned(), Json::Bool(quick)),
+            ("seed".to_owned(), Json::Uint(seed)),
+        ]);
+        let log = AppendLog::open(path, &header)
+            .map_err(|e| format!("cannot open journal `{}`: {e}", path.display()))?;
+        let records = entries.len() as u64;
+        Ok((Journal { log, records }, entries))
     }
 
     /// Appends one completion record and fsyncs it to disk.
@@ -128,7 +115,8 @@ impl Journal {
     ///
     /// Propagates write and sync failures.
     pub fn append(&mut self, entry: &JournalEntry) -> Result<(), String> {
-        self.write_line(&format!("{}\n", entry.to_json()))
+        self.log
+            .append(&entry.to_json())
             .map_err(|e| format!("cannot journal `{}`: {e}", entry.id))?;
         self.records += 1;
         Ok(())
@@ -139,65 +127,26 @@ impl Journal {
     pub fn records(&self) -> u64 {
         self.records
     }
-
-    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()
-    }
 }
 
-/// Parses a journal file body, validating the header fingerprint.
-///
-/// Damaged or truncated *trailing* lines are ignored (a kill mid-write
-/// leaves one); damage before the last well-formed record is an error,
-/// since silently dropping a completed record would re-run work the
-/// journal promised was done.
-fn load_entries(
-    path: &str,
-    text: &str,
-    quick: bool,
-    seed: u64,
-) -> Result<Vec<JournalEntry>, String> {
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| format!("journal `{path}` is empty (no header line)"))?;
-    let doc = parse(header).map_err(|e| format!("journal `{path}` header: {e}"))?;
-    if doc.get("schema").and_then(Json::as_str) != Some(JOURNAL_SCHEMA) {
-        return Err(format!(
-            "journal `{path}` has an unrecognized schema (expected {JOURNAL_SCHEMA})"
-        ));
-    }
-    let hdr_quick = matches!(doc.get("quick"), Some(Json::Bool(true)));
-    let hdr_seed = doc.get("seed").and_then(Json::as_u64);
+/// Loads a journal's entries after checking its header fingerprint;
+/// the last entry per id wins.
+fn load_entries(path: &Path, quick: bool, seed: u64) -> Result<Vec<JournalEntry>, String> {
+    let log = jsonl::read(path, "journal", JOURNAL_SCHEMA, JournalEntry::from_json)?;
+    let hdr_quick = matches!(log.header.get("quick"), Some(Json::Bool(true)));
+    let hdr_seed = log.header.get("seed").and_then(Json::as_u64);
     if hdr_quick != quick || hdr_seed != Some(seed) {
         return Err(format!(
-            "journal `{path}` was written by a different run \
+            "journal `{}` was written by a different run \
              (journal: quick={hdr_quick} seed={hdr_seed:?}; this run: quick={quick} seed={seed}) \
-             — delete it or pass a different --resume file"
+             — delete it or pass a different --resume file",
+            path.display()
         ));
     }
     let mut entries: Vec<JournalEntry> = Vec::new();
-    let mut damaged: Option<u64> = None;
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line_no = i as u64 + 2;
-        match parse(line).ok().as_ref().and_then(JournalEntry::from_json) {
-            Some(entry) => {
-                if let Some(bad) = damaged {
-                    return Err(format!(
-                        "journal `{path}` line {bad} is damaged but records follow it \
-                         — refusing to silently drop a completed record"
-                    ));
-                }
-                entries.retain(|e| e.id != entry.id);
-                entries.push(entry);
-            }
-            None => damaged = Some(line_no),
-        }
+    for (_, entry) in log.records {
+        entries.retain(|e| e.id != entry.id);
+        entries.push(entry);
     }
     Ok(entries)
 }

@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [--quick] [--jobs N] [--metrics[=json|text]] [--record[=FILE]]
+//! experiments [--quick] [--jobs N] [--metrics[=json|text]] [--record FILE]
 //!             [--trace-out FILE] [--timescales-out FILE] [--faults SPEC]
 //!             [--resume FILE] [--serve [ADDR]] [--live] [--verbose|--quiet]
 //!             [ids...]
@@ -12,7 +12,7 @@
 //! experiments                      # everything at paper scale
 //! experiments --jobs 8             # fan the matrix across 8 workers
 //! experiments --metrics=json t1    # T1 plus a JSON metrics dump on stderr
-//! experiments --record t1 t2      # also write the bench-record file
+//! experiments --record b.json t1  # also write a bench-record file
 //! experiments --trace-out t.json  # export a Chrome trace-event timeline
 //! experiments --faults panic@3    # quarantine the 4th experiment
 //! experiments --resume run.jsonl  # journal completions; resume a killed run
@@ -44,10 +44,6 @@ use spindle_obs::progress;
 use spindle_pulse::front::{self, Arity, Invocation, SHARED};
 use std::collections::HashMap;
 
-/// Default destination of `--record` (the PR-over-PR perf trajectory
-/// file tracked at the repository root).
-const RECORD_DEFAULT: &str = "BENCH_pr8.json";
-
 /// Exit status of a run killed by an injected `kill@N` fault, chosen
 /// to look like SIGKILL so resume tests exercise the real path.
 const KILL_STATUS: i32 = 137;
@@ -55,14 +51,14 @@ const KILL_STATUS: i32 = 137;
 /// The options only `experiments` accepts.
 const EXPERIMENTS_ONLY: &[(&str, Arity)] = &[
     ("quick", Arity::Flag),
-    ("record", Arity::Attached),
+    ("record", Arity::Value),
     ("timescales-out", Arity::Value),
     ("resume", Arity::Value),
 ];
 
 fn usage() -> String {
     format!
-        ("usage: experiments [--quick] [--jobs N] [--metrics[=json|text]] [--record[=FILE]] [--trace-out FILE] [--timescales-out FILE] [--faults SPEC] [--resume FILE] [--serve [ADDR]] [--live] [--verbose|--quiet] [{}]",
+        ("usage: experiments [--quick] [--jobs N] [--metrics[=json|text]] [--record FILE] [--trace-out FILE] [--timescales-out FILE] [--faults SPEC] [--resume FILE] [--serve [ADDR]] [--live] [--verbose|--quiet] [{}]",
         matrix::id_ranges()
     )
 }
@@ -74,6 +70,7 @@ fn bad_usage(msg: &str) -> ! {
 }
 
 fn main() {
+    front::exit_quietly_on_closed_stdout();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let known: Vec<(&str, Arity)> = SHARED.iter().chain(EXPERIMENTS_ONLY).copied().collect();
     let (opts, rest) = front::peel(&argv, &known).unwrap_or_else(|e| bad_usage(&e));
@@ -90,10 +87,7 @@ fn main() {
     }
     let inv = Invocation::resolve(&opts, "# ").unwrap_or_else(|e| bad_usage(&e));
     let quick = opts.flag("quick");
-    let record_out = opts
-        .get("record")
-        .map(str::to_owned)
-        .or_else(|| opts.flag("record").then(|| RECORD_DEFAULT.to_owned()));
+    let record_out = opts.get("record");
     let timescales_out = opts.get("timescales-out");
     let jobs = inv.jobs.unwrap_or_else(spindle_engine::default_jobs);
     if ids.is_empty() {
@@ -275,7 +269,7 @@ fn main() {
                     total_secs,
                     records,
                 };
-                match front::write_output_file(&path, &report.render()) {
+                match front::write_output_file(path, &report.render()) {
                     Ok(()) => progress!("# wrote bench record to {path}"),
                     Err(e) => {
                         eprintln!("# bench record export failed: {e}");

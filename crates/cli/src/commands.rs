@@ -597,8 +597,7 @@ fn generate(opts: &Options) -> CmdResult {
             );
         }
         None => {
-            let stdout = std::io::stdout();
-            text::write_requests(stdout.lock(), &requests)?;
+            text::write_requests(front::stdout(), &requests)?;
         }
     }
     Ok(())
@@ -947,8 +946,7 @@ fn hourgen(opts: &Options) -> CmdResult {
             progress!("wrote {} hour records to {path}", hours.len());
         }
         None => {
-            let stdout = std::io::stdout();
-            spindle_trace::csv::write_hours(stdout.lock(), hours.iter().copied())?;
+            spindle_trace::csv::write_hours(front::stdout(), hours.iter().copied())?;
         }
     }
     if let Some(path) = opts.get("lifetimes-out") {

@@ -21,6 +21,7 @@ mod report;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
+    spindle_pulse::front::exit_quietly_on_closed_stdout();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match commands::dispatch(&argv) {
         Ok(()) => ExitCode::SUCCESS,

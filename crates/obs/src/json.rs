@@ -48,6 +48,15 @@ impl Json {
         }
     }
 
+    /// The value as `i64`, when it is an exact integer in range.
+    pub fn as_i64(&self) -> Option<i64> {
+        match *self {
+            Json::Uint(v) => i64::try_from(v).ok(),
+            Json::Int(v) => Some(v),
+            _ => None,
+        }
+    }
+
     /// The value as `f64`, for any numeric variant.
     pub fn as_f64(&self) -> Option<f64> {
         match *self {

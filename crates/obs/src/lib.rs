@@ -33,6 +33,9 @@
 //!   spans and child flight-recorder spans into one causal trace.
 //! * [`hash`] — FNV-1a, the one hash behind frame checksums, trace
 //!   ids and breaker fingerprints.
+//! * [`jsonl`] — durable JSON-lines logs: the fsync'd append handle and
+//!   the one torn-tail-tolerant reader behind the checkpoint journal,
+//!   the serve job journal and the per-job span file.
 //! * [`events`] — a fixed-capacity ring-buffer [`EventLog`] for
 //!   simulator-level events (request enqueue/dispatch/complete, cache
 //!   hit/miss, destage, idle begin/end), gated behind [`ObsConfig`].
@@ -92,6 +95,7 @@ pub mod exemplar;
 pub mod frame;
 pub mod hash;
 pub mod json;
+pub mod jsonl;
 pub mod logger;
 pub mod prom;
 pub mod recorder;

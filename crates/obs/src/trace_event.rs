@@ -28,7 +28,7 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::json::Json;
-use crate::recorder::{FlightRecorder, SimSlice, WallSlice};
+use crate::recorder::FlightRecorder;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
@@ -90,15 +90,15 @@ impl TraceEventSink {
 /// Microseconds as a JSON number from a nanosecond count. Chrome's
 /// `ts`/`dur` unit is microseconds; fractional values keep nanosecond
 /// precision.
-fn us(ns: u64) -> Json {
+#[must_use]
+pub fn us(ns: u64) -> Json {
     Json::Num(ns as f64 / 1000.0)
 }
 
-fn args_obj(args: &[(String, Json)]) -> Json {
-    Json::Obj(args.to_vec())
-}
-
-fn meta_event(name: &str, pid: u64, tid: Option<u64>, label: &str) -> Json {
+/// A metadata event (`ph: "M"`) labelling process `pid`, or thread
+/// `tid` of it: `name` is `process_name` or `thread_name`.
+#[must_use]
+pub fn meta_event(name: &str, pid: u64, tid: Option<u64>, label: &str) -> Json {
     let mut members = vec![
         ("name".to_owned(), Json::Str(name.to_owned())),
         ("ph".to_owned(), Json::Str("M".to_owned())),
@@ -114,45 +114,45 @@ fn meta_event(name: &str, pid: u64, tid: Option<u64>, label: &str) -> Json {
     Json::Obj(members)
 }
 
-fn sim_event(slice: &SimSlice, tid: u64) -> Json {
+/// A slice on thread `tid` of process `pid`: a complete event
+/// (`ph: "X"`) when `dur_ns` is known, a thread-scoped instant
+/// (`ph: "i"`) otherwise, with `args` appended when given.
+#[must_use]
+pub fn slice_event(
+    name: &str,
+    cat: &str,
+    pid: u64,
+    tid: u64,
+    ts_ns: u64,
+    dur_ns: Option<u64>,
+    args: Option<Json>,
+) -> Json {
     let mut members = vec![
-        ("name".to_owned(), Json::Str(slice.name.clone())),
-        ("cat".to_owned(), Json::Str("sim".to_owned())),
+        ("name".to_owned(), Json::Str(name.to_owned())),
+        ("cat".to_owned(), Json::Str(cat.to_owned())),
     ];
-    match slice.dur_ns {
+    match dur_ns {
         Some(dur) => {
             members.push(("ph".to_owned(), Json::Str("X".to_owned())));
-            members.push(("ts".to_owned(), us(slice.begin_ns)));
+            members.push(("ts".to_owned(), us(ts_ns)));
             members.push(("dur".to_owned(), us(dur)));
         }
         None => {
             members.push(("ph".to_owned(), Json::Str("i".to_owned())));
-            members.push(("ts".to_owned(), us(slice.begin_ns)));
+            members.push(("ts".to_owned(), us(ts_ns)));
             members.push(("s".to_owned(), Json::Str("t".to_owned())));
         }
     }
-    members.push(("pid".to_owned(), Json::Uint(SIM_PID)));
+    members.push(("pid".to_owned(), Json::Uint(pid)));
     members.push(("tid".to_owned(), Json::Uint(tid)));
-    if !slice.args.is_empty() {
-        members.push(("args".to_owned(), args_obj(&slice.args)));
+    if let Some(args) = args {
+        members.push(("args".to_owned(), args));
     }
     Json::Obj(members)
 }
 
-fn wall_event(slice: &WallSlice, tid: u64) -> Json {
-    let mut members = vec![
-        ("name".to_owned(), Json::Str(slice.name.clone())),
-        ("cat".to_owned(), Json::Str("wall".to_owned())),
-        ("ph".to_owned(), Json::Str("X".to_owned())),
-        ("ts".to_owned(), us(slice.begin_ns)),
-        ("dur".to_owned(), us(slice.dur_ns)),
-        ("pid".to_owned(), Json::Uint(WALL_PID)),
-        ("tid".to_owned(), Json::Uint(tid)),
-    ];
-    if !slice.args.is_empty() {
-        members.push(("args".to_owned(), args_obj(&slice.args)));
-    }
-    Json::Obj(members)
+fn args_obj(args: &[(String, Json)]) -> Option<Json> {
+    (!args.is_empty()).then(|| Json::Obj(args.to_vec()))
 }
 
 /// Builds the trace-event document (exposed for callers that want to
@@ -188,7 +188,9 @@ pub fn trace_json(recorder: &FlightRecorder, include_wall: bool) -> Json {
         events.push(meta_event("thread_name", SIM_PID, Some(*tid), track));
     }
     for s in &sim {
-        events.push(sim_event(s, sim_tids[s.track.as_str()]));
+        let (tid, args) = (sim_tids[s.track.as_str()], args_obj(&s.args));
+        let event = slice_event(&s.name, "sim", SIM_PID, tid, s.begin_ns, s.dur_ns, args);
+        events.push(event);
     }
 
     if include_wall {
@@ -209,7 +211,10 @@ pub fn trace_json(recorder: &FlightRecorder, include_wall: bool) -> Json {
             events.push(meta_event("thread_name", WALL_PID, Some(*tid), thread));
         }
         for w in &wall {
-            events.push(wall_event(w, wall_tids[w.thread.as_str()]));
+            let (tid, args) = (wall_tids[w.thread.as_str()], args_obj(&w.args));
+            let dur = Some(w.dur_ns);
+            let event = slice_event(&w.name, "wall", WALL_PID, tid, w.begin_ns, dur, args);
+            events.push(event);
         }
     }
 

@@ -18,6 +18,11 @@
 //!   count), starts the live [`Session`] and the frame [`Exporter`],
 //!   runs the command, finishes the session before the exporter,
 //!   writes the trace and the metrics dump, and uninstalls.
+//!
+//! A reader that closes stdout early ends either binary quietly (see
+//! [`exit_quietly_on_closed_stdout`] and [`stdout`]). SIGPIPE stays
+//! ignored, so a peer that drops a socket mid-write is still an `EPIPE`
+//! error to the server that wrote it, not a killed daemon.
 
 use crate::{Exporter, RunStatus, Session};
 use spindle_harden::FaultPlan;
@@ -25,6 +30,7 @@ use spindle_obs::sink::{JsonSink, MetricsSink, TextSink};
 use spindle_obs::{
     progress, FlightRecorder, LogLevel, ObsConfig, RollupSet, TraceContext, TraceEventSink,
 };
+use std::io::{self, Write};
 use std::iter::Peekable;
 use std::slice::Iter;
 use std::sync::Arc;
@@ -470,6 +476,57 @@ pub fn write_output_file(path: &str, contents: &str) -> Result<(), String> {
     }
     std::fs::write(p, contents.as_bytes())
         .map_err(|e| format!("cannot write output file `{path}`: {e}"))
+}
+
+/// Makes a reader that closes stdout early (`spindle analyze … |
+/// head`) end the process quietly with status 0 instead of a panic and
+/// a backtrace. `print!` reports a failed write by panicking with
+/// `failed printing to stdout: ERROR`; the hook installed here turns
+/// that panic into the exit when ERROR is a broken pipe and hands every
+/// other panic to the previous hook. Output keeps going through
+/// `print!`, so test harnesses still capture it. Both binaries call
+/// this first thing in `main`.
+pub fn exit_quietly_on_closed_stdout() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let closed = info.payload_as_str().is_some_and(|m| {
+            m.strip_prefix("failed printing to stdout: ")
+                .is_some_and(|e| e.starts_with("Broken pipe"))
+        });
+        if closed {
+            std::process::exit(0);
+        }
+        previous(info);
+    }));
+}
+
+/// Locked stdout for streaming command output, with the closed-pipe
+/// rule of [`exit_quietly_on_closed_stdout`]: a broken pipe ends the
+/// process quietly with status 0, other write errors are returned.
+#[derive(Debug)]
+pub struct Stdout(io::StdoutLock<'static>);
+
+/// Locks stdout for streaming command output (see [`Stdout`]).
+#[must_use]
+pub fn stdout() -> Stdout {
+    Stdout(io::stdout().lock())
+}
+
+impl Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.write(buf).map_err(exit_on_closed_pipe)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush().map_err(exit_on_closed_pipe)
+    }
+}
+
+fn exit_on_closed_pipe(e: io::Error) -> io::Error {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    e
 }
 
 #[cfg(test)]

@@ -21,11 +21,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Minimum retained samples before [`Sampler::steady_rate_per_sec`]
-/// reports a rate. Right after startup one or two samples produce
-/// wildly unstable rates — and therefore ETAs that swing by orders of
-/// magnitude — so rate consumers suppress the readout until the window
-/// holds this many points.
+/// Minimum retained samples before [`steady_rate`] reports a rate.
+/// Right after startup one or two samples produce wildly unstable
+/// rates — and therefore ETAs that swing by orders of magnitude — so
+/// rate consumers suppress the readout until the window holds this
+/// many points.
 pub const MIN_STEADY_SAMPLES: usize = 4;
 
 /// One sampled value of one metric.
@@ -166,43 +166,19 @@ impl Sampler {
             .unwrap_or_default()
     }
 
-    /// Every metric name with at least one sample.
-    #[must_use]
-    pub fn metric_names(&self) -> Vec<String> {
-        self.shared
-            .series
-            .lock()
-            .expect("sampler series not poisoned")
-            .keys()
-            .cloned()
-            .collect()
-    }
-
     /// The metric's rate of change per second over the retained
     /// window, `None` until two samples with distinct timestamps
     /// exist. Counters yield throughput; a decreasing gauge yields a
     /// negative rate.
     #[must_use]
     pub fn rate_per_sec(&self, name: &str) -> Option<f64> {
-        let samples = self.series(name);
-        let (first, last) = (samples.first()?, samples.last()?);
-        if last.t_ms <= first.t_ms {
-            return None;
-        }
-        let dt = (last.t_ms - first.t_ms) as f64 / 1e3;
-        Some((last.value - first.value) / dt)
+        rate(&self.series(name))
     }
 
-    /// Like [`Sampler::rate_per_sec`], but `None` until the window has
-    /// accumulated [`MIN_STEADY_SAMPLES`] points (or the rate is not
-    /// finite) — the clamp that keeps early-run ETAs from whipsawing.
+    /// [`steady_rate`] over the metric's retained window.
     #[must_use]
     pub fn steady_rate_per_sec(&self, name: &str) -> Option<f64> {
-        let samples = self.series(name);
-        if samples.len() < MIN_STEADY_SAMPLES {
-            return None;
-        }
-        self.rate_per_sec(name).filter(|r| r.is_finite())
+        steady_rate(&self.series(name))
     }
 
     /// Stops the sampler thread and waits for it to exit. Idempotent;
@@ -221,6 +197,37 @@ impl Drop for Sampler {
     fn drop(&mut self) {
         self.stop();
     }
+}
+
+/// Rate of change per second between the first and last sample of
+/// `window` (oldest first); `None` without two distinct timestamps.
+fn rate(window: &[Sample]) -> Option<f64> {
+    let (first, last) = (window.first()?, window.last()?);
+    if last.t_ms <= first.t_ms {
+        return None;
+    }
+    let dt = (last.t_ms - first.t_ms) as f64 / 1e3;
+    Some((last.value - first.value) / dt)
+}
+
+/// The rate over `window`, but `None` until it holds
+/// [`MIN_STEADY_SAMPLES`] points (or when the rate is not finite) —
+/// the clamp that keeps early-run ETAs from whipsawing.
+fn steady_rate(window: &[Sample]) -> Option<f64> {
+    if window.len() < MIN_STEADY_SAMPLES {
+        return None;
+    }
+    rate(window).filter(|r| r.is_finite())
+}
+
+/// Seconds until `completed` reaches `total` at the steady rate of
+/// `window`, a progress series (oldest first): the one ETA rule behind
+/// `/status`, the `--live` line and served jobs. `None` until the
+/// window is steady, without a positive rate, or with no work left.
+#[must_use]
+pub fn eta_secs(completed: u64, total: u64, window: &[Sample]) -> Option<f64> {
+    let rate = steady_rate(window).filter(|r| *r > 0.0)?;
+    (total > completed).then(|| (total - completed) as f64 / rate)
 }
 
 #[cfg(test)]

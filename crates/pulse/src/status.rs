@@ -14,7 +14,7 @@
 //! run/steal/idle accounting the flight recorder draws as wall
 //! slices).
 
-use crate::sampler::Sampler;
+use crate::sampler::{eta_secs, Sampler};
 use spindle_obs::json::Json;
 use spindle_obs::registry::Snapshot;
 use spindle_obs::Counter;
@@ -177,13 +177,7 @@ pub fn status_json(status: &RunStatus, snapshot: &Snapshot, sampler: &Sampler) -
     // recent-rate window holds one or two points and the naive
     // extrapolation whipsaws by orders of magnitude, so the field stays
     // null until the window has enough samples to mean something.
-    let steady = sampler
-        .steady_rate_per_sec(PROGRESS_METRIC)
-        .filter(|r| *r > 0.0);
-    let eta_secs = match steady {
-        Some(r) if total > completed => Json::Num((total - completed) as f64 / r),
-        _ => Json::Null,
-    };
+    let eta = eta_secs(completed, total, &sampler.series(PROGRESS_METRIC));
     let workers: Vec<Json> = worker_stats(snapshot)
         .into_iter()
         .map(|w| {
@@ -208,7 +202,7 @@ pub fn status_json(status: &RunStatus, snapshot: &Snapshot, sampler: &Sampler) -
             "rate_per_sec".to_owned(),
             rate.map_or(Json::Null, Json::Num),
         ),
-        ("eta_secs".to_owned(), eta_secs),
+        ("eta_secs".to_owned(), eta.map_or(Json::Null, Json::Num)),
         (
             "events_dropped".to_owned(),
             snapshot

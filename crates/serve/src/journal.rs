@@ -11,15 +11,15 @@
 //! original submit order, with their retry budget already spent)
 //! and replays terminal entries into the job table as history.
 //!
-//! Same damage policy as the bench checkpoint journal: a torn *final*
-//! line (what SIGKILL mid-write leaves) is ignored, damage before the
-//! last well-formed record is an error.
+//! The file is a [`spindle_obs::jsonl`] log, so it has the same damage
+//! policy as the bench checkpoint journal: a torn *final* line (what
+//! SIGKILL mid-write leaves) is ignored, damage before the last
+//! well-formed record is an error.
 
 use crate::job::JobState;
 use crate::spec::JobSpec;
-use spindle_obs::json::{parse, Json};
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use spindle_obs::json::Json;
+use spindle_obs::jsonl::{self, AppendLog};
 use std::path::Path;
 
 /// Schema tag on the journal's header line.
@@ -56,45 +56,25 @@ pub struct Finished {
 /// daemon acts on it.
 #[derive(Debug)]
 pub struct Journal {
-    writer: BufWriter<File>,
+    log: AppendLog,
 }
 
 impl Journal {
-    /// Creates a fresh journal at `path` (truncating nothing: the
-    /// caller decides whether an existing file is an error).
+    /// Opens the journal at `path` for appending, creating it with a
+    /// header line when missing. The caller decides whether an existing
+    /// journal may be continued.
     ///
     /// # Errors
     ///
-    /// Propagates file-creation and header-write failures.
-    pub fn create(path: &Path) -> Result<Journal, String> {
-        let file = File::create(path)
-            .map_err(|e| format!("cannot create journal `{}`: {e}", path.display()))?;
-        let mut journal = Journal {
-            writer: BufWriter::new(file),
-        };
+    /// Propagates open and header-write failures.
+    pub fn open(path: &Path) -> Result<Journal, String> {
         let header = Json::Obj(vec![(
             "schema".to_owned(),
             Json::Str(JOURNAL_SCHEMA.to_owned()),
         )]);
-        journal
-            .write_line(&format!("{header}\n"))
-            .map_err(|e| format!("cannot write journal header `{}`: {e}", path.display()))?;
-        Ok(journal)
-    }
-
-    /// Opens an existing journal for appending (resume path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates open failures.
-    pub fn open_append(path: &Path) -> Result<Journal, String> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
+        let log = AppendLog::open(path, &header)
             .map_err(|e| format!("cannot open journal `{}`: {e}", path.display()))?;
-        Ok(Journal {
-            writer: BufWriter::new(file),
-        })
+        Ok(Journal { log })
     }
 
     /// Journals an admission.
@@ -108,7 +88,8 @@ impl Journal {
             ("id".to_owned(), Json::Str(id.to_owned())),
             ("spec".to_owned(), spec.to_json()),
         ]);
-        self.write_line(&format!("{doc}\n"))
+        self.log
+            .append(&doc)
             .map_err(|e| format!("cannot journal submission of `{id}`: {e}"))
     }
 
@@ -139,7 +120,8 @@ impl Journal {
             // schema stays forward- and backward-compatible.
             ("secs".to_owned(), Json::Num(secs)),
         ]);
-        self.write_line(&format!("{doc}\n"))
+        self.log
+            .append(&doc)
             .map_err(|e| format!("cannot journal retry of `{id}`: {e}"))
     }
 
@@ -165,14 +147,9 @@ impl Journal {
             ),
             ("secs".to_owned(), Json::Num(secs)),
         ]);
-        self.write_line(&format!("{doc}\n"))
+        self.log
+            .append(&doc)
             .map_err(|e| format!("cannot journal completion of `{id}`: {e}"))
-    }
-
-    fn write_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()
     }
 }
 
@@ -183,37 +160,9 @@ impl Journal {
 /// Fails on a missing/invalid header, on damage before the final line,
 /// and on events referencing unknown job ids.
 pub fn load(path: &Path) -> Result<Vec<LoadedJob>, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read journal `{}`: {e}", path.display()))?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| format!("journal `{}` is empty (no header line)", path.display()))?;
-    let doc = parse(header).map_err(|e| format!("journal `{}` header: {e}", path.display()))?;
-    if doc.get("schema").and_then(Json::as_str) != Some(JOURNAL_SCHEMA) {
-        return Err(format!(
-            "journal `{}` has an unrecognized schema (expected {JOURNAL_SCHEMA})",
-            path.display()
-        ));
-    }
+    let log = jsonl::read(path, "journal", JOURNAL_SCHEMA, parse_event)?;
     let mut jobs: Vec<LoadedJob> = Vec::new();
-    let mut damaged: Option<u64> = None;
-    for (i, line) in lines.enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line_no = i as u64 + 2;
-        let Some(event) = parse(line).ok().and_then(|doc| parse_event(&doc)) else {
-            damaged = Some(line_no);
-            continue;
-        };
-        if let Some(bad) = damaged {
-            return Err(format!(
-                "journal `{}` line {bad} is damaged but records follow it \
-                 — refusing to silently drop a journaled event",
-                path.display()
-            ));
-        }
+    for (line_no, event) in log.records {
         match event {
             Event::Submitted(id, spec) => {
                 if jobs.iter().any(|j| j.id == id) {
@@ -275,11 +224,8 @@ fn parse_event(doc: &Json) -> Option<Event> {
             if !state.is_terminal() {
                 return None;
             }
-            let exit = doc.get("exit").and_then(|v| match v {
-                Json::Int(c) => i32::try_from(*c).ok(),
-                Json::Uint(c) => i32::try_from(*c).ok(),
-                _ => None,
-            });
+            let exit = doc.get("exit").and_then(Json::as_i64);
+            let exit = exit.and_then(|c| i32::try_from(c).ok());
             let secs = doc.get("secs")?.as_f64()?;
             Some(Event::Finished(id, Finished { state, exit, secs }))
         }
@@ -300,7 +246,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("serve-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(JOURNAL_FILE);
-        let mut journal = Journal::create(&path).unwrap();
+        let mut journal = Journal::open(&path).unwrap();
         journal.submitted("job-0001", &spec()).unwrap();
         journal.submitted("job-0002", &spec()).unwrap();
         journal
@@ -324,7 +270,7 @@ mod tests {
         assert_eq!(jobs[1].spec, spec());
 
         // Re-open for append (the resume path) and finish the orphan.
-        let mut journal = Journal::open_append(&path).unwrap();
+        let mut journal = Journal::open(&path).unwrap();
         journal
             .finished("job-0002", JobState::Failed, Some(101), 0.5)
             .unwrap();
@@ -342,7 +288,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("serve-journal-torn-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(JOURNAL_FILE);
-        let mut journal = Journal::create(&path).unwrap();
+        let mut journal = Journal::open(&path).unwrap();
         journal.submitted("job-0001", &spec()).unwrap();
         drop(journal);
 
@@ -370,7 +316,7 @@ mod tests {
             std::env::temp_dir().join(format!("serve-journal-attempt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(JOURNAL_FILE);
-        let mut journal = Journal::create(&path).unwrap();
+        let mut journal = Journal::open(&path).unwrap();
         journal.submitted("job-0001", &spec()).unwrap();
         journal
             .attempt("job-0001", 1, "child killed by signal", 512, 1.25)
@@ -402,7 +348,8 @@ mod tests {
         assert!(reread.as_bytes().starts_with(intact.as_bytes()));
 
         // An attempt for an unknown id is a structured refusal.
-        let mut bad = Journal::create(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let mut bad = Journal::open(&path).unwrap();
         bad.attempt("job-0404", 1, "ghost", 1, 0.0).unwrap();
         drop(bad);
         assert!(load(&path).unwrap_err().contains("never submitted"));

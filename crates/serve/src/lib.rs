@@ -628,8 +628,7 @@ pub fn serve_with_registry(
     std::fs::create_dir_all(&config.dir)
         .map_err(|e| format!("cannot create serve dir `{}`: {e}", config.dir.display()))?;
     let journal_path = config.dir.join(JOURNAL_FILE);
-    let existing = journal_path.is_file();
-    let (journal, adopted) = if existing {
+    let adopted = if journal_path.is_file() {
         if !config.resume {
             return Err(format!(
                 "`{}` already holds a journal from a previous server; \
@@ -637,11 +636,11 @@ pub fn serve_with_registry(
                 config.dir.display()
             ));
         }
-        let loaded = journal::load(&journal_path)?;
-        (Journal::open_append(&journal_path)?, loaded)
+        journal::load(&journal_path)?
     } else {
-        (Journal::create(&journal_path)?, Vec::new())
+        Vec::new()
     };
+    let journal = Journal::open(&journal_path)?;
 
     let incomplete = adopted.iter().filter(|j| j.finished.is_none()).count();
     let max_seq = adopted
@@ -962,7 +961,7 @@ mod tests {
             spec::JobSpec::parse(r#"{"kind":"generate","env":"dev","span":10,"seed":9}"#).unwrap();
         // A journal a killed daemon would leave: one finished job, one
         // submitted-but-unfinished.
-        let mut journal = Journal::create(&dir.join("data").join(JOURNAL_FILE)).unwrap();
+        let mut journal = Journal::open(&dir.join("data").join(JOURNAL_FILE)).unwrap();
         journal.submitted("job-0001", &spec).unwrap();
         journal
             .finished("job-0001", JobState::Done, Some(0), 0.5)
@@ -1553,7 +1552,7 @@ mod tests {
         let spec =
             spec::JobSpec::parse(r#"{"kind":"generate","env":"dev","span":10,"seed":9}"#).unwrap();
         // History says jobs take ~30s each.
-        let mut journal = Journal::create(&dir.join("data").join(JOURNAL_FILE)).unwrap();
+        let mut journal = Journal::open(&dir.join("data").join(JOURNAL_FILE)).unwrap();
         journal.submitted("job-0001", &spec).unwrap();
         journal
             .finished("job-0001", JobState::Done, Some(0), 30.0)

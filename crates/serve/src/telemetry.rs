@@ -32,6 +32,7 @@ use spindle_obs::frame::{Frame, FrameDecoder, WindowBatch};
 use spindle_obs::json::Json;
 use spindle_obs::rollup::{snapshot_delta, WindowAccum};
 use spindle_obs::{MetricsRegistry, RollupSet, Snapshot};
+use spindle_pulse::sampler::{self, Sample};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -59,12 +60,6 @@ const READ_TIMEOUT: Duration = Duration::from_millis(200);
 /// How long ingest keeps draining after the child exited — the final
 /// flush races process death, and loopback delivery is fast.
 const DRAIN_GRACE: Duration = Duration::from_millis(2000);
-
-/// Progress samples required before the per-job ETA is published —
-/// the same steady-window clamp the `/status` rate estimator applies
-/// (`spindle_pulse::sampler::MIN_STEADY_SAMPLES`), so one early burst
-/// cannot fabricate a wildly optimistic ETA.
-const MIN_ETA_SAMPLES: usize = 4;
 
 /// Bounded progress-sample window per job.
 const ETA_SAMPLE_WINDOW: usize = 64;
@@ -192,27 +187,9 @@ struct ProgressState {
     phase: String,
     completed: u64,
     total: u64,
-    /// `(daemon seconds since telemetry epoch, completed)` samples.
-    samples: VecDeque<(f64, u64)>,
-}
-
-impl ProgressState {
-    /// Remaining work over the observed recent rate; `None` until the
-    /// steady window fills (or when the job reports no total).
-    fn eta_secs(&self) -> Option<f64> {
-        if self.total == 0 || self.completed >= self.total || self.samples.len() < MIN_ETA_SAMPLES {
-            return None;
-        }
-        let (t0, c0) = *self.samples.front()?;
-        let (t1, c1) = *self.samples.back()?;
-        let dt = t1 - t0;
-        let dc = c1.saturating_sub(c0);
-        if dt <= 0.0 || dc == 0 {
-            return None;
-        }
-        let rate = dc as f64 / dt;
-        Some((self.total - self.completed) as f64 / rate)
-    }
+    /// `completed` sampled at each progress frame, stamped with daemon
+    /// milliseconds since the telemetry epoch; oldest first.
+    samples: Vec<Sample>,
 }
 
 /// Everything the daemon holds for one job's telemetry.
@@ -389,9 +366,12 @@ impl JobTelemetry {
         (p.phase.clone(), p.completed, p.total)
     }
 
-    /// The job's own steady-window ETA (see [`ProgressState::eta_secs`]).
+    /// The job's remaining work over its steady progress rate, by the
+    /// `/status` rule ([`sampler::eta_secs`]): `None` until the window
+    /// fills, and once the job reports no work left.
     pub(crate) fn eta_secs(&self) -> Option<f64> {
-        self.progress.lock().expect("progress lock").eta_secs()
+        let p = self.progress.lock().expect("progress lock");
+        sampler::eta_secs(p.completed, p.total, &p.samples)
     }
 
     /// The rebuilt multi-resolution rollup document.
@@ -490,15 +470,18 @@ impl JobTelemetry {
                 phase,
                 ..
             } => {
-                let now = self.epoch.elapsed().as_secs_f64();
+                let t_ms = u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
                 {
                     let mut p = self.progress.lock().expect("progress lock");
                     p.phase.clone_from(&phase);
                     p.completed = completed;
                     p.total = total;
-                    p.samples.push_back((now, completed));
-                    while p.samples.len() > ETA_SAMPLE_WINDOW {
-                        p.samples.pop_front();
+                    p.samples.push(Sample {
+                        t_ms,
+                        value: completed as f64,
+                    });
+                    if p.samples.len() > ETA_SAMPLE_WINDOW {
+                        p.samples.remove(0);
                     }
                 }
                 self.event(
@@ -798,7 +781,7 @@ mod tests {
     fn eta_needs_a_steady_window_then_tracks_the_rate() {
         let fleet = Fleet::new();
         let tel = JobTelemetry::new(64);
-        // Fewer than MIN_ETA_SAMPLES progress frames: clamped to None,
+        // Fewer than MIN_STEADY_SAMPLES progress frames: clamped to None,
         // however fast the first burst looked.
         for (i, completed) in (0..3).enumerate() {
             tel.apply_frame(

@@ -28,7 +28,8 @@
 //! daemon is gone.
 
 use spindle_obs::json::{parse, Json};
-use spindle_obs::TraceContext;
+use spindle_obs::trace_event::{meta_event, slice_event, us};
+use spindle_obs::{jsonl, TraceContext};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -171,43 +172,31 @@ pub fn write_spans(path: &Path, job: &JobSpans) -> Result<(), String> {
         .map_err(|e| format!("cannot write span file `{}`: {e}", path.display()))
 }
 
-/// Loads a persisted span set. Tolerates a torn final line (the
-/// daemon can die mid-append), errors on a missing or foreign header.
+/// Loads a persisted span set under the [`spindle_obs::jsonl`] damage
+/// policy: a torn final line (the daemon can die mid-write) is dropped,
+/// damage before a good span is an error.
 ///
 /// # Errors
 ///
-/// Fails on unreadable files and unrecognized headers.
+/// Fails on unreadable files, missing or foreign headers, and damage
+/// before the final line.
 pub fn load_spans(path: &Path) -> Result<JobSpans, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read span file `{}`: {e}", path.display()))?;
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .and_then(|l| parse(l).ok())
-        .ok_or_else(|| format!("span file `{}` has no header line", path.display()))?;
-    if header.get("schema").and_then(Json::as_str) != Some(SPANS_SCHEMA) {
-        return Err(format!(
-            "span file `{}` has an unrecognized schema (expected {SPANS_SCHEMA})",
-            path.display()
-        ));
-    }
-    let id = header
+    let log = jsonl::read(path, "span file", SPANS_SCHEMA, TraceSpan::from_json)?;
+    let id = log
+        .header
         .get("id")
         .and_then(Json::as_str)
         .unwrap_or_default()
         .to_owned();
-    let dropped = header.get("dropped").and_then(Json::as_u64).unwrap_or(0);
-    let offset_ns = header.get("offset_ns").and_then(json_i64);
-    let spans = lines
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| parse(l).ok())
-        .filter_map(|doc| TraceSpan::from_json(&doc))
-        .collect();
     Ok(JobSpans {
         id,
-        spans,
-        offset_ns,
-        dropped,
+        spans: log.records.into_iter().map(|(_, span)| span).collect(),
+        offset_ns: log.header.get("offset_ns").and_then(Json::as_i64),
+        dropped: log
+            .header
+            .get("dropped")
+            .and_then(Json::as_u64)
+            .unwrap_or(0),
     })
 }
 
@@ -251,69 +240,12 @@ pub fn assemble_dir(dir: &Path) -> Result<Json, String> {
     Ok(doc)
 }
 
-/// Signed integer out of either exact-integer JSON variant.
-fn json_i64(v: &Json) -> Option<i64> {
-    match *v {
-        Json::Uint(n) => i64::try_from(n).ok(),
-        Json::Int(n) => Some(n),
-        _ => None,
-    }
-}
-
 /// Shifts a child-epoch-relative time onto the daemon timeline,
 /// clamping at zero (a hostile or skewed offset must not produce a
 /// negative timestamp, which Perfetto rejects).
 fn align(begin_ns: u64, offset_ns: i64) -> u64 {
     let shifted = i128::from(begin_ns) + i128::from(offset_ns);
     u64::try_from(shifted.max(0)).unwrap_or(u64::MAX)
-}
-
-/// Microseconds from nanoseconds, Chrome's `ts`/`dur` unit.
-fn us(ns: u64) -> Json {
-    Json::Num(ns as f64 / 1000.0)
-}
-
-fn meta_event(name: &str, pid: u64, tid: Option<u64>, label: &str) -> Json {
-    let mut members = vec![
-        ("name".to_owned(), Json::Str(name.to_owned())),
-        ("ph".to_owned(), Json::Str("M".to_owned())),
-        ("pid".to_owned(), Json::Uint(pid)),
-    ];
-    if let Some(tid) = tid {
-        members.push(("tid".to_owned(), Json::Uint(tid)));
-    }
-    members.push((
-        "args".to_owned(),
-        Json::Obj(vec![("name".to_owned(), Json::Str(label.to_owned()))]),
-    ));
-    Json::Obj(members)
-}
-
-fn span_event(span: &TraceSpan, pid: u64, tid: u64, ts_ns: u64, cat: &str) -> Json {
-    let mut members = vec![
-        ("name".to_owned(), Json::Str(span.name.clone())),
-        ("cat".to_owned(), Json::Str(cat.to_owned())),
-    ];
-    match span.dur_ns {
-        Some(dur) => {
-            members.push(("ph".to_owned(), Json::Str("X".to_owned())));
-            members.push(("ts".to_owned(), us(ts_ns)));
-            members.push(("dur".to_owned(), us(dur)));
-        }
-        None => {
-            members.push(("ph".to_owned(), Json::Str("i".to_owned())));
-            members.push(("ts".to_owned(), us(ts_ns)));
-            members.push(("s".to_owned(), Json::Str("t".to_owned())));
-        }
-    }
-    members.push(("pid".to_owned(), Json::Uint(pid)));
-    members.push(("tid".to_owned(), Json::Uint(tid)));
-    if !span.args.is_empty() {
-        if let Ok(args) = parse(&span.args) {
-            members.push(("args".to_owned(), args));
-        }
-    }
-    Json::Obj(members)
 }
 
 fn flow_event(ph: &str, id: u64, name: &str, pid: u64, tid: u64, ts_ns: u64) -> Json {
@@ -442,7 +374,10 @@ fn assemble(contributions: &[Contribution<'_>], metadata: Json) -> Json {
             if span.origin == SpanOrigin::ChildWall && first_child_wall.is_none() {
                 first_child_wall = Some((pid, tid, ts_ns));
             }
-            body.push(span_event(span, pid, tid, ts_ns, cat));
+            // Empty or unparsable args (never JSON) are left off.
+            let args = parse(&span.args).ok();
+            let event = slice_event(&span.name, cat, pid, tid, ts_ns, span.dur_ns, args);
+            body.push(event);
         }
         if let Some((cpid, ctid, cts)) = first_child_wall {
             for (id, pid, tid, ts) in attempt_flows {
@@ -627,6 +562,26 @@ mod tests {
         // A foreign header is a structured refusal.
         std::fs::write(&path, "{\"schema\":\"other/v9\"}\n").unwrap();
         assert!(load_spans(&path).unwrap_err().contains("schema"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn span_file_damaged_mid_file_is_refused() {
+        let dir = std::env::temp_dir().join(format!("serve-trace-mid-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(SPANS_FILE);
+        write_spans(&path, &sample()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[2] = "{\"origin\":\"daemon\",\"track\":\"daemo";
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        let err = load_spans(&path).unwrap_err();
+        assert!(err.contains("line 3 is damaged"), "{err}");
+        assert!(
+            assemble_dir(&dir).is_err(),
+            "assembly refuses a damaged span file"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -85,6 +85,16 @@ for artifact in artifacts/trace.json artifacts/report.html artifacts/observatory
 done
 EXPERIMENTS=target/release/experiments
 
+# Closed-stdout smoke: a reader that stops after one line (the quick
+# matrix prints more than a pipe buffers, so the next write meets
+# EPIPE) must end the run quietly, without a panic or a backtrace.
+echo "==> $EXPERIMENTS --quick --quiet | head -n1 (expect no panic)"
+"$EXPERIMENTS" --quick --quiet 2> artifacts/closed-stdout.err | head -n1 > /dev/null
+if grep -q panicked artifacts/closed-stdout.err; then
+    echo "FAILED: a closed stdout made experiments panic" >&2
+    fail=1
+fi
+
 # Live-telemetry smoke: run the matrix with the HTTP endpoint on an
 # ephemeral port, scrape /metrics and /healthz while the server is up
 # (a shutdown linger keeps it alive past the quick matrix), and check
