@@ -3,8 +3,9 @@
 //!
 //! Each experiment is a pure function from an [`ExpConfig`] to a
 //! [`Table`](spindle_core::report::Table) or
-//! [`Figure`](spindle_core::report::Figure); the `experiments` binary
-//! prints them, the Criterion benches time them, and the integration
+//! [`Figure`](spindle_core::report::Figure), declared as the inputs it
+//! reads and what it keeps from each ([`plan`]); the `experiments`
+//! binary prints them, the benchmark times them, and the integration
 //! tests assert their qualitative shape. The experiment ids (`t1`–`t8`,
 //! `f1`–`f13`; the binary's usage line is derived from its experiment
 //! table, so it cannot drift) are indexed in `DESIGN.md` and their
@@ -19,6 +20,7 @@ pub mod figures;
 pub mod journal;
 pub mod matrix;
 pub mod pipeline;
+pub mod plan;
 pub mod record;
 pub mod tables;
 

@@ -23,10 +23,13 @@
 //! The accepted ids in the usage line are derived from the experiment
 //! table in [`spindle_bench::matrix`], so the two cannot drift apart.
 //!
-//! Experiments fan out across a [`spindle_engine::Pool`]; every
-//! experiment is a pure function of the config, and outputs are merged
-//! back in table order, so the report is byte-identical for every
-//! `--jobs` value (`--jobs 1` runs inline on the main thread).
+//! The requested experiments run as one plan across a
+//! [`spindle_engine::Pool`]: each input they read (an environment run,
+//! the drive family) is built once, then each experiment renders from
+//! what it kept. Inputs and experiments are pure functions of the
+//! config, and outputs are merged back in table order, so the report
+//! is byte-identical for every `--jobs` value (`--jobs 1` runs inline
+//! on the main thread).
 //!
 //! A panicking experiment — its own bug or an injected `--faults`
 //! panic — is quarantined rather than aborting the run: every other
@@ -127,22 +130,6 @@ fn main() {
         .filter(|id| !replayed.contains_key(*id))
         .cloned()
         .collect();
-    if !replayed.is_empty() {
-        progress!(
-            "# resume: {} of {} experiments already journaled, running {}",
-            ids.len() - todo.len(),
-            ids.len(),
-            todo.len()
-        );
-    }
-    progress!(
-        "# config: seed={} ms_span={}s hour_weeks={} family_drives={} jobs={}",
-        cfg.seed,
-        cfg.ms_span_secs,
-        cfg.hour_weeks,
-        cfg.family_drives,
-        jobs
-    );
     let run_start = std::time::Instant::now();
     let mut ran = false;
     let outcome = inv.run(
@@ -151,6 +138,24 @@ fn main() {
         ids.len() as u64,
         |run| -> Result<bool, String> {
             ran = true;
+            // Notes go out once `run` has installed the log level, so
+            // `--quiet` silences them.
+            if !replayed.is_empty() {
+                progress!(
+                    "# resume: {} of {} experiments already journaled, running {}",
+                    ids.len() - todo.len(),
+                    ids.len(),
+                    todo.len()
+                );
+            }
+            progress!(
+                "# config: seed={} ms_span={}s hour_weeks={} family_drives={} jobs={}",
+                cfg.seed,
+                cfg.ms_span_secs,
+                cfg.hour_weeks,
+                cfg.family_drives,
+                jobs
+            );
             // Journal-replayed experiments are already done.
             for _ in todo.len()..ids.len() {
                 run.status.complete_one();

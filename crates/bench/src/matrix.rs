@@ -1,99 +1,95 @@
-//! The experiment matrix: id → experiment function table, shared by
-//! the `experiments` binary, the determinism integration test, and the
-//! benches.
+//! The experiment matrix: the id → experiment table shared by the
+//! `experiments` binary, the determinism integration test, and the
+//! benches, and the entry points that run it.
 //!
-//! Every experiment is a pure function of the [`ExpConfig`], so the
-//! matrix can be fanned out across an engine [`Pool`]: each id is one
-//! shard, outputs are merged back in table order, and the rendered
-//! report is bit-identical for every `--jobs` value.
+//! Every call is one [`plan`]: the inputs the requested experiments
+//! read are built once, across an engine [`Pool`], then each
+//! experiment renders from its own parts as one task, and the outputs
+//! are merged back in request order. Inputs and parts are pure
+//! functions of the [`ExpConfig`], so the rendered report is
+//! bit-identical for every `--jobs` value.
 
+use crate::plan::{self, Experiment, Pending};
 use crate::{figures, tables, ExpConfig, Result};
 use spindle_engine::{Pool, Reduce, RunOutcome, ShardFailure};
 
-/// An experiment adapter: renders one table or figure to a string.
-pub type ExpFn = fn(&ExpConfig) -> Result<String>;
-
-/// Declares the experiment table: generates one adapter function per
-/// experiment (each renders its table or figure to a string) plus the
-/// [`EXPERIMENTS`] id → function map that drives dispatch and the
-/// usage line.
-macro_rules! experiment_table {
-    ($(($id:ident, $module:ident)),* $(,)?) => {
-        $(
-            fn $id(cfg: &ExpConfig) -> Result<String> {
-                Ok($module::$id(cfg)?.to_string())
-            }
-        )*
-        /// Every experiment in presentation order.
-        pub const EXPERIMENTS: &[(&str, ExpFn)] =
-            &[$((stringify!($id), $id as ExpFn)),*];
-    };
-}
-
-experiment_table![
-    (t1, tables),
-    (t2, tables),
-    (t3, tables),
-    (t4, tables),
-    (t5, tables),
-    (t6, tables),
-    (t7, tables),
-    (t8, tables),
-    (f1, figures),
-    (f2, figures),
-    (f3, figures),
-    (f4, figures),
-    (f5, figures),
-    (f6, figures),
-    (f7, figures),
-    (f8, figures),
-    (f9, figures),
-    (f10, figures),
-    (f11, figures),
-    (f12, figures),
-    (f13, figures),
+/// Every experiment in presentation order.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("t1", tables::T1),
+    ("t2", tables::T2),
+    ("t3", tables::T3),
+    ("t4", tables::T4),
+    ("t5", tables::T5),
+    ("t6", tables::T6),
+    ("t7", tables::T7),
+    ("t8", tables::T8),
+    ("f1", figures::F1),
+    ("f2", figures::F2),
+    ("f3", figures::F3),
+    ("f4", figures::F4),
+    ("f5", figures::F5),
+    ("f6", figures::F6),
+    ("f7", figures::F7),
+    ("f8", figures::F8),
+    ("f9", figures::F9),
+    ("f10", figures::F10),
+    ("f11", figures::F11),
+    ("f12", figures::F12),
+    ("f13", figures::F13),
 ];
 
-/// Runs a single experiment by id.
+/// The experiment with this id, if there is one.
+#[must_use]
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS
+        .iter()
+        .find(|(name, _)| *name == id)
+        .map(|(_, exp)| exp)
+}
+
+/// Runs a single experiment by id: a one-id plan on the calling
+/// thread.
 ///
 /// # Errors
 ///
 /// Returns an error for unknown ids and propagates experiment failures.
 pub fn run_one(id: &str, cfg: &ExpConfig) -> Result<String> {
-    match EXPERIMENTS.iter().find(|(name, _)| *name == id) {
-        Some((_, f)) => f(cfg),
-        None => Err(format!("unknown experiment id `{id}`").into()),
-    }
+    Ok(plan::artifact(id, cfg)?.to_string())
 }
 
 /// One finished experiment: its id, rendered output (or error), and
-/// wall-clock time in seconds.
+/// its own wall-clock seconds.
 #[derive(Debug)]
 pub struct MatrixResult {
     /// The experiment id.
     pub id: String,
     /// Rendered output, or the failure.
     pub output: Result<String>,
-    /// Wall-clock seconds this experiment took.
+    /// Seconds of this experiment's own work: its parts and its
+    /// render. Building an input it shares is timed by that input's
+    /// `matrix.input.*` span instead.
     pub secs: f64,
+}
+
+fn finish(pending: Pending, cfg: &ExpConfig) -> MatrixResult {
+    let id = pending.id.clone();
+    let (artifact, secs) = pending.render(cfg);
+    MatrixResult {
+        id,
+        output: artifact.map(|a| a.to_string()),
+        secs,
+    }
 }
 
 /// Runs the listed experiment ids across `pool`, returning results in
 /// the order the ids were given regardless of completion order.
 ///
 /// Experiments are pure functions of `cfg`, so the concatenated output
-/// is identical for every pool width.
+/// is identical for every pool width. A panicking experiment panics
+/// the caller.
 #[must_use]
 pub fn run_matrix(ids: &[String], cfg: &ExpConfig, pool: &Pool) -> Vec<MatrixResult> {
-    pool.map(ids.to_vec(), |_ord, id| {
-        let start = std::time::Instant::now();
-        let output = run_one(&id, cfg);
-        MatrixResult {
-            id,
-            output,
-            secs: start.elapsed().as_secs_f64(),
-        }
-    })
+    pool.map(plan::prepare(ids, cfg, pool), |_, p| finish(p, cfg))
 }
 
 /// The result of a panic-isolated matrix run: every surviving
@@ -130,12 +126,13 @@ impl<F: FnMut(&MatrixResult)> Reduce for NotifyCollect<F> {
 }
 
 /// Panic-isolated [`run_matrix`]: a panicking experiment (whether its
-/// own bug or an injected fault from
-/// [`spindle_harden::FaultPlan`](spindle_harden)) is quarantined while
-/// every other experiment completes, and `on_done` observes each
-/// surviving result in request order as the matrix drains — the hook
-/// the `--resume` journal hangs off, so completion records hit disk
-/// before the run finishes.
+/// own bug, a panic while one of its parts was built, or an injected
+/// fault from [`spindle_harden::FaultPlan`](spindle_harden)) is
+/// quarantined while every other experiment completes, and `on_done`
+/// observes each surviving result in request order as the matrix
+/// drains — the hook the `--resume` journal hangs off, so completion
+/// records hit disk before the run finishes. Injected `panic@N` and
+/// `hang@N` faults hit experiment `N`'s render task.
 ///
 /// Surviving results are byte-identical to a fault-free run of the
 /// same ids at any `--jobs` value.
@@ -150,17 +147,11 @@ pub fn run_matrix_isolated(
         on_done,
     };
     let RunOutcome { output, failures } = pool.try_map_reduce(
-        ids.to_vec(),
-        |ordinal, id| {
+        plan::prepare(ids, cfg, pool),
+        |ordinal, pending| {
             spindle_harden::maybe_task_panic(ordinal);
             spindle_harden::maybe_task_hang(ordinal);
-            let start = std::time::Instant::now();
-            let output = run_one(&id, cfg);
-            MatrixResult {
-                id,
-                output,
-                secs: start.elapsed().as_secs_f64(),
-            }
+            finish(pending, cfg)
         },
         reducer,
     );

@@ -19,8 +19,10 @@ use std::sync::Arc;
 pub struct EnvRun {
     /// The environment it came from.
     pub env: Environment,
-    /// The synthetic request stream.
-    pub requests: Vec<Request>,
+    /// The synthetic request stream, shared by every run of it.
+    pub requests: Arc<Vec<Request>>,
+    /// The simulator configuration it ran under.
+    pub sim_cfg: SimConfig,
     /// The disk simulation result.
     pub sim: SimResult,
     /// Simulation event log, populated when observability with event
@@ -37,23 +39,16 @@ impl EnvRun {
     ///
     /// Propagates generation and simulation errors.
     pub fn new(env: Environment, cfg: &ExpConfig) -> Result<Self> {
-        Self::with_sim_config(env, cfg, SimConfig::default())
+        let registry = spindle_obs::global();
+        let requests = Arc::new(stream(env, cfg, registry)?);
+        Self::simulate(env, requests, SimConfig::default(), &cfg.obs, registry)
     }
 
     /// Same as [`EnvRun::new`] with an explicit simulator configuration
-    /// (used by the ablation experiment).
-    ///
-    /// # Errors
-    ///
-    /// Propagates generation and simulation errors.
-    pub fn with_sim_config(env: Environment, cfg: &ExpConfig, sim_cfg: SimConfig) -> Result<Self> {
-        Self::build(env, cfg, sim_cfg, None)
-    }
-
-    /// Same as [`EnvRun::with_sim_config`] with observability wired to an
-    /// explicit registry: disk counters/histograms resolve against
-    /// `registry`, and when `obs_cfg.events` is set the returned run
-    /// carries the simulation event log.
+    /// and observability wired to an explicit registry: disk
+    /// counters/histograms resolve against `registry`, and when
+    /// `obs_cfg.events` is set the returned run carries the simulation
+    /// event log.
     ///
     /// # Errors
     ///
@@ -65,23 +60,23 @@ impl EnvRun {
         obs_cfg: &ObsConfig,
         registry: &MetricsRegistry,
     ) -> Result<Self> {
-        Self::build(env, cfg, sim_cfg, Some((obs_cfg, registry)))
+        let requests = Arc::new(stream(env, cfg, registry)?);
+        Self::simulate(env, requests, sim_cfg, obs_cfg, registry)
     }
 
-    fn build(
+    /// Simulates an already generated stream of `env` under `sim_cfg`,
+    /// observed as `obs_cfg` asks into `registry`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulation errors.
+    pub(crate) fn simulate(
         env: Environment,
-        cfg: &ExpConfig,
+        requests: Arc<Vec<Request>>,
         sim_cfg: SimConfig,
-        obs: Option<(&ObsConfig, &MetricsRegistry)>,
+        obs_cfg: &ObsConfig,
+        registry: &MetricsRegistry,
     ) -> Result<Self> {
-        let (obs_cfg, registry) = obs.unwrap_or((&cfg.obs, spindle_obs::global()));
-
-        let spec = env.spec(cfg.ms_span_secs);
-        let requests = {
-            let _span = ObsSpan::new(registry, "pipeline.generate");
-            spec.generate(cfg.seed ^ env_seed(env))?
-        };
-
         let mut sim = DiskSim::new(DriveProfile::cheetah_15k(), sim_cfg);
         let mut events = None;
         if obs_cfg.metrics || obs_cfg.events {
@@ -101,6 +96,7 @@ impl EnvRun {
         Ok(EnvRun {
             env,
             requests,
+            sim_cfg,
             sim: result,
             events,
         })
@@ -132,6 +128,23 @@ impl EnvRun {
     pub fn idle(&self) -> Result<IdleAnalysis> {
         Ok(IdleAnalysis::new(&self.sim.busy)?)
     }
+}
+
+/// Generates `env`'s request stream under `cfg`: a pure function of
+/// the two, so every run of one environment can share it.
+///
+/// # Errors
+///
+/// Propagates generation errors.
+pub(crate) fn stream(
+    env: Environment,
+    cfg: &ExpConfig,
+    registry: &MetricsRegistry,
+) -> Result<Vec<Request>> {
+    let _span = ObsSpan::new(registry, "pipeline.generate");
+    Ok(env
+        .spec(cfg.ms_span_secs)
+        .generate(cfg.seed ^ env_seed(env))?)
 }
 
 fn env_seed(env: Environment) -> u64 {

@@ -1,6 +1,8 @@
-//! Table experiments `T1`–`T6`.
+//! Table experiments `T1`–`T8`: what each reads, the rows it keeps
+//! from each input, and its rendered table.
 
-use crate::pipeline::{standard_family, EnvRun};
+use crate::pipeline::EnvRun;
+use crate::plan::{each_env, family, Artifact, Experiment, Input, Part, Render};
 use crate::{ExpConfig, Result};
 use spindle_core::hour::HourAnalysis;
 use spindle_core::idle::AVAILABILITY_THRESHOLDS;
@@ -9,18 +11,17 @@ use spindle_core::report::{cell, Table};
 use spindle_disk::cache::CacheConfig;
 use spindle_disk::scheduler::SchedulerKind;
 use spindle_disk::sim::SimConfig;
+use spindle_synth::family::DriveRecord;
 use spindle_synth::hourgen::WEEK_HOURS;
 use spindle_synth::presets::Environment;
 use spindle_trace::{Granularity, TraceMeta};
 
 /// T1 — trace-set inventory: the three granularities, what each
 /// records, and the synthetic spans/drive counts generated for this
-/// reproduction.
-///
-/// # Errors
-///
-/// Never fails in practice; kept fallible for interface uniformity.
-pub fn t1(cfg: &ExpConfig) -> Result<Table> {
+/// reproduction. Reads no input.
+pub(crate) const T1: Experiment = Experiment::rendered(Render::With(t1));
+
+fn t1(cfg: &ExpConfig, _: Vec<Part>) -> Result<Artifact> {
     let metas = [
         (
             TraceMeta::new(
@@ -72,73 +73,67 @@ pub fn t1(cfg: &ExpConfig) -> Result<Table> {
             source.to_owned(),
         ]);
     }
-    Ok(t)
+    Ok(Artifact::Table(t))
 }
 
 /// T2 — millisecond-trace workload summary per environment. The
 /// "moderate utilization" claim shows up in the `util` column.
-///
-/// # Errors
-///
-/// Propagates generation, simulation, and analysis errors.
-pub fn t2(cfg: &ExpConfig) -> Result<Table> {
-    let mut t = Table::new(
+pub(crate) const T2: Experiment = Experiment {
+    reads: each_env,
+    from_run: t2_row,
+    ..Experiment::rendered(Render::Table(
         "T2: millisecond-trace workload summary",
         &[
             "env", "reqs", "rate/s", "iat-scv", "KB/req", "write%", "seq%", "util", "resp-ms",
         ],
-    );
-    for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
-        let s = run.summary()?;
-        t.push_row(vec![
-            env.name().to_owned(),
-            s.requests.to_string(),
-            cell(s.arrival_rate, 1),
-            cell(s.interarrival_scv, 1),
-            cell(s.mean_request_kb, 1),
-            cell(s.write_fraction * 100.0, 1),
-            cell(s.sequential_fraction * 100.0, 1),
-            cell(s.mean_utilization, 3),
-            cell(s.mean_response_ms, 2),
-        ]);
-    }
-    Ok(t)
+    ))
+};
+
+fn t2_row(_: &ExpConfig, run: &EnvRun) -> Result<Part> {
+    let s = run.summary()?;
+    Ok(Part::row(vec![
+        run.env.name().to_owned(),
+        s.requests.to_string(),
+        cell(s.arrival_rate, 1),
+        cell(s.interarrival_scv, 1),
+        cell(s.mean_request_kb, 1),
+        cell(s.write_fraction * 100.0, 1),
+        cell(s.sequential_fraction * 100.0, 1),
+        cell(s.mean_utilization, 3),
+        cell(s.mean_response_ms, 2),
+    ]))
 }
 
 /// T3 — idleness availability: fraction of idle time in intervals at
 /// least 10 ms / 100 ms / 1 s / 10 s / 60 s long, per environment.
-///
-/// # Errors
-///
-/// Propagates generation, simulation, and analysis errors.
-pub fn t3(cfg: &ExpConfig) -> Result<Table> {
-    let mut t = Table::new(
+pub(crate) const T3: Experiment = Experiment {
+    reads: each_env,
+    from_run: t3_row,
+    ..Experiment::rendered(Render::Table(
         "T3: idleness availability (fraction of idle time in intervals >= threshold)",
         &[
             "env", "idle%", ">=10ms", ">=100ms", ">=1s", ">=10s", ">=60s",
         ],
-    );
-    for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
-        let idle = run.idle()?;
-        let rows = idle.availability(&AVAILABILITY_THRESHOLDS);
-        let mut cells = vec![env.name().to_owned(), cell(idle.idle_fraction() * 100.0, 1)];
-        cells.extend(rows.iter().map(|r| cell(r.fraction_of_idle_time, 3)));
-        t.push_row(cells);
-    }
-    Ok(t)
+    ))
+};
+
+fn t3_row(_: &ExpConfig, run: &EnvRun) -> Result<Part> {
+    let idle = run.idle()?;
+    let rows = idle.availability(&AVAILABILITY_THRESHOLDS);
+    let mut cells = vec![
+        run.env.name().to_owned(),
+        cell(idle.idle_fraction() * 100.0, 1),
+    ];
+    cells.extend(rows.iter().map(|r| cell(r.fraction_of_idle_time, 3)));
+    Ok(Part::row(cells))
 }
 
 /// T4 — hour-scale statistics across drives: burstiness and
 /// concentration of hourly activity, per drive plus the family mean.
-///
-/// # Errors
-///
-/// Propagates generation and analysis errors.
-pub fn t4(cfg: &ExpConfig) -> Result<Table> {
-    let family = standard_family(cfg)?;
-    let mut t = Table::new(
+pub(crate) const T4: Experiment = Experiment {
+    reads: family,
+    from_family: t4_rows,
+    ..Experiment::rendered(Render::Table(
         "T4: hour-scale statistics across drives",
         &[
             "drive",
@@ -150,11 +145,15 @@ pub fn t4(cfg: &ExpConfig) -> Result<Table> {
             "top10%share",
             "acf24",
         ],
-    );
+    ))
+};
+
+fn t4_rows(cfg: &ExpConfig, family: &[DriveRecord]) -> Result<Part> {
     let shown = cfg.t4_drives.min(family.len() as u32) as usize;
+    let mut rows = Vec::new();
     let mut sums = [0.0f64; 7];
     let mut analyzed = 0usize;
-    for d in &family {
+    for d in family {
         let a = HourAnalysis::new(&d.series)?;
         let Ok(s) = a.summary() else {
             continue; // fully idle drive: no hour-scale statistics
@@ -172,7 +171,7 @@ pub fn t4(cfg: &ExpConfig) -> Result<Table> {
             *acc += v;
         }
         if analyzed < shown {
-            t.push_row(vec![
+            rows.push(vec![
                 d.series.drive().to_string(),
                 cell(vals[0], 0),
                 cell(vals[1], 2),
@@ -186,7 +185,7 @@ pub fn t4(cfg: &ExpConfig) -> Result<Table> {
         analyzed += 1;
     }
     let n = analyzed.max(1) as f64;
-    t.push_row(vec![
+    rows.push(vec![
         format!("mean({analyzed})"),
         cell(sums[0] / n, 0),
         cell(sums[1] / n, 2),
@@ -196,48 +195,51 @@ pub fn t4(cfg: &ExpConfig) -> Result<Table> {
         cell(sums[5] / n, 2),
         cell(sums[6] / n, 2),
     ]);
-    Ok(t)
+    Ok(Part::Rows(rows))
 }
 
 /// T5 — lifetime percentile table across the family.
-///
-/// # Errors
-///
-/// Propagates generation and analysis errors.
-pub fn t5(cfg: &ExpConfig) -> Result<Table> {
-    let family = standard_family(cfg)?;
-    let lifetimes: Vec<_> = family.iter().map(|d| d.lifetime).collect();
-    let a = FamilyAnalysis::new(&lifetimes)?;
-    let mut t = Table::new(
+pub(crate) const T5: Experiment = Experiment {
+    reads: family,
+    from_family: t5_rows,
+    ..Experiment::rendered(Render::Table(
         "T5: lifetime percentiles across the drive family",
         &["percentile", "utilization", "MB/hour", "ops/hour"],
-    );
-    for p in a.percentiles()? {
-        t.push_row(vec![
-            format!("p{:.0}", p.level * 100.0),
-            cell(p.utilization, 4),
-            cell(p.mb_per_hour, 1),
-            cell(p.ops_per_hour, 0),
-        ]);
-    }
-    t.push_row(vec![
+    ))
+};
+
+fn t5_rows(_: &ExpConfig, family: &[DriveRecord]) -> Result<Part> {
+    let lifetimes: Vec<_> = family.iter().map(|d| d.lifetime).collect();
+    let a = FamilyAnalysis::new(&lifetimes)?;
+    let mut rows: Vec<Vec<String>> = a
+        .percentiles()?
+        .into_iter()
+        .map(|p| {
+            vec![
+                format!("p{:.0}", p.level * 100.0),
+                cell(p.utilization, 4),
+                cell(p.mb_per_hour, 1),
+                cell(p.ops_per_hour, 0),
+            ]
+        })
+        .collect();
+    rows.push(vec![
         "p95/p50".to_owned(),
         cell(a.tail_to_median_ratio()?, 2),
         String::new(),
         String::new(),
     ]);
-    Ok(t)
+    Ok(Part::Rows(rows))
 }
 
 /// T6 — ablation: how the scheduler and write-back caching reshape
 /// utilization, response time, and the idle structure on the mail
-/// workload.
-///
-/// # Errors
-///
-/// Propagates generation, simulation, and analysis errors.
-pub fn t6(cfg: &ExpConfig) -> Result<Table> {
-    let mut t = Table::new(
+/// workload. Reads the mail stream under each scheduler with
+/// write-back on, then off.
+pub(crate) const T6: Experiment = Experiment {
+    reads: t6_reads,
+    from_run: t6_row,
+    ..Experiment::rendered(Render::Table(
         "T6: scheduler / write-back ablation (mail workload)",
         &[
             "scheduler",
@@ -248,7 +250,11 @@ pub fn t6(cfg: &ExpConfig) -> Result<Table> {
             "mean-idle-s",
             "destages",
         ],
-    );
+    ))
+};
+
+fn t6_reads(_: &ExpConfig) -> Vec<Input> {
+    let mut reads = Vec::new();
     for scheduler in SchedulerKind::all() {
         for write_back in [true, false] {
             let mut cache = CacheConfig::default();
@@ -258,75 +264,74 @@ pub fn t6(cfg: &ExpConfig) -> Result<Table> {
                 cache: Some(cache),
                 flush_at_end: true,
             };
-            let run = EnvRun::with_sim_config(Environment::Mail, cfg, sim_cfg)?;
-            let s = run.summary()?;
-            let idle = run.idle()?;
-            t.push_row(vec![
-                scheduler.to_string(),
-                if write_back { "on" } else { "off" }.to_owned(),
-                cell(s.mean_utilization, 3),
-                cell(s.mean_response_ms, 2),
-                cell(idle.idle_fraction() * 100.0, 1),
-                cell(idle.mean_idle_secs().unwrap_or(0.0), 3),
-                run.sim.destages.to_string(),
-            ]);
+            reads.push(Input::Run(Environment::Mail, sim_cfg));
         }
     }
-    Ok(t)
+    reads
+}
+
+fn t6_row(_: &ExpConfig, run: &EnvRun) -> Result<Part> {
+    let s = run.summary()?;
+    let idle = run.idle()?;
+    let write_back = run.sim_cfg.cache.unwrap_or_default().write_back;
+    Ok(Part::row(vec![
+        run.sim_cfg.scheduler.to_string(),
+        if write_back { "on" } else { "off" }.to_owned(),
+        cell(s.mean_utilization, 3),
+        cell(s.mean_response_ms, 2),
+        cell(idle.idle_fraction() * 100.0, 1),
+        cell(idle.mean_idle_secs().unwrap_or(0.0), 3),
+        run.sim.destages.to_string(),
+    ]))
 }
 
 /// T7 (extension) — response-time percentiles per environment, with the
 /// p99/p50 tail amplification that burstiness induces.
-///
-/// # Errors
-///
-/// Propagates generation, simulation, and analysis errors.
-pub fn t7(cfg: &ExpConfig) -> Result<Table> {
-    use spindle_core::response::ResponseAnalysis;
-    let mut t = Table::new(
+pub(crate) const T7: Experiment = Experiment {
+    reads: each_env,
+    from_run: t7_row,
+    ..Experiment::rendered(Render::Table(
         "T7: response-time percentiles (ms) per environment",
         &[
             "env", "mean", "p50", "p90", "p99", "p99.9", "max", "p99/p50",
         ],
-    );
-    for env in Environment::all() {
-        let run = EnvRun::new(env, cfg)?;
-        let a = ResponseAnalysis::new(&run.sim)?;
-        let classes = a.classes()?;
-        let all = classes
+    ))
+};
+
+fn t7_row(_: &ExpConfig, run: &EnvRun) -> Result<Part> {
+    use spindle_core::response::ResponseAnalysis;
+    let a = ResponseAnalysis::new(&run.sim)?;
+    let classes = a.classes()?;
+    let all = classes
+        .iter()
+        .find(|c| c.label == "all")
+        .expect("`all` class always present");
+    let pick = |level: f64| {
+        all.percentiles
             .iter()
-            .find(|c| c.label == "all")
-            .expect("`all` class always present");
-        let pick = |level: f64| {
-            all.percentiles
-                .iter()
-                .find(|(l, _)| (l - level).abs() < 1e-9)
-                .expect("level in RESPONSE_LEVELS")
-                .1
-        };
-        t.push_row(vec![
-            env.name().to_owned(),
-            cell(all.mean_ms, 2),
-            cell(pick(0.50), 2),
-            cell(pick(0.90), 2),
-            cell(pick(0.99), 2),
-            cell(pick(0.999), 2),
-            cell(all.max_ms, 1),
-            cell(a.tail_amplification()?, 1),
-        ]);
-    }
-    Ok(t)
+            .find(|(l, _)| (l - level).abs() < 1e-9)
+            .expect("level in RESPONSE_LEVELS")
+            .1
+    };
+    Ok(Part::row(vec![
+        run.env.name().to_owned(),
+        cell(all.mean_ms, 2),
+        cell(pick(0.50), 2),
+        cell(pick(0.90), 2),
+        cell(pick(0.99), 2),
+        cell(pick(0.999), 2),
+        cell(all.max_ms, 1),
+        cell(a.tail_amplification()?, 1),
+    ]))
 }
 
 /// T8 (extension) — cache ablation sweep on the web workload: read-ahead
 /// depth × dirty-segment capacity, reporting hit ratio and response
 /// time.
-///
-/// # Errors
-///
-/// Propagates generation, simulation, and analysis errors.
-pub fn t8(cfg: &ExpConfig) -> Result<Table> {
-    let mut t = Table::new(
+pub(crate) const T8: Experiment = Experiment {
+    reads: t8_reads,
+    from_run: t8_row,
+    ..Experiment::rendered(Render::Table(
         "T8: cache ablation (web workload)",
         &[
             "read-ahead(KiB)",
@@ -336,7 +341,11 @@ pub fn t8(cfg: &ExpConfig) -> Result<Table> {
             "resp-ms",
             "util",
         ],
-    );
+    ))
+};
+
+fn t8_reads(_: &ExpConfig) -> Vec<Input> {
+    let mut reads = Vec::new();
     for read_ahead_sectors in [0u32, 64, 256, 1024] {
         for max_dirty in [1usize, 16] {
             let mut cache = CacheConfig::default();
@@ -346,42 +355,50 @@ pub fn t8(cfg: &ExpConfig) -> Result<Table> {
                 cache: Some(cache),
                 ..SimConfig::default()
             };
-            let run = EnvRun::with_sim_config(Environment::Web, cfg, sim_cfg)?;
-            let s = run.summary()?;
-            let writes = run.sim.writes_cached + run.sim.writes_forced;
-            t.push_row(vec![
-                (read_ahead_sectors / 2).to_string(),
-                max_dirty.to_string(),
-                cell(run.sim.read_hit_ratio().unwrap_or(0.0) * 100.0, 1),
-                cell(
-                    run.sim.writes_cached as f64 / writes.max(1) as f64 * 100.0,
-                    1,
-                ),
-                cell(s.mean_response_ms, 2),
-                cell(s.mean_utilization, 3),
-            ]);
+            reads.push(Input::Run(Environment::Web, sim_cfg));
         }
     }
-    Ok(t)
+    reads
+}
+
+fn t8_row(_: &ExpConfig, run: &EnvRun) -> Result<Part> {
+    let s = run.summary()?;
+    let cache = run.sim_cfg.cache.unwrap_or_default();
+    let writes = run.sim.writes_cached + run.sim.writes_forced;
+    Ok(Part::row(vec![
+        (cache.read_ahead_sectors / 2).to_string(),
+        cache.max_dirty_segments.to_string(),
+        cell(run.sim.read_hit_ratio().unwrap_or(0.0) * 100.0, 1),
+        cell(
+            run.sim.writes_cached as f64 / writes.max(1) as f64 * 100.0,
+            1,
+        ),
+        cell(s.mean_response_ms, 2),
+        cell(s.mean_utilization, 3),
+    ]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn cfg() -> ExpConfig {
-        ExpConfig::quick()
+    /// Runs experiment `id` through a one-id plan at quick scale.
+    fn table(id: &str) -> Table {
+        match crate::plan::artifact(id, &ExpConfig::quick()).unwrap() {
+            Artifact::Table(t) => t,
+            other => panic!("{id} rendered a figure: {other}"),
+        }
     }
 
     #[test]
     fn t1_lists_three_sets() {
-        let t = t1(&cfg()).unwrap();
+        let t = table("t1");
         assert_eq!(t.len(), 3);
     }
 
     #[test]
     fn t2_shows_moderate_utilization_everywhere() {
-        let t = t2(&cfg()).unwrap();
+        let t = table("t2");
         assert_eq!(t.len(), 4);
         for row in t.rows() {
             let util: f64 = row[7].parse().unwrap();
@@ -392,7 +409,7 @@ mod tests {
 
     #[test]
     fn t3_idle_time_is_dominated_by_long_intervals() {
-        let t = t3(&cfg()).unwrap();
+        let t = table("t3");
         for row in t.rows() {
             let idle_pct: f64 = row[1].parse().unwrap();
             assert!(idle_pct > 60.0, "{}: only {idle_pct}% idle", row[0]);
@@ -413,7 +430,7 @@ mod tests {
 
     #[test]
     fn t4_shows_hour_scale_burstiness() {
-        let t = t4(&cfg()).unwrap();
+        let t = table("t4");
         let mean_row = t.rows().last().unwrap();
         let p2m: f64 = mean_row[3].parse().unwrap();
         assert!(p2m > 1.5, "family mean peak-to-mean {p2m}");
@@ -423,7 +440,7 @@ mod tests {
 
     #[test]
     fn t5_percentiles_are_monotone_with_heavy_tail() {
-        let t = t5(&cfg()).unwrap();
+        let t = table("t5");
         let utils: Vec<f64> = t
             .rows()
             .iter()
@@ -439,7 +456,7 @@ mod tests {
 
     #[test]
     fn t7_tails_are_amplified_by_burstiness() {
-        let t = t7(&cfg()).unwrap();
+        let t = table("t7");
         assert_eq!(t.len(), 4);
         for row in t.rows() {
             let p50: f64 = row[2].parse().unwrap();
@@ -452,7 +469,7 @@ mod tests {
 
     #[test]
     fn t8_read_ahead_earns_hits_on_web() {
-        let t = t8(&cfg()).unwrap();
+        let t = table("t8");
         assert_eq!(t.len(), 8);
         // No read-ahead rows come first; deep read-ahead rows last.
         let no_ra: f64 = t.rows()[0][2].parse().unwrap();
@@ -469,7 +486,7 @@ mod tests {
 
     #[test]
     fn t6_write_back_reduces_response_time() {
-        let t = t6(&cfg()).unwrap();
+        let t = table("t6");
         assert_eq!(t.len(), 8);
         // Compare write-back on/off for each scheduler.
         for pair in t.rows().chunks(2) {

@@ -31,7 +31,7 @@ pub mod channel;
 pub mod pool;
 pub mod shard;
 
-pub use pool::{Pool, PoolMetrics};
+pub use pool::{panic_text, Pool, PoolMetrics};
 pub use shard::{shard_seed, PairCollect, Reduce, RunOutcome, ShardFailure, ShardPlan, VecCollect};
 
 /// Environment variable consulted by [`default_jobs`] before falling

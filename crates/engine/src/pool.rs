@@ -32,6 +32,7 @@
 //! shard was quarantined. Without an installed recorder the per-task
 //! cost is one relaxed atomic load.
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -137,21 +138,26 @@ fn lock_queue<'a, I>(q: &'a Mutex<VecDeque<(usize, I)>>) -> MutexGuard<'a, VecDe
     q.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Renders a caught panic payload to a string: the message of a
+/// `panic!` with a literal or formatted message, else a placeholder.
+#[must_use]
+pub fn panic_text(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_owned()
+    }
+}
+
 /// Runs one task under `catch_unwind`, rendering any panic payload to
 /// a string.
 fn run_task<I, T, F>(f: &F, ord: usize, item: I) -> Result<T, String>
 where
     F: Fn(usize, I) -> T + Sync,
 {
-    std::panic::catch_unwind(AssertUnwindSafe(|| f(ord, item))).map_err(|p| {
-        if let Some(s) = p.downcast_ref::<&str>() {
-            (*s).to_owned()
-        } else if let Some(s) = p.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "<non-string panic payload>".to_owned()
-        }
-    })
+    std::panic::catch_unwind(AssertUnwindSafe(|| f(ord, item))).map_err(|p| panic_text(&*p))
 }
 
 /// A fixed-width pool of scoped workers.

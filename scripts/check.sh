@@ -85,6 +85,21 @@ for artifact in artifacts/trace.json artifacts/report.html artifacts/observatory
 done
 EXPERIMENTS=target/release/experiments
 
+# --quiet means quiet: a clean quick run writes nothing to stderr.
+echo "==> $EXPERIMENTS --quick --quiet t1 (expect empty stderr)"
+"$EXPERIMENTS" --quick --quiet t1 > /dev/null 2> artifacts/quiet.err
+if [ -s artifacts/quiet.err ]; then
+    echo "FAILED: experiments --quiet wrote to stderr:" >&2
+    cat artifacts/quiet.err >&2
+    fail=1
+fi
+
+# The determinism contract through the shipped binary: the quick matrix
+# prints the same bytes on one worker and on eight.
+run sh -c "$EXPERIMENTS --quick --jobs 1 --quiet > artifacts/matrix-jobs1.txt"
+run sh -c "$EXPERIMENTS --quick --jobs 8 --quiet > artifacts/matrix-jobs8.txt"
+run cmp artifacts/matrix-jobs1.txt artifacts/matrix-jobs8.txt
+
 # Closed-stdout smoke: a reader that stops after one line (the quick
 # matrix prints more than a pipe buffers, so the next write meets
 # EPIPE) must end the run quietly, without a panic or a backtrace.

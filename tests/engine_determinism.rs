@@ -55,18 +55,18 @@ fn engine_metrics_do_not_change_artifacts() {
     let observed = render(&Pool::new(2).metrics(PoolMetrics::new(registry)));
     assert_eq!(plain, observed, "attaching engine counters changed output");
 
-    // The counters themselves did land in the registry.
+    // The counters themselves did land in the registry: one task per
+    // input group the plan builds (the four environment streams and the
+    // family) plus one render task per experiment.
+    let tasks = 5 + matrix::EXPERIMENTS.len() as u64;
     let snap = registry.snapshot();
-    assert_eq!(
-        snap.counter("engine.tasks_executed"),
-        Some(matrix::EXPERIMENTS.len() as u64)
-    );
+    assert_eq!(snap.counter("engine.tasks_executed"), Some(tasks));
     let per_worker: u64 = (0..2)
         .map(|w| {
             snap.counter(&format!("engine.worker.{w}.tasks_executed"))
                 .unwrap_or(0)
         })
         .sum();
-    assert_eq!(per_worker, matrix::EXPERIMENTS.len() as u64);
+    assert_eq!(per_worker, tasks);
     assert!(snap.span("engine.map").is_some());
 }

@@ -123,3 +123,56 @@ fn every_shard_panicking_still_drains_the_matrix() {
     let ordinals: Vec<usize> = outcome.failures.iter().map(|f| f.ordinal).collect();
     assert_eq!(ordinals, [0, 1]);
 }
+
+#[test]
+fn a_failing_input_fails_only_its_readers() {
+    let _guard = plan_slot();
+    spindle_harden::uninstall();
+    // A zero span makes every environment stream fail to generate; the
+    // family and the inventory do not read one.
+    let mut cfg = tiny();
+    cfg.ms_span_secs = 0.0;
+    let all: Vec<String> = matrix::EXPERIMENTS
+        .iter()
+        .map(|(id, _)| (*id).to_owned())
+        .collect();
+    // The stream each environment reader reads first.
+    let first_stream = |id: &str| match id {
+        "t8" => Some("web"),
+        "f11" => Some("archive"),
+        "t1" | "t4" | "t5" | "f6" | "f7" | "f8" | "f9" => None,
+        _ => Some("mail"),
+    };
+
+    for jobs in [1, 2, 8] {
+        let outcome = matrix::run_matrix_isolated(&all, &cfg, &Pool::new(jobs), |_| {});
+        assert!(
+            outcome.failures.is_empty(),
+            "--jobs {jobs}: {:?}",
+            outcome.failures
+        );
+        assert_eq!(outcome.results.len(), all.len(), "--jobs {jobs}");
+        for res in &outcome.results {
+            match first_stream(&res.id) {
+                Some(env) => {
+                    let err = res
+                        .output
+                        .as_ref()
+                        .expect_err(&format!("--jobs {jobs}: {} read a failed stream", res.id))
+                        .to_string();
+                    assert!(
+                        err.starts_with(&format!("input `{env}` stream failed:")),
+                        "--jobs {jobs}: {} error does not name its input: {err}",
+                        res.id
+                    );
+                }
+                None => assert_eq!(
+                    res.output.as_ref().expect("no stream read"),
+                    &matrix::run_one(&res.id, &cfg).expect("baseline run"),
+                    "--jobs {jobs}: {} diverged from its one-id run",
+                    res.id
+                ),
+            }
+        }
+    }
+}
