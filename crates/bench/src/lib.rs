@@ -15,17 +15,14 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod diff;
 pub mod figures;
 pub mod journal;
 pub mod matrix;
 pub mod pipeline;
 pub mod plan;
-pub mod record;
 pub mod tables;
 
 pub use config::ExpConfig;
-pub use record::{BenchRecord, BenchReport};
 
 /// Convenience result alias: experiments surface any layer's error.
 pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error + Send + Sync>>;

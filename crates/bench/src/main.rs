@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [--quick] [--jobs N] [--metrics[=json|text]] [--record FILE]
+//! experiments [--quick] [--jobs N] [--metrics[=json|text]]
 //!             [--trace-out FILE] [--timescales-out FILE] [--faults SPEC]
 //!             [--resume FILE] [--serve [ADDR]] [--live] [--verbose|--quiet]
 //!             [ids...]
@@ -12,7 +12,6 @@
 //! experiments                      # everything at paper scale
 //! experiments --jobs 8             # fan the matrix across 8 workers
 //! experiments --metrics=json t1    # T1 plus a JSON metrics dump on stderr
-//! experiments --record b.json t1  # also write a bench-record file
 //! experiments --trace-out t.json  # export a Chrome trace-event timeline
 //! experiments --faults panic@3    # quarantine the 4th experiment
 //! experiments --resume run.jsonl  # journal completions; resume a killed run
@@ -41,7 +40,7 @@
 //! stdout to an uninterrupted run.
 
 use spindle_bench::journal::{Journal, JournalEntry};
-use spindle_bench::{matrix, BenchRecord, BenchReport, ExpConfig};
+use spindle_bench::{matrix, ExpConfig};
 use spindle_engine::{Pool, PoolMetrics};
 use spindle_obs::progress;
 use spindle_pulse::front::{self, Arity, Invocation, SHARED};
@@ -54,14 +53,13 @@ const KILL_STATUS: i32 = 137;
 /// The options only `experiments` accepts.
 const EXPERIMENTS_ONLY: &[(&str, Arity)] = &[
     ("quick", Arity::Flag),
-    ("record", Arity::Value),
     ("timescales-out", Arity::Value),
     ("resume", Arity::Value),
 ];
 
 fn usage() -> String {
     format!
-        ("usage: experiments [--quick] [--jobs N] [--metrics[=json|text]] [--record FILE] [--trace-out FILE] [--timescales-out FILE] [--faults SPEC] [--resume FILE] [--serve [ADDR]] [--live] [--verbose|--quiet] [{}]",
+        ("usage: experiments [--quick] [--jobs N] [--metrics[=json|text]] [--trace-out FILE] [--timescales-out FILE] [--faults SPEC] [--resume FILE] [--serve [ADDR]] [--live] [--verbose|--quiet] [{}]",
         matrix::id_ranges()
     )
 }
@@ -90,7 +88,6 @@ fn main() {
     }
     let inv = Invocation::resolve(&opts, "# ").unwrap_or_else(|e| bad_usage(&e));
     let quick = opts.flag("quick");
-    let record_out = opts.get("record");
     let timescales_out = opts.get("timescales-out");
     let jobs = inv.jobs.unwrap_or_else(spindle_engine::default_jobs);
     if ids.is_empty() {
@@ -166,8 +163,6 @@ fn main() {
                 // live /status worker lanes.
                 pool = pool.metrics(PoolMetrics::new(spindle_obs::global()));
             }
-            let matrix_start = std::time::Instant::now();
-            let mut failed = false;
             let mut outcome = matrix::run_matrix_isolated(&todo, &cfg, &pool, |res| {
                 run.status.complete_one();
                 let Some(j) = journal.as_mut() else { return };
@@ -210,7 +205,6 @@ fn main() {
                     }
                 }
             }
-            let total_secs = matrix_start.elapsed().as_secs_f64();
             let quarantined: HashMap<String, String> = outcome
                 .failures
                 .drain(..)
@@ -221,22 +215,12 @@ fn main() {
                 .drain(..)
                 .map(|r| (r.id.clone(), r))
                 .collect();
-            let mut records = Vec::new();
+            let mut failures = 0;
             for id in &ids {
                 if let Some(entry) = replayed.remove(id) {
-                    records.push(BenchRecord {
-                        id: entry.id,
-                        secs: entry.secs,
-                        ok: true,
-                    });
                     println!("{}", entry.output);
                     progress!("# {id} replayed from journal ({:.2}s original)", entry.secs);
                 } else if let Some(res) = fresh.remove(id) {
-                    records.push(BenchRecord {
-                        id: res.id.clone(),
-                        secs: res.secs,
-                        ok: res.output.is_ok(),
-                    });
                     match res.output {
                         Ok(output) => {
                             println!("{output}");
@@ -245,44 +229,22 @@ fn main() {
                         Err(e) => {
                             // Failures stay visible even under --quiet.
                             eprintln!("# {} FAILED: {e}", res.id);
-                            failed = true;
+                            failures += 1;
                         }
                     }
                 } else if let Some(failure) = quarantined.get(id) {
-                    records.push(BenchRecord {
-                        id: id.clone(),
-                        secs: 0.0,
-                        ok: false,
-                    });
                     eprintln!("# {id} FAILED: {failure}");
-                    failed = true;
+                    failures += 1;
                 }
             }
             run.status.set_phase("exporting");
-            let total_failures = records.iter().filter(|r| !r.ok).count();
-            if total_failures > 0 {
+            if failures > 0 {
                 eprintln!(
-                    "# {total_failures} of {} experiments failed; surviving output is complete",
-                    records.len()
+                    "# {failures} of {} experiments failed; surviving output is complete",
+                    ids.len()
                 );
             }
-            if let Some(path) = record_out {
-                let report = BenchReport {
-                    jobs,
-                    quick,
-                    seed: cfg.seed,
-                    total_secs,
-                    records,
-                };
-                match front::write_output_file(path, &report.render()) {
-                    Ok(()) => progress!("# wrote bench record to {path}"),
-                    Err(e) => {
-                        eprintln!("# bench record export failed: {e}");
-                        failed = true;
-                    }
-                }
-            }
-            Ok(failed)
+            Ok(failures > 0)
         },
     );
     let (mut failed, rollups) = outcome.unwrap_or_else(|e| {

@@ -30,7 +30,7 @@ spindle — disk workload characterization toolkit
 
 USAGE:
   spindle generate --env <mail|web|dev|archive> [--span SECS] [--seed N]
-                   [--out FILE] [--binary]
+                   [--out FILE]
   spindle simulate --in FILE [--profile NAME] [--scheduler POLICY]
                    [--no-write-back]
   spindle analyze  --in FILE [--profile NAME]
@@ -43,18 +43,15 @@ USAGE:
                    [--hours-out FILE] [--lifetimes-out FILE]
   spindle power    --in FILE [--profile NAME]
   spindle anonymize --in FILE --out FILE [--key N] [--extent SECTORS]
-  spindle bench diff OLD NEW [--threshold PCT] [--format md|json]
-                   [--out FILE]
   spindle trace assemble --dir JOBDIR [--out FILE]
   spindle trace check FILE
   spindle serve    [ADDR] [--queue-bound N] [--parallel N]
                    [--dir DIR | --resume-dir DIR]
                    [--default-deadline SECS] [--max-deadline SECS]
                    [--stall-timeout SECS] [--max-retries N]
-                   [--retry-base-ms MS] [--breaker-cooldown SECS]
-                   [--drain-timeout SECS]
+                   [--retry-base-ms MS] [--drain-timeout SECS]
   spindle loadtest URL [--clients N] [--jobs M] [--span SECS]
-                   [--watch] [--out FILE]
+                   [--out FILE]
   spindle chaos    URL [--seed N] [--daemon-pid PID] [--input FILE]
                    [--out FILE]
   spindle help
@@ -93,11 +90,6 @@ report: per-time-scale utilization, read/write mix, burstiness, idle
 statistics, and the tail-latency attribution table whose exemplars
 link the slowest buckets back to concrete request ids.
 
-`spindle bench diff` compares two bench-record files (v1 or v2) from
-the experiments binary: per-experiment wall-clock deltas as markdown
-(default) or JSON; any experiment slower than --threshold PCT
-(default 20) makes the command exit non-zero.
-
 `spindle serve` runs the simulation-as-a-service daemon: POST a JSON
 job spec to /jobs (kinds: generate, simulate, analyze, observe,
 matrix), poll GET /jobs/ID for status and ETA, fetch outputs from
@@ -115,7 +107,7 @@ child that stops streaming telemetry for --stall-timeout seconds
 up to --max-retries times with exponential backoff (seeded jitter
 over --retry-base-ms); a spec that fails every attempt lands in
 `quarantined` and identical resubmissions are fast-rejected (409)
-until --breaker-cooldown expires. SIGTERM drains gracefully: new
+until a 60-second cooldown expires. SIGTERM drains gracefully: new
 submissions get 503 + Retry-After, running jobs get --drain-timeout
 seconds to finish, and unfinished work is left journaled for the
 next --resume-dir restart.
@@ -141,9 +133,8 @@ JSON. Any failed scenario or invariant makes the exit non-zero.
 concurrent submitters race through --jobs total submissions (here
 --jobs means submissions, not worker threads), then the harness waits
 for the server to drain and prints submit-latency percentiles,
-throughput, and the accepted/rejected/error split; --watch repaints a
-live queue/running/done line on stderr while the test runs; --out
-also writes the report as JSON.
+throughput, and the accepted/rejected/error split; --out also writes
+the report as JSON.
 
 Profiles: cheetah-15k (default), savvio-10k, barracuda-es
 Schedulers: fcfs, sstf, look, sptf (default)
@@ -190,7 +181,7 @@ fn dispatch_command(argv: &[String], inv: &Invocation) -> CmdResult {
         return Ok(());
     };
     match cmd.as_str() {
-        "generate" => generate(&parse(rest, &["binary"])?),
+        "generate" => generate(&parse(rest, &[])?),
         "simulate" => simulate(&parse(rest, &["no-write-back"])?, inv),
         "analyze" => analyze(&parse(rest, &[])?, inv),
         "report" => crate::report::report(&parse(rest, &[])?, inv),
@@ -199,7 +190,6 @@ fn dispatch_command(argv: &[String], inv: &Invocation) -> CmdResult {
         "hourgen" => hourgen(&parse(rest, &[])?),
         "power" => power(&parse(rest, &["no-write-back"])?, inv),
         "anonymize" => anonymize(&parse(rest, &[])?, inv),
-        "bench" => bench(rest),
         "trace" => trace_cmd(rest),
         "serve" => serve_cmd(rest),
         "loadtest" => loadtest_cmd(rest),
@@ -268,70 +258,6 @@ fn trace_check(rest: &[String]) -> CmdResult {
     Ok(())
 }
 
-fn bench(rest: &[String]) -> CmdResult {
-    const USAGE: &str =
-        "usage: spindle bench diff OLD NEW [--threshold PCT] [--format md|json] [--out FILE]";
-    let Some((sub, rest)) = rest.split_first() else {
-        return Err(USAGE.into());
-    };
-    match sub.as_str() {
-        "diff" => bench_diff(rest),
-        other => Err(format!("unknown bench subcommand `{other}` ({USAGE})").into()),
-    }
-}
-
-/// `spindle bench diff OLD NEW`: compares two bench-record files and
-/// exits non-zero when any experiment regresses beyond `--threshold`.
-fn bench_diff(rest: &[String]) -> CmdResult {
-    use spindle_bench::diff as bd;
-    // Two leading positionals (the record files), then options.
-    let mut files: Vec<&str> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() && files.len() < 2 && !rest[i].starts_with("--") {
-        files.push(&rest[i]);
-        i += 1;
-    }
-    let [old_path, new_path] = files[..] else {
-        return Err("bench diff needs two record files: spindle bench diff OLD NEW".into());
-    };
-    let opts = parse(&rest[i..], &[])?;
-    let threshold: f64 = opts.get_or("threshold", 20.0)?;
-    if !(threshold >= 0.0) {
-        return Err(
-            format!("bad value for --threshold: `{threshold}` (needs a percentage >= 0)").into(),
-        );
-    }
-    let read = |path: &str| -> Result<bd::RecordFile, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read bench record `{path}`: {e}"))?;
-        bd::parse_record(&text).map_err(|e| format!("bad bench record `{path}`: {e}"))
-    };
-    let d = bd::diff(read(old_path)?, read(new_path)?, threshold);
-    let rendered = match opts.get("format").unwrap_or("md") {
-        "md" | "markdown" => d.to_markdown(),
-        "json" => format!("{}\n", d.to_json()),
-        other => return Err(format!("bad --format `{other}` (expected md or json)").into()),
-    };
-    // The report is written even when the gate fails, so CI can upload
-    // it as an artifact alongside the red build.
-    match opts.get("out") {
-        Some(path) => {
-            write_output_file(path, &rendered)?;
-            progress!("wrote bench diff to {path}");
-        }
-        None => print!("{rendered}"),
-    }
-    if d.has_regressions() {
-        let ids: Vec<&str> = d.regressions().iter().map(|r| r.id.as_str()).collect();
-        return Err(format!(
-            "bench regression beyond {threshold}% in: {} ({old_path} -> {new_path})",
-            ids.join(", ")
-        )
-        .into());
-    }
-    Ok(())
-}
-
 /// SIGTERM latch for the serve daemon's graceful drain. The handler
 /// only stores an atomic flag (async-signal-safe); the serve loop
 /// polls it. Lives here rather than in spindle-serve because that
@@ -367,10 +293,38 @@ mod sigterm {
 /// until SIGTERM (graceful drain) or SIGKILL; jobs execute as child
 /// `spindle` processes.
 fn serve_cmd(rest: &[String]) -> CmdResult {
+    let (config, drain_timeout) = serve_config(rest)?;
+    let handle = spindle_serve::serve(config)?;
+    // The announce line mirrors the pulse server's, so scripts can
+    // scrape the bound address when port 0 was requested.
+    eprintln!("# serving jobs on http://{}", handle.local_addr());
+    #[cfg(unix)]
+    {
+        sigterm::install();
+        while !sigterm::received() {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+        }
+        eprintln!("# SIGTERM: draining (up to {drain_timeout}s for running jobs)");
+        handle.drain(std::time::Duration::from_secs(drain_timeout));
+        eprintln!("# drained; unfinished work is journaled for --resume-dir");
+        Ok(())
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = drain_timeout;
+        handle.park()
+    }
+}
+
+/// The daemon's configuration and SIGTERM drain timeout (seconds)
+/// from `spindle serve`'s arguments.
+fn serve_config(
+    rest: &[String],
+) -> Result<(spindle_serve::ServeConfig, u64), Box<dyn std::error::Error>> {
     const USAGE: &str = "usage: spindle serve [ADDR] [--queue-bound N] [--parallel N] \
                          [--dir DIR | --resume-dir DIR] [--default-deadline SECS] \
                          [--max-deadline SECS] [--stall-timeout SECS] [--max-retries N] \
-                         [--retry-base-ms MS] [--breaker-cooldown SECS] [--drain-timeout SECS]";
+                         [--retry-base-ms MS] [--drain-timeout SECS]";
     // One optional leading positional: the bind address.
     let (addr, rest) = match rest.first() {
         Some(first) if front::is_addr(first) => (first.clone(), &rest[1..]),
@@ -417,31 +371,8 @@ fn serve_cmd(rest: &[String]) -> CmdResult {
     if config.retry_base_ms == 0 {
         return Err("bad value for --retry-base-ms: needs at least 1".into());
     }
-    config.breaker_cooldown_secs = opts.get_or(
-        "breaker-cooldown",
-        spindle_serve::DEFAULT_BREAKER_COOLDOWN_SECS,
-    )?;
     let drain_timeout: u64 = opts.get_or("drain-timeout", 30)?;
-    let handle = spindle_serve::serve(config)?;
-    // The announce line mirrors the pulse server's, so scripts can
-    // scrape the bound address when port 0 was requested.
-    eprintln!("# serving jobs on http://{}", handle.local_addr());
-    #[cfg(unix)]
-    {
-        sigterm::install();
-        while !sigterm::received() {
-            std::thread::sleep(std::time::Duration::from_millis(100));
-        }
-        eprintln!("# SIGTERM: draining (up to {drain_timeout}s for running jobs)");
-        handle.drain(std::time::Duration::from_secs(drain_timeout));
-        eprintln!("# drained; unfinished work is journaled for --resume-dir");
-        Ok(())
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = drain_timeout;
-        handle.park()
-    }
+    Ok((config, drain_timeout))
 }
 
 /// `spindle chaos URL`: seeded fault campaign against a running serve
@@ -484,19 +415,18 @@ fn chaos_cmd(rest: &[String]) -> CmdResult {
 /// concurrent clients and reports latency/throughput/rejections.
 fn loadtest_cmd(rest: &[String]) -> CmdResult {
     const USAGE: &str =
-        "usage: spindle loadtest URL [--clients N] [--jobs M] [--span SECS] [--watch] [--out FILE]";
+        "usage: spindle loadtest URL [--clients N] [--jobs M] [--span SECS] [--out FILE]";
     let Some((url, rest)) = rest.split_first() else {
         return Err(USAGE.into());
     };
     if url.starts_with('-') {
         return Err(format!("loadtest needs the server URL first ({USAGE})").into());
     }
-    let opts = parse(rest, &["watch"])?;
+    let opts = parse(rest, &[])?;
     let mut config = spindle_serve::loadtest::LoadConfig::new(url);
     config.clients = opts.get_or("clients", config.clients)?;
     config.jobs = opts.get_or("jobs", config.jobs)?;
     config.span_secs = opts.get_or("span", config.span_secs)?;
-    config.watch = opts.flag("watch");
     if config.clients == 0 || config.jobs == 0 {
         return Err("loadtest needs --clients >= 1 and --jobs >= 1".into());
     }
@@ -583,7 +513,7 @@ fn generate(opts: &Options) -> CmdResult {
     match opts.get("out") {
         Some(path) => {
             let mut w = BufWriter::new(File::create(path)?);
-            if opts.flag("binary") || path.ends_with(".bin") {
+            if path.ends_with(".bin") {
                 binary::write_requests(&mut w, &requests)?;
             } else {
                 text::write_requests(&mut w, &requests)?;
@@ -1240,72 +1170,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_diff_gates_on_threshold() {
-        let dir = std::env::temp_dir().join("spindle-cli-benchdiff");
-        std::fs::create_dir_all(&dir).unwrap();
-        let old = dir.join("old.json");
-        let new = dir.join("new.json");
-        let record = |total: f64, t1: f64| {
-            format!(
-                "{{\"schema\":\"spindle-bench-record/v1\",\"config\":{{\"quick\":true,\"jobs\":2,\"seed\":7}},\"total_secs\":{total:?},\"results\":[{{\"id\":\"t1\",\"secs\":{t1:?},\"ok\":true}}]}}"
-            )
-        };
-        std::fs::write(&old, record(1.0, 1.0)).unwrap();
-        std::fs::write(&new, record(1.4, 1.4)).unwrap();
-        let old_s = old.to_str().unwrap();
-        let new_s = new.to_str().unwrap();
-
-        // +40% trips a 20% gate and names the offenders...
-        let err =
-            dispatch(&argv(&["bench", "diff", old_s, new_s, "--threshold", "20"])).unwrap_err();
-        assert!(err.to_string().contains("t1"), "{err}");
-        // ...but passes a generous one.
-        dispatch(&argv(&["bench", "diff", old_s, new_s, "--threshold", "60"])).unwrap();
-
-        // The report file is written even when the gate fails.
-        let report = dir.join("diff.md");
-        let _ = dispatch(&argv(&[
-            "bench",
-            "diff",
-            old_s,
-            new_s,
-            "--threshold",
-            "20",
-            "--out",
-            report.to_str().unwrap(),
-        ]));
-        let md = std::fs::read_to_string(&report).unwrap();
-        assert!(md.contains("| t1 |"), "{md}");
-
-        // JSON format renders a parsable document.
-        let json_out = dir.join("diff.json");
-        dispatch(&argv(&[
-            "bench",
-            "diff",
-            old_s,
-            new_s,
-            "--threshold=60",
-            "--format=json",
-            "--out",
-            json_out.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let doc =
-            spindle_obs::json::parse(std::fs::read_to_string(&json_out).unwrap().trim()).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(spindle_obs::json::Json::as_str),
-            Some("spindle-bench-diff/v1")
-        );
-
-        // Usage errors.
-        assert!(dispatch(&argv(&["bench"])).is_err());
-        assert!(dispatch(&argv(&["bench", "diff", old_s])).is_err());
-        assert!(dispatch(&argv(&["bench", "nope"])).is_err());
-        assert!(dispatch(&argv(&["bench", "diff", old_s, new_s, "--format", "xml"])).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn jobs_flag_is_peeled_and_validated() {
         let (inv, rest) = globals(&argv(&["family", "--jobs", "4"])).unwrap();
         assert_eq!(inv.jobs, Some(4));
@@ -1482,6 +1346,34 @@ mod tests {
     }
 
     #[test]
+    fn observe_renders_html_or_markdown() {
+        let dir = std::env::temp_dir().join("spindle-cli-observe");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace_in = dir.join("o.bin");
+        let trace_s = trace_in.to_str().unwrap();
+        dispatch(&argv(&[
+            "generate", "--env", "mail", "--span", "120", "--seed", "4", "--out", trace_s,
+        ]))
+        .unwrap();
+        let observe = |out: &str, extra: &[&str]| {
+            let out = dir.join(out);
+            let mut args = vec!["observe", "--in", trace_s, "--out", out.to_str().unwrap()];
+            args.extend_from_slice(extra);
+            dispatch(&argv(&args)).map(|()| std::fs::read_to_string(out).unwrap())
+        };
+        let html = observe("o.html", &[]).unwrap();
+        assert!(html.starts_with("<!DOCTYPE html>"), "HTML by default");
+        let md = observe("o.txt", &["--format", "md"]).unwrap();
+        assert!(md.starts_with("# spindle observatory"), "{md}");
+        assert!(md.contains("| metric | value |"), "{md}");
+        // An `.md` output path selects markdown on its own.
+        let by_path = observe("o.md", &[]).unwrap();
+        assert!(by_path.starts_with("# spindle observatory"), "{by_path}");
+        assert!(observe("o.pdf", &["--format", "pdf"]).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn chaos_usage_errors() {
         assert!(dispatch(&argv(&["chaos"])).is_err());
         assert!(dispatch(&argv(&["chaos", "--seed", "1"])).is_err());
@@ -1497,6 +1389,129 @@ mod tests {
         assert!(dispatch(&argv(&["serve", "--max-deadline", "0"])).is_err());
         assert!(dispatch(&argv(&["serve", "--retry-base-ms", "0"])).is_err());
         assert!(dispatch(&argv(&["serve", "--max-retries", "lots"])).is_err());
+    }
+
+    #[test]
+    fn serve_deadline_flags_set_the_default_and_the_ceiling() {
+        let (config, drain) = serve_config(&argv(&["127.0.0.1:0"])).unwrap();
+        assert_eq!(config.default_deadline_secs, None, "no default deadline");
+        assert_eq!(
+            config.max_deadline_secs,
+            spindle_serve::DEFAULT_MAX_DEADLINE_SECS
+        );
+        assert_eq!(drain, 30);
+        let (config, _) =
+            serve_config(&argv(&["--default-deadline", "5", "--max-deadline=10"])).unwrap();
+        assert_eq!(config.default_deadline_secs, Some(5));
+        assert_eq!(config.max_deadline_secs, 10);
+        // A zero default deadline means none.
+        let (config, _) = serve_config(&argv(&["--default-deadline", "0"])).unwrap();
+        assert_eq!(config.default_deadline_secs, None);
+        assert!(serve_config(&argv(&["--default-deadline", "soon"])).is_err());
+    }
+
+    #[test]
+    fn anonymize_key_and_extent_shape_the_permutation() {
+        let dir = std::env::temp_dir().join("spindle-cli-anonymize");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("t.txt");
+        let trace_s = trace.to_str().unwrap();
+        dispatch(&argv(&[
+            "generate", "--env", "web", "--span", "120", "--seed", "6", "--out", trace_s,
+        ]))
+        .unwrap();
+        let read = |path: &std::path::Path| {
+            text::read_requests(BufReader::new(File::open(path).unwrap())).unwrap()
+        };
+        let anonymize = |name: &str, extra: &[&str]| {
+            let out = dir.join(name);
+            let mut args = vec!["anonymize", "--in", trace_s, "--out", out.to_str().unwrap()];
+            args.extend_from_slice(extra);
+            dispatch(&argv(&args)).unwrap();
+            read(&out)
+        };
+        let original = read(&trace);
+        let keyed = anonymize("a.txt", &["--key", "77"]);
+        assert_eq!(keyed, anonymize("b.txt", &["--key", "77"]), "same key");
+        assert_ne!(keyed, anonymize("c.txt", &["--key", "78"]), "other key");
+        let small = anonymize("d.txt", &["--key", "77", "--extent", "64"]);
+        assert_ne!(keyed, small, "the extent size changes the permutation");
+        assert_eq!(small.len(), original.len());
+        for (o, a) in original.iter().zip(&small) {
+            assert_eq!(o.lba % 64, a.lba % 64, "offsets within an extent survive");
+            assert_eq!(
+                (o.arrival_ns, o.sectors, o.op),
+                (a.arrival_ns, a.sectors, a.op)
+            );
+        }
+        let out = dir.join("e.txt");
+        assert!(dispatch(&argv(&[
+            "anonymize",
+            "--in",
+            trace_s,
+            "--out",
+            out.to_str().unwrap(),
+            "--extent",
+            "0",
+        ]))
+        .is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn trace_assemble_rebuilds_a_job_trace_offline() {
+        use spindle_serve::trace::{SpanOrigin, TraceSpan};
+        let dir = std::env::temp_dir().join("spindle-cli-assemble");
+        let _ = std::fs::remove_dir_all(&dir);
+        let job_dir = dir.join("job-0001");
+        std::fs::create_dir_all(&job_dir).unwrap();
+        let span = |origin, track: &str, name: &str, begin_ns| TraceSpan {
+            origin,
+            track: track.to_owned(),
+            name: name.to_owned(),
+            begin_ns,
+            dur_ns: Some(5_000),
+            args: String::new(),
+        };
+        let job = spindle_serve::trace::JobSpans {
+            id: "job-0001".to_owned(),
+            spans: vec![
+                span(SpanOrigin::Daemon, "daemon", "queue.wait", 1_000),
+                span(SpanOrigin::ChildWall, "main", "cli.simulate", 2_000),
+                span(SpanOrigin::ChildSim, "drive.queue", "read", 42),
+            ],
+            offset_ns: Some(10_000),
+            dropped: 0,
+        };
+        spindle_serve::trace::write_spans(&job_dir.join(spindle_serve::trace::SPANS_FILE), &job)
+            .unwrap();
+        let out = dir.join("trace.json");
+        let out_s = out.to_str().unwrap();
+        dispatch(&argv(&[
+            "trace",
+            "assemble",
+            "--dir",
+            job_dir.to_str().unwrap(),
+            "--out",
+            out_s,
+        ]))
+        .unwrap();
+        dispatch(&argv(&["trace", "check", out_s])).unwrap();
+        // The same document the daemon serves at GET /jobs/ID/trace.
+        assert_eq!(
+            std::fs::read_to_string(&out).unwrap(),
+            format!("{}\n", spindle_serve::trace::job_trace_doc(&job))
+        );
+        assert!(dispatch(&argv(&["trace", "assemble"])).is_err(), "--dir");
+        let missing = dir.join("job-0002");
+        assert!(dispatch(&argv(&[
+            "trace",
+            "assemble",
+            "--dir",
+            missing.to_str().unwrap()
+        ]))
+        .is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

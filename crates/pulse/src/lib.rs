@@ -1,7 +1,7 @@
 //! Live telemetry for the spindle pipeline.
 //!
 //! The rest of the toolkit measures runs *after* they finish — metric
-//! snapshots at exit, flight-recorder exports, bench records. This
+//! snapshots at exit, flight-recorder exports. This
 //! crate is the live window onto the same data while a run is still
 //! going, with **zero external dependencies** (plain `std::net` and
 //! `std::thread`, same vendoring discipline as the rest of the
@@ -9,8 +9,8 @@
 //!
 //! * [`sampler`] — a background thread snapshotting a
 //!   [`MetricsRegistry`](spindle_obs::MetricsRegistry) at a fixed
-//!   cadence into bounded per-metric time-series rings, giving every
-//!   consumer (ETA estimation, the dashboard, `/status`) a recent-rate
+//!   cadence into the rollup wheel and one bounded progress window,
+//!   giving the rate and ETA of `/status` and the dashboard a recent
 //!   window instead of a lifetime average.
 //! * [`server`] — an embedded HTTP server on
 //!   [`std::net::TcpListener`] serving `GET /metrics` in Prometheus
@@ -56,7 +56,7 @@ pub mod status;
 
 pub use export::Exporter;
 pub use live::LiveDashboard;
-pub use sampler::{Sample, Sampler};
+pub use sampler::{Sample, SampleWindow, Sampler};
 pub use server::PulseServer;
 pub use status::{status_json, RunStatus};
 
@@ -73,7 +73,7 @@ pub const LINGER_ENV: &str = "SPINDLE_SERVE_LINGER_MS";
 /// Default sampler cadence for the front ends.
 pub const SAMPLE_CADENCE: std::time::Duration = std::time::Duration::from_millis(250);
 
-/// Default per-metric ring capacity for the front ends: with
+/// Default progress-window capacity for the front ends: with
 /// [`SAMPLE_CADENCE`] this keeps a ~30 s recent-rate window.
 pub const SAMPLE_CAPACITY: usize = 120;
 

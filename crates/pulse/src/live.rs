@@ -17,7 +17,7 @@
 //! Rendering only ever *reads* the registry and writes to stderr, so
 //! `--live` cannot perturb computed results or experiment stdout.
 
-use crate::sampler::{eta_secs, Sampler};
+use crate::sampler::Sampler;
 use crate::status::{worker_stats, RunStatus, PROGRESS_METRIC};
 use spindle_obs::{MetricsRegistry, RollupSet, Snapshot};
 use std::io::{IsTerminal, Write};
@@ -160,8 +160,9 @@ fn fmt_eta(secs: Option<f64>) -> String {
 fn summary_line(status: &RunStatus, sampler: &Sampler) -> String {
     let completed = status.completed();
     let total = status.total();
-    let rate = sampler.rate_per_sec(PROGRESS_METRIC).filter(|r| *r > 0.0);
-    let eta = eta_secs(completed, total, &sampler.series(PROGRESS_METRIC));
+    let window = sampler.progress();
+    let rate = window.rate_per_sec().filter(|r| *r > 0.0);
+    let eta = window.eta_secs(completed, total);
     format!(
         "spindle {} {}/{} ({:.1}/s, eta {})",
         status.phase(),

@@ -1,47 +1,108 @@
-//! Background metrics sampler: bounded per-metric time series.
+//! Background sampler: the progress window behind every rate and ETA.
 //!
 //! A [`Sampler`] thread snapshots a [`MetricsRegistry`] at a fixed
-//! cadence and appends one [`Sample`] per counter and gauge (plus
-//! histogram and span counts) to a bounded in-memory ring — the last
-//! `capacity` samples per metric, stamped with monotonic milliseconds
-//! since the sampler started. The rings are what turns lifetime
-//! aggregates into *recent* rates: the ETA in `/status` and the
-//! experiments/sec readout of the `--live` dashboard both come from
-//! [`Sampler::rate_per_sec`] over this window rather than from a
-//! whole-run average that goes stale the moment throughput shifts.
+//! cadence. Each snapshot feeds the attached wall-axis rollup wheel,
+//! and the progress counter ([`PROGRESS_METRIC`]) lands in one bounded
+//! [`SampleWindow`] stamped with monotonic milliseconds since the
+//! sampler started. The window is what turns the lifetime count into a
+//! *recent* rate: the throughput and ETA in `/status` and on the
+//! `--live` line both come from it rather than from a whole-run
+//! average that goes stale the moment throughput shifts. The serve
+//! daemon keeps one window per job, fed by the job's progress frames.
 //!
-//! Memory is bounded by construction: `capacity` samples × metrics
-//! sampled, independent of run length.
+//! Memory is bounded by construction: `capacity` samples, independent
+//! of run length.
 
+use crate::status::PROGRESS_METRIC;
 use spindle_obs::rollup::NS_PER_MS;
 use spindle_obs::{MetricsRegistry, RollupSet};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Minimum retained samples before [`steady_rate`] reports a rate.
+/// Minimum retained samples before a window reports a steady rate.
 /// Right after startup one or two samples produce wildly unstable
 /// rates — and therefore ETAs that swing by orders of magnitude — so
-/// rate consumers suppress the readout until the window holds this
-/// many points.
+/// the ETA stays `None` until the window holds this many points.
 pub const MIN_STEADY_SAMPLES: usize = 4;
 
-/// One sampled value of one metric.
+/// One sampled value of a progress series.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
-    /// Milliseconds since the sampler started (monotonic).
+    /// Milliseconds since the window's epoch (monotonic).
     pub t_ms: u64,
-    /// The metric's value at that instant.
+    /// The series' value at that instant.
     pub value: f64,
+}
+
+/// The last `capacity` samples of one progress series, oldest first,
+/// with the rate and the one ETA rule behind `/status`, the `--live`
+/// line and served jobs.
+#[derive(Debug, Clone)]
+pub struct SampleWindow {
+    samples: VecDeque<Sample>,
+    capacity: usize,
+}
+
+impl SampleWindow {
+    /// An empty window of `capacity` samples (clamped to at least 2 so
+    /// a rate is computable once two samples exist).
+    #[must_use]
+    pub fn new(capacity: usize) -> SampleWindow {
+        let capacity = capacity.max(2);
+        SampleWindow {
+            samples: VecDeque::with_capacity(capacity),
+            capacity,
+        }
+    }
+
+    /// Appends a sample, evicting the oldest once the window is full.
+    pub fn push(&mut self, t_ms: u64, value: f64) {
+        if self.samples.len() == self.capacity {
+            self.samples.pop_front();
+        }
+        self.samples.push_back(Sample { t_ms, value });
+    }
+
+    /// Rate of change per second between the oldest and newest sample;
+    /// `None` without two distinct timestamps.
+    #[must_use]
+    pub(crate) fn rate_per_sec(&self) -> Option<f64> {
+        let (first, last) = (self.samples.front()?, self.samples.back()?);
+        if last.t_ms <= first.t_ms {
+            return None;
+        }
+        let dt = (last.t_ms - first.t_ms) as f64 / 1e3;
+        Some((last.value - first.value) / dt)
+    }
+
+    /// The rate, but `None` until the window holds
+    /// [`MIN_STEADY_SAMPLES`] points (or when the rate is not finite) —
+    /// the clamp that keeps early-run ETAs from whipsawing.
+    #[must_use]
+    pub(crate) fn steady_rate_per_sec(&self) -> Option<f64> {
+        if self.samples.len() < MIN_STEADY_SAMPLES {
+            return None;
+        }
+        self.rate_per_sec().filter(|r| r.is_finite())
+    }
+
+    /// Seconds until `completed` reaches `total` at the steady rate.
+    /// `None` until the window is steady, without a positive rate, or
+    /// with no work left.
+    #[must_use]
+    pub fn eta_secs(&self, completed: u64, total: u64) -> Option<f64> {
+        let rate = self.steady_rate_per_sec().filter(|r| *r > 0.0)?;
+        (total > completed).then(|| (total - completed) as f64 / rate)
+    }
 }
 
 #[derive(Debug)]
 struct Shared {
     registry: &'static MetricsRegistry,
-    series: Mutex<BTreeMap<String, VecDeque<Sample>>>,
-    capacity: usize,
+    progress: Mutex<SampleWindow>,
     epoch: Instant,
     stop: AtomicBool,
     /// Wall-axis rollup wheel fed one snapshot per tick, when attached.
@@ -55,25 +116,11 @@ impl Shared {
         if let Some(roll) = &self.rollups {
             roll.ingest_snapshot(t_ms.saturating_mul(NS_PER_MS), &snap);
         }
-        let mut series = self.series.lock().expect("sampler series not poisoned");
-        let mut push = |name: &str, value: f64| {
-            let ring = series.entry(name.to_owned()).or_default();
-            ring.push_back(Sample { t_ms, value });
-            while ring.len() > self.capacity {
-                ring.pop_front();
-            }
-        };
-        for (name, v) in &snap.counters {
-            push(name, *v as f64);
-        }
-        for (name, v) in &snap.gauges {
-            push(name, *v as f64);
-        }
-        for (name, h) in &snap.histograms {
-            push(&format!("{name}.count"), h.count as f64);
-        }
-        for (name, s) in &snap.spans {
-            push(&format!("{name}.count"), s.count as f64);
+        if let Some(done) = snap.counter(PROGRESS_METRIC) {
+            self.progress
+                .lock()
+                .expect("sampler window not poisoned")
+                .push(t_ms, done as f64);
         }
     }
 }
@@ -84,14 +131,12 @@ impl Shared {
 #[derive(Debug)]
 pub struct Sampler {
     shared: Arc<Shared>,
-    cadence: Duration,
     handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Sampler {
-    /// Starts sampling `registry` every `cadence` into rings of
-    /// `capacity` samples per metric (`capacity` is clamped to at
-    /// least 2 so a rate is always computable once two samples exist).
+    /// Starts sampling `registry` every `cadence` into a progress
+    /// window of `capacity` samples.
     #[must_use]
     pub fn start(
         registry: &'static MetricsRegistry,
@@ -113,8 +158,7 @@ impl Sampler {
     ) -> Arc<Sampler> {
         let shared = Arc::new(Shared {
             registry,
-            series: Mutex::new(BTreeMap::new()),
-            capacity: capacity.max(2),
+            progress: Mutex::new(SampleWindow::new(capacity)),
             epoch: Instant::now(),
             stop: AtomicBool::new(false),
             rollups,
@@ -137,15 +181,8 @@ impl Sampler {
             .expect("sampler thread spawns");
         Arc::new(Sampler {
             shared,
-            cadence,
             handle: Mutex::new(Some(handle)),
         })
-    }
-
-    /// The sampling cadence.
-    #[must_use]
-    pub fn cadence(&self) -> Duration {
-        self.cadence
     }
 
     /// Takes one sample immediately, outside the cadence (used by
@@ -154,31 +191,15 @@ impl Sampler {
         self.shared.sample_once();
     }
 
-    /// The retained samples of `name`, oldest first.
+    /// A copy of the progress window, so a reader's rate and ETA come
+    /// from the same samples.
     #[must_use]
-    pub fn series(&self, name: &str) -> Vec<Sample> {
+    pub fn progress(&self) -> SampleWindow {
         self.shared
-            .series
+            .progress
             .lock()
-            .expect("sampler series not poisoned")
-            .get(name)
-            .map(|r| r.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// The metric's rate of change per second over the retained
-    /// window, `None` until two samples with distinct timestamps
-    /// exist. Counters yield throughput; a decreasing gauge yields a
-    /// negative rate.
-    #[must_use]
-    pub fn rate_per_sec(&self, name: &str) -> Option<f64> {
-        rate(&self.series(name))
-    }
-
-    /// [`steady_rate`] over the metric's retained window.
-    #[must_use]
-    pub fn steady_rate_per_sec(&self, name: &str) -> Option<f64> {
-        steady_rate(&self.series(name))
+            .expect("sampler window not poisoned")
+            .clone()
     }
 
     /// Stops the sampler thread and waits for it to exit. Idempotent;
@@ -199,37 +220,6 @@ impl Drop for Sampler {
     }
 }
 
-/// Rate of change per second between the first and last sample of
-/// `window` (oldest first); `None` without two distinct timestamps.
-fn rate(window: &[Sample]) -> Option<f64> {
-    let (first, last) = (window.first()?, window.last()?);
-    if last.t_ms <= first.t_ms {
-        return None;
-    }
-    let dt = (last.t_ms - first.t_ms) as f64 / 1e3;
-    Some((last.value - first.value) / dt)
-}
-
-/// The rate over `window`, but `None` until it holds
-/// [`MIN_STEADY_SAMPLES`] points (or when the rate is not finite) —
-/// the clamp that keeps early-run ETAs from whipsawing.
-fn steady_rate(window: &[Sample]) -> Option<f64> {
-    if window.len() < MIN_STEADY_SAMPLES {
-        return None;
-    }
-    rate(window).filter(|r| r.is_finite())
-}
-
-/// Seconds until `completed` reaches `total` at the steady rate of
-/// `window`, a progress series (oldest first): the one ETA rule behind
-/// `/status`, the `--live` line and served jobs. `None` until the
-/// window is steady, without a positive rate, or with no work left.
-#[must_use]
-pub fn eta_secs(completed: u64, total: u64, window: &[Sample]) -> Option<f64> {
-    let rate = steady_rate(window).filter(|r| *r > 0.0)?;
-    (total > completed).then(|| (total - completed) as f64 / rate)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,39 +229,40 @@ mod tests {
     }
 
     #[test]
-    fn samples_counters_gauges_and_counts() {
+    fn samples_only_the_progress_counter() {
         let registry = leaked_registry();
-        registry.counter("work.done").add(3);
+        registry.counter(PROGRESS_METRIC).add(3);
+        registry.counter("work.done").add(7);
         registry.gauge("depth").set(-2);
-        registry.histogram("lat").record(9);
         registry.record_span("phase", Duration::from_millis(1));
         let sampler = Sampler::start(registry, Duration::from_secs(3600), 8);
-        // The startup sample covers everything that existed at start.
-        let done = sampler.series("work.done");
-        assert_eq!(done.len(), 1);
-        assert_eq!(done[0].value, 3.0);
-        assert_eq!(sampler.series("depth")[0].value, -2.0);
-        assert_eq!(sampler.series("lat.count")[0].value, 1.0);
-        assert_eq!(sampler.series("phase.count")[0].value, 1.0);
-        assert!(sampler.series("missing").is_empty());
+        // The startup sample holds the progress count and nothing else.
+        let window = sampler.progress();
+        assert_eq!(window.samples.len(), 1);
+        assert_eq!(window.samples[0].value, 3.0);
         sampler.stop();
+        // Without a progress counter the window stays empty.
+        let idle = Sampler::start(leaked_registry(), Duration::from_secs(3600), 8);
+        idle.sample_now();
+        assert!(idle.progress().samples.is_empty());
     }
 
     #[test]
     fn rings_are_bounded() {
         let registry = leaked_registry();
-        let c = registry.counter("bounded.count");
+        let c = registry.counter(PROGRESS_METRIC);
         let sampler = Sampler::start(registry, Duration::from_secs(3600), 4);
         for i in 0..20 {
             c.add(i);
             sampler.sample_now();
         }
-        let series = sampler.series("bounded.count");
-        assert_eq!(series.len(), 4, "ring keeps only the last N samples");
+        let window = sampler.progress();
+        let series = window.samples;
+        assert_eq!(series.len(), 4, "window keeps only the last N samples");
         // Oldest-first and monotone in time.
-        for pair in series.windows(2) {
-            assert!(pair[0].t_ms <= pair[1].t_ms);
-            assert!(pair[0].value <= pair[1].value);
+        for (a, b) in series.iter().zip(series.iter().skip(1)) {
+            assert!(a.t_ms <= b.t_ms);
+            assert!(a.value <= b.value);
         }
         sampler.stop();
     }
@@ -279,15 +270,15 @@ mod tests {
     #[test]
     fn rate_needs_two_distinct_timestamps() {
         let registry = leaked_registry();
-        let c = registry.counter("rate.count");
+        let c = registry.counter(PROGRESS_METRIC);
         c.add(10);
         let sampler = Sampler::start(registry, Duration::from_secs(3600), 8);
         // One sample: no rate yet.
-        assert!(sampler.rate_per_sec("rate.count").is_none());
+        assert!(sampler.progress().rate_per_sec().is_none());
         std::thread::sleep(Duration::from_millis(5));
         c.add(10);
         sampler.sample_now();
-        let rate = sampler.rate_per_sec("rate.count").expect("two samples");
+        let rate = sampler.progress().rate_per_sec().expect("two samples");
         assert!(rate > 0.0, "rate={rate}");
         sampler.stop();
     }
@@ -295,7 +286,7 @@ mod tests {
     #[test]
     fn steady_rate_requires_a_filled_window() {
         let registry = leaked_registry();
-        let c = registry.counter("steady.count");
+        let c = registry.counter(PROGRESS_METRIC);
         let sampler = Sampler::start(registry, Duration::from_secs(3600), 8);
         // Take samples until just below the threshold: still None even
         // though the plain rate is already computable.
@@ -304,16 +295,33 @@ mod tests {
             c.add(5);
             sampler.sample_now();
         }
-        assert!(sampler.rate_per_sec("steady.count").is_some());
-        assert!(sampler.steady_rate_per_sec("steady.count").is_none());
+        assert!(sampler.progress().rate_per_sec().is_some());
+        assert!(sampler.progress().steady_rate_per_sec().is_none());
         std::thread::sleep(Duration::from_millis(3));
         c.add(5);
         sampler.sample_now();
         let rate = sampler
-            .steady_rate_per_sec("steady.count")
+            .progress()
+            .steady_rate_per_sec()
             .expect("window filled");
         assert!(rate > 0.0);
         sampler.stop();
+    }
+
+    #[test]
+    fn eta_follows_the_steady_rate_of_the_window() {
+        let mut window = SampleWindow::new(4);
+        for (t_ms, done) in [(0, 0.0), (500, 1.0), (1000, 2.0)] {
+            window.push(t_ms, done);
+        }
+        assert_eq!(window.eta_secs(2, 10), None, "three samples are not steady");
+        window.push(1500, 3.0);
+        assert_eq!(window.eta_secs(3, 10), Some(3.5), "2 per second, 7 left");
+        assert_eq!(window.eta_secs(10, 10), None, "no work left");
+        // A fifth push evicts the oldest sample; the rate spans the rest.
+        window.push(2500, 3.0);
+        assert_eq!(window.samples.len(), 4);
+        assert_eq!(window.rate_per_sec(), Some(1.0));
     }
 
     #[test]

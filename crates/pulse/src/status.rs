@@ -14,7 +14,7 @@
 //! run/steal/idle accounting the flight recorder draws as wall
 //! slices).
 
-use crate::sampler::{eta_secs, Sampler};
+use crate::sampler::Sampler;
 use spindle_obs::json::Json;
 use spindle_obs::registry::Snapshot;
 use spindle_obs::Counter;
@@ -172,12 +172,13 @@ pub fn worker_stats(snapshot: &Snapshot) -> Vec<WorkerStat> {
 pub fn status_json(status: &RunStatus, snapshot: &Snapshot, sampler: &Sampler) -> Json {
     let completed = status.completed();
     let total = status.total();
-    let rate = sampler.rate_per_sec(PROGRESS_METRIC).filter(|r| *r > 0.0);
+    let window = sampler.progress();
+    let rate = window.rate_per_sec().filter(|r| *r > 0.0);
     // The ETA derives from the *steady* rate: right after startup the
     // recent-rate window holds one or two points and the naive
     // extrapolation whipsaws by orders of magnitude, so the field stays
     // null until the window has enough samples to mean something.
-    let eta = eta_secs(completed, total, &sampler.series(PROGRESS_METRIC));
+    let eta = window.eta_secs(completed, total);
     let workers: Vec<Json> = worker_stats(snapshot)
         .into_iter()
         .map(|w| {

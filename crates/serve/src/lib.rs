@@ -106,9 +106,6 @@ pub const DEFAULT_MAX_RETRIES: u32 = 2;
 /// Default base backoff between retry attempts.
 pub const DEFAULT_RETRY_BASE_MS: u64 = 500;
 
-/// Default poison-breaker cooldown.
-pub const DEFAULT_BREAKER_COOLDOWN_SECS: u64 = 60;
-
 /// Configuration for a serve daemon.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -154,9 +151,6 @@ pub struct ServeConfig {
     /// Base retry backoff in milliseconds; attempt `n` waits
     /// `base * 2^n` plus deterministic per-job jitter.
     pub retry_base_ms: u64,
-    /// How long a poison spec's circuit breaker stays open before it
-    /// half-opens and admits one real attempt again.
-    pub breaker_cooldown_secs: u64,
 }
 
 impl ServeConfig {
@@ -184,7 +178,6 @@ impl ServeConfig {
             stall_timeout_secs: Some(DEFAULT_STALL_TIMEOUT_SECS),
             max_retries: DEFAULT_MAX_RETRIES,
             retry_base_ms: DEFAULT_RETRY_BASE_MS,
-            breaker_cooldown_secs: DEFAULT_BREAKER_COOLDOWN_SECS,
         }
     }
 }

@@ -28,9 +28,6 @@ pub struct LoadConfig {
     pub span_secs: u64,
     /// How long to wait for the server to drain accepted jobs.
     pub drain_timeout: Duration,
-    /// `--watch`: print a live fleet line to stderr while the test
-    /// runs (queued / running / done / failed, polled from `/jobs`).
-    pub watch: bool,
 }
 
 impl LoadConfig {
@@ -43,7 +40,6 @@ impl LoadConfig {
             jobs: 200,
             span_secs: 5,
             drain_timeout: Duration::from_secs(180),
-            watch: false,
         }
     }
 }
@@ -150,65 +146,6 @@ struct ClientTally {
     errors: usize,
 }
 
-/// `--watch`: a background thread that repaints one stderr line with
-/// the server's live fleet counts until stopped. Strictly read-only
-/// over the server (`GET /jobs`) and entirely on stderr, so report
-/// output and artifacts are unchanged by watching.
-struct Watcher {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-impl Watcher {
-    const POLL: Duration = Duration::from_millis(300);
-
-    fn start(addr: String) -> Watcher {
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            use std::io::Write;
-            while !stop_flag.load(Ordering::Acquire) {
-                if let Ok(listing) = client::request(&addr, "GET", "/jobs", None) {
-                    if let Ok(doc) = spindle_obs::json::parse(listing.body.trim()) {
-                        let count = |state: &str| {
-                            doc.get("jobs")
-                                .and_then(|j| match j {
-                                    Json::Arr(jobs) => Some(jobs),
-                                    _ => None,
-                                })
-                                .map_or(0, |jobs| {
-                                    jobs.iter()
-                                        .filter(|j| {
-                                            j.get("state").and_then(Json::as_str) == Some(state)
-                                        })
-                                        .count()
-                                })
-                        };
-                        let queued = doc.get("queued").and_then(Json::as_u64).unwrap_or(0);
-                        let running = doc.get("running").and_then(Json::as_u64).unwrap_or(0);
-                        eprint!(
-                            "\r# watch: queued {queued:>4}  running {running:>3}  \
-                             done {:>5}  failed {:>3}  cancelled {:>3}   ",
-                            count("done"),
-                            count("failed"),
-                            count("cancelled"),
-                        );
-                        let _ = std::io::stderr().flush();
-                    }
-                }
-                std::thread::sleep(Watcher::POLL);
-            }
-            eprintln!();
-        });
-        Watcher { stop, handle }
-    }
-
-    fn stop(self) {
-        self.stop.store(true, Ordering::Release);
-        let _ = self.handle.join();
-    }
-}
-
 /// Runs the load test.
 ///
 /// # Errors
@@ -225,7 +162,6 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
         ));
     }
 
-    let watcher = config.watch.then(|| Watcher::start(addr.clone()));
     let next = Arc::new(AtomicUsize::new(0));
     let total = config.jobs;
     let span = config.span_secs.max(1);
@@ -313,9 +249,6 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
             }
         }
         std::thread::sleep(Duration::from_millis(200));
-    }
-    if let Some(watcher) = watcher {
-        watcher.stop();
     }
 
     Ok(LoadReport {

@@ -43,6 +43,10 @@ use std::time::{Duration, Instant};
 /// deadline means roughly one second.
 const WATCHDOG_TICK: Duration = Duration::from_millis(100);
 
+/// How long a poison spec's circuit breaker stays open before it
+/// half-opens and admits one real attempt again.
+const BREAKER_COOLDOWN: Duration = Duration::from_secs(60);
+
 /// Ceiling on a computed retry backoff.
 const MAX_BACKOFF_MS: u64 = 30_000;
 
@@ -187,11 +191,9 @@ pub(crate) fn handle_retryable(
             u64::from(attempt) + 1,
             error.map(|e| format!(": {e}")).unwrap_or_default()
         );
-        shared.supervisor.breaker_open(
-            fingerprint(&job.spec),
-            detail.clone(),
-            Duration::from_secs(shared.config.breaker_cooldown_secs),
-        );
+        shared
+            .supervisor
+            .breaker_open(fingerprint(&job.spec), detail.clone(), BREAKER_COOLDOWN);
         shared.job_telemetry(id).trace_instant(
             "daemon",
             "retries.exhausted",

@@ -32,7 +32,7 @@ use spindle_obs::frame::{Frame, FrameDecoder, WindowBatch};
 use spindle_obs::json::Json;
 use spindle_obs::rollup::{snapshot_delta, WindowAccum};
 use spindle_obs::{MetricsRegistry, RollupSet, Snapshot};
-use spindle_pulse::sampler::{self, Sample};
+use spindle_pulse::sampler::SampleWindow;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -182,14 +182,13 @@ impl std::fmt::Debug for EventRing {
 
 /// Progress reported by the job's own frames, with the sample window
 /// the ETA is derived from.
-#[derive(Default)]
 struct ProgressState {
     phase: String,
     completed: u64,
     total: u64,
     /// `completed` sampled at each progress frame, stamped with daemon
-    /// milliseconds since the telemetry epoch; oldest first.
-    samples: Vec<Sample>,
+    /// milliseconds since the telemetry epoch.
+    samples: SampleWindow,
 }
 
 /// Everything the daemon holds for one job's telemetry.
@@ -228,7 +227,12 @@ impl JobTelemetry {
             epoch: Instant::now(),
             rollups: RollupSet::wall(),
             events: Mutex::new(EventRing::new(ring_cap)),
-            progress: Mutex::new(ProgressState::default()),
+            progress: Mutex::new(ProgressState {
+                phase: String::new(),
+                completed: 0,
+                total: 0,
+                samples: SampleWindow::new(ETA_SAMPLE_WINDOW),
+            }),
             prev: Mutex::new(None),
             reported: Mutex::new(Vec::new()),
             frames: AtomicU64::new(0),
@@ -367,11 +371,11 @@ impl JobTelemetry {
     }
 
     /// The job's remaining work over its steady progress rate, by the
-    /// `/status` rule ([`sampler::eta_secs`]): `None` until the window
+    /// `/status` rule ([`SampleWindow::eta_secs`]): `None` until the window
     /// fills, and once the job reports no work left.
     pub(crate) fn eta_secs(&self) -> Option<f64> {
         let p = self.progress.lock().expect("progress lock");
-        sampler::eta_secs(p.completed, p.total, &p.samples)
+        p.samples.eta_secs(p.completed, p.total)
     }
 
     /// The rebuilt multi-resolution rollup document.
@@ -476,13 +480,7 @@ impl JobTelemetry {
                     p.phase.clone_from(&phase);
                     p.completed = completed;
                     p.total = total;
-                    p.samples.push(Sample {
-                        t_ms,
-                        value: completed as f64,
-                    });
-                    if p.samples.len() > ETA_SAMPLE_WINDOW {
-                        p.samples.remove(0);
-                    }
+                    p.samples.push(t_ms, completed as f64);
                 }
                 self.event(
                     "progress",

@@ -59,7 +59,7 @@ run $TEST_LIMIT cargo test $OFFLINE -q -p spindle-bench --test checkpoint_resume
 run env SPINDLE_JOBS=2 $TEST_LIMIT cargo test $OFFLINE --workspace --no-fail-fast -q
 
 # Observability smoke: the flight recorder, run report, observatory
-# report, and bench record must actually come out of the shipped
+# report, and timescale rollups must actually come out of the shipped
 # binaries, end to end. Artifacts land in artifacts/ so CI can upload
 # them.
 run cargo build $OFFLINE --release -p spindle-cli -p spindle-bench
@@ -70,14 +70,13 @@ run "$SPINDLE" generate --env mail --span 60 --seed 7 --out "$SMOKE" --quiet
 run "$SPINDLE" simulate --in "$SMOKE" --trace-out artifacts/trace.json --quiet
 run "$SPINDLE" report --in "$SMOKE" --out artifacts/report.html --quiet
 run "$SPINDLE" observe --in "$SMOKE" --out artifacts/observatory.html --quiet
-run target/release/experiments --quick --record=artifacts/BENCH_smoke.json \
-    --timescales-out artifacts/timescales.json --quiet t1
+run target/release/experiments --quick --timescales-out artifacts/timescales.json --quiet t1
 if ! grep -q '"resolutions"' artifacts/timescales.json; then
     echo "FAILED: timescales export carries no resolutions" >&2
     fail=1
 fi
 for artifact in artifacts/trace.json artifacts/report.html artifacts/observatory.html \
-        artifacts/BENCH_smoke.json artifacts/timescales.json; do
+        artifacts/timescales.json; do
     if [ ! -s "$artifact" ]; then
         echo "FAILED: smoke artifact $artifact missing or empty" >&2
         fail=1
@@ -150,13 +149,34 @@ fi
 kill "$SERVE_PID" 2>/dev/null
 wait "$SERVE_PID" 2>/dev/null
 
-# Perf regression gate: a fresh quick record diffed against the
-# committed baseline. The threshold is deliberately generous — CI
-# machines vary wildly — so only a real blow-up trips it; the report
-# lands in artifacts/ for upload either way.
-run sh -c "$EXPERIMENTS --quick --jobs 2 --record=artifacts/BENCH_fresh.json --quiet > /dev/null"
-run "$SPINDLE" bench diff BENCH_pr8.json artifacts/BENCH_fresh.json \
-    --threshold 300 --out artifacts/bench-diff.md
+# Perf regression gate: the process wall time of a fresh quick matrix
+# on two workers, against a committed baseline. QUICK_BASELINE_MS is
+# the median of twenty runs, timed exactly as below, of the commit
+# before this gate was introduced, on a 2-vCPU VM (on two occasions; runs
+# 68-121 ms). The limit is deliberately generous (+300 %, since CI
+# machines vary widely), so only a real blow-up trips it. A failing
+# experiment trips the gate too: the run then exits 1. The timing lands
+# in artifacts/ for upload.
+QUICK_BASELINE_MS=92
+QUICK_LIMIT_PCT=300
+QUICK_LIMIT_MS=$((QUICK_BASELINE_MS * (100 + QUICK_LIMIT_PCT) / 100))
+echo "==> timed $EXPERIMENTS --quick --jobs 2 --quiet (limit $QUICK_LIMIT_MS ms)"
+start_ns=$(date +%s%N)
+"$EXPERIMENTS" --quick --jobs 2 --quiet > /dev/null
+status=$?
+QUICK_MS=$((($(date +%s%N) - start_ns) / 1000000))
+printf '{"measured_ms":%d,"baseline_ms":%d,"limit_pct":%d,"limit_ms":%d,"exit":%d}\n' \
+    "$QUICK_MS" "$QUICK_BASELINE_MS" "$QUICK_LIMIT_PCT" "$QUICK_LIMIT_MS" "$status" \
+    > artifacts/quick-matrix-time.json
+echo "quick matrix: $QUICK_MS ms (baseline $QUICK_BASELINE_MS ms, limit $QUICK_LIMIT_MS ms)"
+if [ "$status" -ne 0 ]; then
+    echo "FAILED: the timed quick matrix exited $status" >&2
+    fail=1
+fi
+if [ "$QUICK_MS" -gt "$QUICK_LIMIT_MS" ]; then
+    echo "FAILED: quick matrix took $QUICK_MS ms, over the $QUICK_LIMIT_MS ms limit" >&2
+    fail=1
+fi
 
 # Fault-injection smoke: the robustness layer end to end, through the
 # shipped binaries.

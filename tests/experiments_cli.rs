@@ -1,7 +1,7 @@
 //! Command-line behaviour of the `experiments` binary outside the
-//! matrix itself: a reader that closes stdout early, the `--record`
-//! option's required value, `--quiet`, and the phase spans a
-//! `--metrics` dump attributes the pass to.
+//! matrix itself: a reader that closes stdout early, usage errors for
+//! unknown flags and missing option values, `--quiet`, and the phase
+//! spans a `--metrics` dump attributes the pass to.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -33,16 +33,24 @@ fn closed_stdout_ends_the_run_quietly() {
 }
 
 #[test]
-fn bare_record_is_a_usage_error() {
-    let out = Command::new(bin())
-        .args(["--quick", "--record"])
-        .env_remove("SPINDLE_FAULTS")
-        .output()
-        .expect("spawn experiments binary");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("option --record needs a value"), "{stderr}");
-    assert!(stderr.contains("usage: experiments"), "{stderr}");
+fn unknown_record_flag_and_bare_resume_are_usage_errors() {
+    let usage_error = |args: &[&str], expect: &str| {
+        let out = Command::new(bin())
+            .args(args)
+            .env_remove("SPINDLE_FAULTS")
+            .output()
+            .expect("spawn experiments binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(expect), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: experiments"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran experiments");
+    };
+    usage_error(
+        &["--quick", "--record", "x", "t1"],
+        "unknown flag `--record`",
+    );
+    usage_error(&["--quick", "--resume"], "option --resume needs a value");
 }
 
 #[test]
