@@ -36,7 +36,10 @@ pub struct JournalEntry {
     pub id: String,
     /// Whether the experiment produced output.
     pub ok: bool,
-    /// Wall-clock seconds the experiment took when it actually ran.
+    /// The experiment's own seconds when it ran
+    /// ([`MatrixResult::secs`](crate::matrix::MatrixResult::secs)).
+    /// Shared input building is not in it, so nothing prints it; the
+    /// field stays so existing v1 journals still resume.
     pub secs: f64,
     /// Rendered output when `ok`, the failure message otherwise.
     pub output: String,

@@ -83,7 +83,13 @@ fn main() {
                 return;
             }
             other if other.starts_with("--") => bad_usage(&format!("unknown flag `{other}`")),
-            other => ids.push(other.to_ascii_lowercase()),
+            other => {
+                let id = other.to_ascii_lowercase();
+                if ids.contains(&id) {
+                    bad_usage(&format!("experiment `{id}` given more than once"));
+                }
+                ids.push(id);
+            }
         }
     }
     let inv = Invocation::resolve(&opts, "# ").unwrap_or_else(|e| bad_usage(&e));
@@ -219,12 +225,12 @@ fn main() {
             for id in &ids {
                 if let Some(entry) = replayed.remove(id) {
                     println!("{}", entry.output);
-                    progress!("# {id} replayed from journal ({:.2}s original)", entry.secs);
+                    progress!("# {id} replayed from journal");
                 } else if let Some(res) = fresh.remove(id) {
                     match res.output {
                         Ok(output) => {
                             println!("{output}");
-                            progress!("# {} done in {:.2}s", res.id, res.secs);
+                            progress!("# {} done", res.id);
                         }
                         Err(e) => {
                             // Failures stay visible even under --quiet.

@@ -20,10 +20,12 @@
 //!   windowed utilization series).
 //! * [`profile`] — parameter presets for enterprise drives of the paper's
 //!   era (c. 2006–2009).
-//! * [`obs`] — opt-in telemetry: counters, latency/queue-depth
-//!   histograms, and event tracing for the simulator, attached with
-//!   [`sim::DiskSim::attach_observer`]. With no observer the simulator
-//!   pays only an untaken branch per site.
+//! * [`obs`] — opt-in telemetry, attached with
+//!   [`sim::DiskSim::attach_observer`]: the simulator reports each
+//!   served request, idle gap and destage once, and the observer
+//!   derives counters, latency/queue-depth histograms, sim rollups and
+//!   flight-recorder tracks from that record. With no observer the
+//!   simulator pays only an untaken branch per outcome.
 //!
 //! # Example
 //!

@@ -1,11 +1,14 @@
 //! Simulator instrumentation.
 //!
-//! [`SimObserver`] bundles pre-resolved metric handles, an optional
-//! event ring, and an optional flight recorder so
-//! [`DiskSim`](crate::sim::DiskSim) can record telemetry without any
-//! name lookups on the hot path. With no observer attached (the
-//! default) the simulator pays only an untaken `Option` branch per
-//! site, keeping benchmark numbers unchanged.
+//! [`DiskSim`](crate::sim::DiskSim) reports each outcome of the
+//! simulated service process exactly once — a served request, an idle
+//! gap, a destage — as one crate-private `Outcome` record, and
+//! [`SimObserver`] derives every sink from that record: pre-resolved
+//! registry counters and histograms (no name lookups on the hot path),
+//! the sim-axis rollup wheel, and the flight recorder's simulated-time
+//! slices and instants. With no observer attached (the default) the
+//! simulator pays only an untaken `Option` branch per outcome, keeping
+//! benchmark numbers unchanged.
 //!
 //! Metric names exported here:
 //!
@@ -30,8 +33,6 @@
 //! |                            |           | (µs)                                     |
 //! | `disk.destage_us`          | histogram | idle-time destage duration (µs)          |
 //! | `disk.queue_depth`         | histogram | queue length at each dispatch            |
-//! | `events.dropped`           | gauge     | event-ring entries overwritten (only     |
-//! |                            |           | published when event tracing is on)      |
 //!
 //! The attribution histograms (`queue_us`/`seek_us`/`rotation_us`/
 //! `transfer_us`) decompose each request's latency into where the time
@@ -43,14 +44,18 @@
 //! windows.
 //!
 //! When a [`FlightRecorder`] is attached with
-//! [`SimObserver::with_flight`], the simulator additionally records
-//! per-request lifecycle intervals and idle/destage activity on the
-//! simulated-time tracks listed in [`track`].
+//! [`SimObserver::with_flight`], each outcome additionally lands on the
+//! simulated-time tracks listed in [`track`]: per-request queue and
+//! service intervals, idle and destage intervals, and the
+//! [`instant`]-named point events on [`track::EVENTS`].
 
+use crate::mechanics::ServiceTiming;
+use spindle_obs::json::Json;
 use spindle_obs::{
-    Counter, EventKind, EventLog, Exemplar, ExemplarHandle, FlightRecorder, Gauge, Histogram,
-    MetricsRegistry, ObsConfig, RollupSet,
+    Counter, Exemplar, ExemplarHandle, FlightRecorder, Histogram, MetricsRegistry, ObsConfig,
+    RollupSet,
 };
+use spindle_trace::{OpKind, Request};
 use std::sync::Arc;
 
 /// Simulated-time track names the disk instrumentation records on.
@@ -62,42 +67,100 @@ pub mod track {
     pub const SERVICE: &str = "drive.service";
     /// Idle intervals (queue empty, waiting for arrivals).
     pub const IDLE: &str = "drive.idle";
-    /// Instant events mirroring the [`EventLog`](spindle_obs::EventLog)
-    /// ring (cache hits/misses, destages, enqueues, ...).
+    /// Point events named by [`instant`](super::instant) (cache
+    /// hits/misses, destages, enqueues, ...).
     pub const EVENTS: &str = "drive.events";
+}
+
+/// Names of the point events on [`track::EVENTS`]. Each carries one
+/// `detail` argument: the request id for request and fault events, the
+/// LBA for cache and destage events, zero for idle events.
+pub mod instant {
+    /// A request entered the scheduler queue (at its arrival).
+    pub const REQUEST_ENQUEUE: &str = "request_enqueue";
+    /// The scheduler selected a request for service.
+    pub const REQUEST_DISPATCH: &str = "request_dispatch";
+    /// A request completed (host-visible).
+    pub const REQUEST_COMPLETE: &str = "request_complete";
+    /// A request was satisfied by the cache (read hit or absorbed
+    /// write-back write).
+    pub const CACHE_HIT: &str = "cache_hit";
+    /// A request required mechanical service.
+    pub const CACHE_MISS: &str = "cache_miss";
+    /// A dirty cache segment was destaged to the medium.
+    pub const DESTAGE: &str = "destage";
+    /// The drive went idle (queue empty, waiting for arrivals).
+    pub const IDLE_BEGIN: &str = "idle_begin";
+    /// The drive left an idle period.
+    pub const IDLE_END: &str = "idle_end";
+    /// A mechanical transfer hit an unreadable sector and retried on
+    /// the next revolution.
+    pub const MEDIA_ERROR: &str = "media_error";
+    /// A command stalled past its deadline and was retried.
+    pub const TIMEOUT: &str = "timeout";
+}
+
+/// One outcome of the simulated service process, in the simulator's
+/// own `f64` nanoseconds. The simulator reports each outcome once;
+/// every sink derives its values from the record.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Outcome {
+    /// A request was serviced.
+    Served(Served),
+    /// The drive sat idle waiting for the next arrival.
+    Idle { begin: f64, end: f64 },
+    /// A dirty extent starting at `lba` was destaged.
+    Destage { lba: u64, begin: f64, end: f64 },
+}
+
+/// A serviced request, as [`Outcome::Served`] reports it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Served {
+    /// Position of the request in the stream.
+    pub(crate) id: u64,
+    pub(crate) request: Request,
+    /// Dispatch instant.
+    pub(crate) start: f64,
+    /// Host-visible completion instant.
+    pub(crate) complete: f64,
+    /// Injected command-timeout stall (zero when none fired).
+    pub(crate) timeout_ns: f64,
+    /// Injected media-retry revolution (zero when none fired).
+    pub(crate) media_ns: f64,
+    pub(crate) cache_hit: bool,
+    /// The mechanical timing (`None` for cache hits).
+    pub(crate) timing: Option<ServiceTiming>,
+    /// Queue length at dispatch, the request itself included.
+    pub(crate) queue_depth: usize,
 }
 
 /// Pre-resolved telemetry handles for one simulator.
 ///
-/// Cloning shares the underlying metrics, event ring, and recorder.
+/// Cloning shares the underlying metrics, recorder and rollups.
 #[derive(Debug, Clone)]
 pub struct SimObserver {
-    pub(crate) requests_completed: Counter,
-    pub(crate) read_hits: Counter,
-    pub(crate) read_misses: Counter,
-    pub(crate) writes_cached: Counter,
-    pub(crate) writes_forced: Counter,
-    pub(crate) destages: Counter,
-    pub(crate) seeks: Counter,
-    pub(crate) media_errors: Counter,
-    pub(crate) timeouts: Counter,
-    pub(crate) queue_depth: Histogram,
+    requests_completed: Counter,
+    read_hits: Counter,
+    read_misses: Counter,
+    writes_cached: Counter,
+    writes_forced: Counter,
+    destages: Counter,
+    seeks: Counter,
+    media_errors: Counter,
+    timeouts: Counter,
+    queue_depth: Histogram,
     /// Latency-attribution histograms (response plus components), each
     /// with one exemplar slot set linking tail buckets back to request
     /// ids.
-    pub(crate) attribution: Attribution,
-    pub(crate) events: Option<Arc<EventLog>>,
-    /// Published only when event tracing is on, so a metrics-only run
-    /// does not export a meaningless zero.
-    pub(crate) events_dropped: Option<Gauge>,
-    pub(crate) flight: Option<Arc<FlightRecorder>>,
+    attribution: Attribution,
+    flight: Option<Arc<FlightRecorder>>,
     /// Optional simulated-time rollup wheel the attribution also feeds.
-    pub(crate) rollups: Option<Arc<RollupSet>>,
+    rollups: Option<Arc<RollupSet>>,
 }
 
 /// One instrumented histogram plus its exemplar slots and rollup name.
 #[derive(Debug, Clone)]
-pub(crate) struct Attributed {
+struct Attributed {
     name: &'static str,
     hist: Histogram,
     exemplars: ExemplarHandle,
@@ -117,13 +180,13 @@ impl Attributed {
 
 /// The per-request latency-attribution handles.
 #[derive(Debug, Clone)]
-pub(crate) struct Attribution {
-    pub(crate) response_us: Attributed,
-    pub(crate) queue_us: Attributed,
-    pub(crate) seek_us: Attributed,
-    pub(crate) rotation_us: Attributed,
-    pub(crate) transfer_us: Attributed,
-    pub(crate) destage_us: Attributed,
+struct Attribution {
+    response_us: Attributed,
+    queue_us: Attributed,
+    seek_us: Attributed,
+    rotation_us: Attributed,
+    transfer_us: Attributed,
+    destage_us: Attributed,
 }
 
 impl Attribution {
@@ -139,20 +202,16 @@ impl Attribution {
     }
 }
 
-/// Latency components of one mechanical service, in microseconds.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Components {
-    pub(crate) seek_us: u64,
-    pub(crate) rotation_us: u64,
-    pub(crate) transfer_us: u64,
+/// Nanoseconds to whole microseconds, as every histogram records them.
+fn us(ns: f64) -> u64 {
+    (ns / 1_000.0).round() as u64
 }
 
 impl SimObserver {
-    /// Resolves handles against `registry` and allocates the event ring
-    /// `config` asks for.
-    pub fn new(registry: &MetricsRegistry, config: &ObsConfig) -> Self {
-        let events = config.event_log();
-        let events_dropped = events.is_some().then(|| registry.gauge("events.dropped"));
+    /// Resolves handles against `registry`. Every configuration that
+    /// records metrics observes the same way, so `_config` only keeps
+    /// the signature stable for existing callers.
+    pub fn new(registry: &MetricsRegistry, _config: &ObsConfig) -> Self {
         SimObserver {
             requests_completed: registry.counter("disk.requests_completed"),
             read_hits: registry.counter("disk.read_hits"),
@@ -165,16 +224,13 @@ impl SimObserver {
             timeouts: registry.counter("disk.timeouts"),
             queue_depth: registry.histogram("disk.queue_depth"),
             attribution: Attribution::new(registry),
-            events,
-            events_dropped,
             flight: None,
             rollups: None,
         }
     }
 
-    /// Attaches a flight recorder: the simulator records per-request
-    /// lifecycle intervals and mirrors ring events onto simulated-time
-    /// tracks.
+    /// Attaches a flight recorder: every outcome also lands on the
+    /// simulated-time tracks.
     #[must_use]
     pub fn with_flight(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.flight = Some(recorder);
@@ -191,50 +247,151 @@ impl SimObserver {
         self
     }
 
-    /// The attached sim-axis rollup wheel, if any.
-    pub fn rollups(&self) -> Option<&Arc<RollupSet>> {
-        self.rollups.as_ref()
-    }
-
-    /// The event ring, when event tracing is enabled.
-    pub fn event_log(&self) -> Option<Arc<EventLog>> {
-        self.events.clone()
-    }
-
-    /// The attached flight recorder, if any.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
+    /// Records one outcome into every attached sink.
+    #[inline]
+    pub(crate) fn record(&self, outcome: &Outcome) {
+        match *outcome {
+            Outcome::Served(ref s) => self.served(s),
+            Outcome::Idle { begin, end } => {
+                if let Some(rec) = &self.flight {
+                    let (begin_ns, end_ns) = (begin.round() as u64, end.round() as u64);
+                    instant(rec, instant::IDLE_BEGIN, begin_ns, 0);
+                    instant(rec, instant::IDLE_END, end_ns, 0);
+                    let dur_ns = (end - begin).round() as u64;
+                    rec.sim_slice(track::IDLE, "idle", begin_ns, dur_ns, Vec::new());
+                }
+            }
+            Outcome::Destage { lba, begin, end } => {
+                let begin_ns = begin.round() as u64;
+                self.destages.inc();
+                self.seeks.inc();
+                let a = &self.attribution.destage_us;
+                // Destages have no request id; the extent's LBA fills
+                // the exemplar's id slot.
+                self.observe(a, us(end - begin), lba, begin_ns, "destage");
+                if let Some(roll) = &self.rollups {
+                    roll.add_counter("disk.destages", begin_ns, 1);
+                }
+                if let Some(rec) = &self.flight {
+                    instant(rec, instant::DESTAGE, begin_ns, lba);
+                    let dur_ns = (end - begin).round() as u64;
+                    let args = vec![("lba".to_owned(), Json::Uint(lba))];
+                    rec.sim_slice(track::SERVICE, "destage", begin_ns, dur_ns, args);
+                }
+            }
+        }
     }
 
     #[inline]
-    pub(crate) fn event(&self, t_ns: u64, kind: EventKind, detail: u64) {
-        if let Some(log) = &self.events {
-            log.record(t_ns, kind, detail);
+    fn served(&self, s: &Served) {
+        let Served {
+            id,
+            request: ref r,
+            start,
+            complete,
+            timeout_ns,
+            media_ns,
+            cache_hit,
+            timing,
+            queue_depth,
+        } = *s;
+        let (start_ns, complete_ns) = (start.round() as u64, complete.round() as u64);
+        let (timeout, media_error) = (timeout_ns > 0.0, media_ns > 0.0);
+        self.queue_depth.record(queue_depth as u64);
+        if timeout {
+            self.timeouts.inc();
         }
-        if let Some(rec) = &self.flight {
-            rec.sim_instant(
-                track::EVENTS,
-                kind.name(),
-                t_ns,
-                vec![("detail".to_owned(), spindle_obs::json::Json::Uint(detail))],
-            );
+        if media_error {
+            self.media_errors.inc();
         }
-    }
+        match (r.op, cache_hit) {
+            (OpKind::Read, true) => self.read_hits.inc(),
+            (OpKind::Read, false) => self.read_misses.inc(),
+            (OpKind::Write, true) => self.writes_cached.inc(),
+            (OpKind::Write, false) => self.writes_forced.inc(),
+        }
+        if !cache_hit {
+            self.seeks.inc();
+        }
+        let op = match r.op {
+            OpKind::Read => "read",
+            OpKind::Write => "write",
+        };
 
-    /// Records an interval on a simulated-time track (no-op without a
-    /// recorder).
-    #[inline]
-    pub(crate) fn sim_slice(
-        &self,
-        track: &str,
-        name: &str,
-        begin_ns: u64,
-        dur_ns: u64,
-        args: Vec<(String, spindle_obs::json::Json)>,
-    ) {
-        if let Some(rec) = &self.flight {
-            rec.sim_slice(track, name, begin_ns, dur_ns, args);
+        // Latency attribution: the host-visible response, the time spent
+        // queued and, for mechanical services, seek/rotation/transfer.
+        let a = &self.attribution;
+        let arrival = r.arrival_ns as f64;
+        self.observe(&a.response_us, us(complete - arrival), id, complete_ns, op);
+        let queue_us = us((start - arrival).max(0.0));
+        self.observe(&a.queue_us, queue_us, id, complete_ns, op);
+        if let Some(t) = timing {
+            self.observe(&a.seek_us, us(t.seek_ns), id, complete_ns, op);
+            self.observe(&a.rotation_us, us(t.rotation_ns), id, complete_ns, op);
+            self.observe(&a.transfer_us, us(t.transfer_ns), id, complete_ns, op);
         }
+        if let Some(roll) = &self.rollups {
+            roll.add_counter("disk.requests_completed", complete_ns, 1);
+            // Per-op completion counters exist only on the wheel (the
+            // registry already splits reads/writes by cache outcome);
+            // they are what the observatory's R/W-mix table windows.
+            let per_op = match r.op {
+                OpKind::Read => "disk.reads",
+                OpKind::Write => "disk.writes",
+            };
+            roll.add_counter(per_op, complete_ns, 1);
+        }
+        self.requests_completed.inc();
+
+        let Some(rec) = &self.flight else { return };
+        // Point events in simulated-time order (the enqueue at the
+        // arrival), then the request lifecycle on the tracks:
+        // enqueue → dispatch on the queue track, dispatch → complete on
+        // the service track, plus any injected fault stalls.
+        let media_ns_at = (complete - media_ns).round() as u64;
+        instant(rec, instant::REQUEST_ENQUEUE, r.arrival_ns, id);
+        instant(rec, instant::REQUEST_DISPATCH, start_ns, id);
+        if timeout {
+            instant(rec, instant::TIMEOUT, start_ns, id);
+        }
+        let cache = if cache_hit {
+            instant::CACHE_HIT
+        } else {
+            instant::CACHE_MISS
+        };
+        instant(rec, cache, start_ns, r.lba);
+        if media_error {
+            instant(rec, instant::MEDIA_ERROR, media_ns_at, id);
+        }
+        instant(rec, instant::REQUEST_COMPLETE, complete_ns, id);
+
+        let id_arg = || ("id".to_owned(), Json::Uint(id));
+        if timeout {
+            let dur_ns = timeout_ns.round() as u64;
+            rec.sim_slice(track::SERVICE, "timeout", start_ns, dur_ns, vec![id_arg()]);
+        }
+        if media_error {
+            let dur_ns = media_ns.round() as u64;
+            let args = vec![id_arg()];
+            rec.sim_slice(track::SERVICE, "media retry", media_ns_at, dur_ns, args);
+        }
+        if start_ns > r.arrival_ns {
+            let dur_ns = start_ns - r.arrival_ns;
+            let args = vec![id_arg()];
+            rec.sim_slice(track::QUEUE, op, r.arrival_ns, dur_ns, args);
+        }
+        let name = match (cache_hit, r.op) {
+            (true, OpKind::Read) => "read (hit)",
+            (true, OpKind::Write) => "write (cached)",
+            (false, _) => op,
+        };
+        let args = vec![
+            id_arg(),
+            ("lba".to_owned(), Json::Uint(r.lba)),
+            ("sectors".to_owned(), Json::Uint(u64::from(r.sectors))),
+        ];
+        let dur_ns = (complete - start).round() as u64;
+        rec.sim_slice(track::SERVICE, name, start_ns, dur_ns, args);
     }
 
     /// Records one attributed observation: histogram, exemplar offer,
@@ -255,108 +412,47 @@ impl SimObserver {
             roll.record_hist(a.name, t_ns, value_us);
         }
     }
+}
 
-    /// Records the full latency attribution of one completed request:
-    /// the host-visible response, the time it spent queued, and — for
-    /// mechanically serviced requests — the seek/rotation/transfer
-    /// decomposition. Each value lands in its component histogram,
-    /// offers an exemplar carrying the request id, and feeds the
-    /// sim-axis rollup wheel when one is attached.
-    #[inline]
-    pub(crate) fn attribute_request(
-        &self,
-        id: u64,
-        op: &'static str,
-        complete_ns: u64,
-        response_us: u64,
-        queue_us: u64,
-        components: Option<Components>,
-    ) {
-        self.observe(
-            &self.attribution.response_us,
-            response_us,
-            id,
-            complete_ns,
-            op,
-        );
-        self.observe(&self.attribution.queue_us, queue_us, id, complete_ns, op);
-        if let Some(c) = components {
-            self.observe(&self.attribution.seek_us, c.seek_us, id, complete_ns, op);
-            self.observe(
-                &self.attribution.rotation_us,
-                c.rotation_us,
-                id,
-                complete_ns,
-                op,
-            );
-            self.observe(
-                &self.attribution.transfer_us,
-                c.transfer_us,
-                id,
-                complete_ns,
-                op,
-            );
-        }
-        if let Some(roll) = &self.rollups {
-            roll.add_counter("disk.requests_completed", complete_ns, 1);
-            // Per-op completion counters exist only on the wheel (the
-            // registry already splits reads/writes by cache outcome);
-            // they are what the observatory's R/W-mix table windows.
-            match op {
-                "read" => roll.add_counter("disk.reads", complete_ns, 1),
-                "write" => roll.add_counter("disk.writes", complete_ns, 1),
-                _ => {}
-            }
-        }
-    }
-
-    /// Records one idle-time destage: duration histogram (keyed by the
-    /// destaged extent's LBA in the exemplar id slot — destages have no
-    /// request id) plus the sim-axis rollup.
-    #[inline]
-    pub(crate) fn attribute_destage(&self, lba: u64, t_ns: u64, dur_us: u64) {
-        self.observe(&self.attribution.destage_us, dur_us, lba, t_ns, "destage");
-        if let Some(roll) = &self.rollups {
-            roll.add_counter("disk.destages", t_ns, 1);
-        }
-    }
-
-    /// Publishes end-of-run telemetry derived from the ring: the
-    /// `events.dropped` gauge (and recorder metadata when both are
-    /// attached), so truncated traces are visible instead of silent.
-    pub fn settle(&self) {
-        if let (Some(log), Some(gauge)) = (&self.events, &self.events_dropped) {
-            gauge.set(i64::try_from(log.dropped()).unwrap_or(i64::MAX));
-        }
-        if let (Some(log), Some(rec)) = (&self.events, &self.flight) {
-            use spindle_obs::json::Json;
-            rec.set_meta("events.recorded", Json::Uint(log.total_recorded()));
-            rec.set_meta("events.dropped", Json::Uint(log.dropped()));
-            rec.set_meta("events.capacity", Json::Uint(log.capacity() as u64));
-        }
-    }
+/// One point event on [`track::EVENTS`].
+fn instant(rec: &FlightRecorder, name: &str, t_ns: u64, detail: u64) {
+    let args = vec![("detail".to_owned(), Json::Uint(detail))];
+    rec.sim_instant(track::EVENTS, name, t_ns, args);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spindle_trace::DriveId;
+
+    fn served(id: u64, op: OpKind, complete: f64, timing: Option<ServiceTiming>) -> Outcome {
+        Outcome::Served(Served {
+            id,
+            request: Request::new(0, DriveId(0), op, 4096, 8).unwrap(),
+            start: 100_000.0,
+            complete,
+            timeout_ns: 0.0,
+            media_ns: 0.0,
+            cache_hit: timing.is_none(),
+            timing,
+            queue_depth: 1,
+        })
+    }
 
     #[test]
     fn observer_resolves_named_metrics() {
         let registry = MetricsRegistry::new();
         let obs = SimObserver::new(&registry, &ObsConfig::metrics_only());
-        assert!(obs.event_log().is_none());
-        assert!(obs.flight().is_none());
-        obs.requests_completed.inc();
-        obs.attribute_request(7, "read", 5_000, 250, 40, None);
+        obs.record(&served(7, OpKind::Read, 250_000.0, None));
         let snap = registry.snapshot();
         assert_eq!(snap.counter("disk.requests_completed"), Some(1));
+        assert_eq!(snap.counter("disk.read_hits"), Some(1));
+        assert_eq!(snap.counter("disk.seeks"), Some(0));
         assert_eq!(snap.histogram("disk.response_us").unwrap().count, 1);
         assert_eq!(snap.histogram("disk.queue_us").unwrap().count, 1);
-        // No mechanical components were supplied.
+        assert_eq!(snap.histogram("disk.queue_depth").unwrap().count, 1);
+        // A cache hit has no mechanical components.
         assert_eq!(snap.histogram("disk.seek_us").unwrap().count, 0);
-        // Metrics-only observers do not publish the ring gauge.
-        assert_eq!(snap.gauge("events.dropped"), None);
     }
 
     #[test]
@@ -365,20 +461,18 @@ mod tests {
         let rollups = Arc::new(RollupSet::sim());
         let obs = SimObserver::new(&registry, &ObsConfig::metrics_only())
             .with_rollups(Arc::clone(&rollups));
-        assert!(obs.rollups().is_some());
-        obs.attribute_request(
-            3,
-            "read",
-            12_000_000, // 12 ms sim time → second 10ms window
-            900,
-            100,
-            Some(Components {
-                seek_us: 400,
-                rotation_us: 300,
-                transfer_us: 200,
-            }),
-        );
-        obs.attribute_destage(4096, 20_000_000, 550);
+        let timing = ServiceTiming {
+            seek_ns: 400_000.0,
+            rotation_ns: 300_000.0,
+            transfer_ns: 200_000.0,
+        };
+        // Completes at 12 ms sim time → the second 10ms window.
+        obs.record(&served(3, OpKind::Read, 12_000_000.0, Some(timing)));
+        obs.record(&Outcome::Destage {
+            lba: 4096,
+            begin: 20_000_000.0,
+            end: 20_550_000.0,
+        });
         // Exemplars: the response histogram's tail bucket names id 3.
         let ex = registry.exemplars().snapshot();
         let (_, slots) = ex
@@ -387,7 +481,7 @@ mod tests {
             .expect("response exemplars registered");
         let hit = slots.iter().flatten().next().expect("one exemplar kept");
         assert_eq!(hit.id, 3);
-        assert_eq!(hit.value, 900);
+        assert_eq!(hit.value, 12_000);
         assert_eq!(hit.op, "read");
         // Rollups: every resolution's merge saw the observations.
         let snap = rollups.snapshot();
@@ -399,6 +493,7 @@ mod tests {
             assert_eq!(merged.counters["disk.destages"], 1);
             assert_eq!(merged.histograms["disk.seek_us"].sum, 400);
             assert_eq!(merged.histograms["disk.destage_us"].count, 1);
+            assert_eq!(merged.histograms["disk.destage_us"].sum, 550);
         }
         // The 10ms wheel banked them in distinct windows.
         let fine = snap.resolution("10ms").unwrap();
@@ -407,44 +502,59 @@ mod tests {
 
     #[test]
     fn events_flow_only_when_enabled() {
+        // Without a recorder an outcome reaches the registry only; with
+        // one it also lands on the simulated-time tracks.
         let registry = MetricsRegistry::new();
         let silent = SimObserver::new(&registry, &ObsConfig::metrics_only());
-        silent.event(5, EventKind::CacheHit, 0);
-
-        let traced = SimObserver::new(&registry, &ObsConfig::enabled());
-        traced.event(5, EventKind::CacheHit, 77);
-        let log = traced.event_log().expect("ring allocated");
-        assert_eq!(log.len(), 1);
-        assert_eq!(log.snapshot()[0].detail, 77);
-    }
-
-    #[test]
-    fn settle_publishes_dropped_count() {
-        let mut cfg = ObsConfig::enabled();
-        cfg.event_capacity = 2;
-        let registry = MetricsRegistry::new();
-        let obs = SimObserver::new(&registry, &cfg);
-        for t in 0..5 {
-            obs.event(t, EventKind::RequestEnqueue, t);
-        }
-        obs.settle();
-        assert_eq!(registry.snapshot().gauge("events.dropped"), Some(3));
+        silent.record(&Outcome::Idle {
+            begin: 5.0,
+            end: 9.0,
+        });
+        let rec = Arc::new(FlightRecorder::new());
+        let traced = silent.clone().with_flight(Arc::clone(&rec));
+        traced.record(&Outcome::Idle {
+            begin: 5.0,
+            end: 9.0,
+        });
+        let names: Vec<_> = rec.sim_slices().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["idle_begin", "idle_end", "idle"]);
     }
 
     #[test]
     fn flight_mirrors_events_and_slices() {
         let registry = MetricsRegistry::new();
         let rec = Arc::new(FlightRecorder::new());
-        let obs = SimObserver::new(&registry, &ObsConfig::enabled()).with_flight(Arc::clone(&rec));
-        obs.event(10, EventKind::CacheMiss, 4096);
-        obs.sim_slice(track::SERVICE, "read", 10, 500, vec![]);
-        obs.settle();
+        let obs =
+            SimObserver::new(&registry, &ObsConfig::metrics_only()).with_flight(Arc::clone(&rec));
+        let timing = ServiceTiming {
+            seek_ns: 200.0,
+            rotation_ns: 200.0,
+            transfer_ns: 100.0,
+        };
+        obs.record(&served(9, OpKind::Write, 100_500.0, Some(timing)));
         let sim = rec.sim_slices();
-        assert_eq!(sim.len(), 2);
-        assert_eq!(sim[0].track, track::EVENTS);
-        assert_eq!(sim[0].dur_ns, None);
-        assert_eq!(sim[1].track, track::SERVICE);
-        assert_eq!(sim[1].dur_ns, Some(500));
-        assert!(rec.meta().iter().any(|(k, _)| k == "events.dropped"));
+        let events: Vec<_> = sim.iter().filter(|s| s.track == track::EVENTS).collect();
+        assert!(events.iter().all(|s| s.dur_ns.is_none()));
+        let names: Vec<_> = events.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                instant::REQUEST_ENQUEUE,
+                instant::REQUEST_DISPATCH,
+                instant::CACHE_MISS,
+                instant::REQUEST_COMPLETE
+            ]
+        );
+        assert_eq!(events[0].begin_ns, 0, "enqueue sits at the arrival");
+        assert_eq!(
+            events[2].args[0].1,
+            Json::Uint(4096),
+            "cache events carry the lba"
+        );
+        let queue = sim.iter().find(|s| s.track == track::QUEUE).unwrap();
+        assert_eq!((queue.begin_ns, queue.dur_ns), (0, Some(100_000)));
+        let service = sim.iter().find(|s| s.track == track::SERVICE).unwrap();
+        assert_eq!(service.name, "write");
+        assert_eq!((service.begin_ns, service.dur_ns), (100_000, Some(500)));
     }
 }

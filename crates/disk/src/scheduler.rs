@@ -7,19 +7,17 @@
 
 use crate::mechanics::Mechanics;
 use crate::{DiskError, Result};
+use spindle_trace::Request;
 use std::fmt;
 
 /// A queued request as seen by the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueuedRequest {
-    /// Identifier assigned by the simulator (stable across calls).
+    /// Identifier assigned by the simulator: the request's position in
+    /// the stream.
     pub id: u64,
-    /// Arrival time in nanoseconds.
-    pub arrival_ns: u64,
-    /// First LBA.
-    pub lba: u64,
-    /// Length in sectors.
-    pub sectors: u32,
+    /// The request itself.
+    pub request: Request,
     /// Target track (precomputed by the simulator).
     pub track: u64,
 }
@@ -150,7 +148,7 @@ impl SchedulerPolicy for Sptf {
 }
 
 fn positioning_ns(m: &Mechanics, head: u64, now_ns: f64, r: &QueuedRequest) -> f64 {
-    match m.service(head, now_ns, r.lba, r.sectors) {
+    match m.service(head, now_ns, r.request.lba, r.request.sectors) {
         Ok(t) => t.seek_ns + t.rotation_ns,
         // Out-of-range requests are rejected before queueing; treat any
         // residual error as "infinitely far" so it is picked last.
@@ -223,20 +221,23 @@ impl fmt::Display for SchedulerKind {
 mod tests {
     use super::*;
     use crate::geometry::DiskGeometry;
+    use spindle_trace::{DriveId, OpKind};
 
     fn mechanics() -> Mechanics {
         let g = DiskGeometry::uniform(10_000, 1000).unwrap();
         Mechanics::new(g, 10_000.0, 0.3, 4.0, 9.0, 0.3).unwrap()
     }
 
-    fn q(id: u64, track: u64) -> QueuedRequest {
+    fn queued(id: u64, lba: u64, track: u64) -> QueuedRequest {
         QueuedRequest {
             id,
-            arrival_ns: id,
-            lba: track * 1000,
-            sectors: 8,
+            request: Request::new(id, DriveId(0), OpKind::Read, lba, 8).unwrap(),
             track,
         }
+    }
+
+    fn q(id: u64, track: u64) -> QueuedRequest {
+        queued(id, track * 1000, track)
     }
 
     #[test]
@@ -284,20 +285,8 @@ mod tests {
         // SPTF must pick the one with the shorter rotational wait from
         // now. At t=0 the head is at angle 0; offset 100 (of 1000) is
         // closer than offset 900.
-        let near = QueuedRequest {
-            id: 0,
-            arrival_ns: 0,
-            lba: 500 * 1000 + 900,
-            sectors: 8,
-            track: 500,
-        };
-        let far = QueuedRequest {
-            id: 1,
-            arrival_ns: 0,
-            lba: 500 * 1000 + 100,
-            sectors: 8,
-            track: 500,
-        };
+        let near = queued(0, 500 * 1000 + 900, 500);
+        let far = queued(1, 500 * 1000 + 100, 500);
         let idx = Sptf.select(&[near, far], 500, 0.0, &m);
         assert_eq!(idx, 1, "SPTF should pick the rotationally closer sector");
     }

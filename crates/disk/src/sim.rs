@@ -11,11 +11,10 @@
 use crate::busy::{BusyLog, BusyLogBuilder};
 use crate::cache::{CacheConfig, DiskCache, WriteOutcome};
 use crate::mechanics::{Mechanics, ServiceTiming};
-use crate::obs::{Components, SimObserver};
+use crate::obs::{Outcome, Served, SimObserver};
 use crate::profile::DriveProfile;
 use crate::scheduler::{QueuedRequest, SchedulerKind, SchedulerPolicy};
 use crate::{DiskError, Result};
-use spindle_obs::EventKind;
 use spindle_trace::{OpKind, Request};
 use std::collections::BTreeSet;
 
@@ -26,8 +25,8 @@ use std::collections::BTreeSet;
 pub const TIMEOUT_PENALTY_NS: u64 = 500_000_000;
 
 /// Deterministic fault sites for one simulation run, keyed by the
-/// request's position in the stream (the same id the event log and
-/// timeline slices carry).
+/// request's position in the stream (the same id the flight recorder's
+/// slices and instants carry).
 ///
 /// Injected via [`DiskSim::inject_faults`]; an empty set of faults is
 /// the (free) default. Faults only perturb *timing* — every request
@@ -232,15 +231,9 @@ impl DiskSim {
     }
 
     /// Attaches a telemetry observer; subsequent [`DiskSim::run`] calls
-    /// record counters, histograms, and (if the observer carries an
-    /// event ring) simulator events through it.
+    /// report each served request, idle gap and destage to it once.
     pub fn attach_observer(&mut self, obs: SimObserver) {
         self.obs = Some(obs);
-    }
-
-    /// The attached observer, if any.
-    pub fn observer(&self) -> Option<&SimObserver> {
-        self.obs.as_ref()
     }
 
     /// Injects deterministic media-error and timeout faults into
@@ -310,9 +303,6 @@ impl DiskSim {
         let mut busy = BusyLogBuilder::new();
         let mut completed = Vec::new();
         let mut queue: Vec<QueuedRequest> = Vec::new();
-        // Full requests for queued entries, kept index-parallel with
-        // `queue` (the scheduler's view carries only placement fields).
-        let mut pending: Vec<Request> = Vec::new();
         let mut next_id = 0u64; // position in the stream
         let mut last_arrival = 0u64;
         let mut now: f64 = 0.0;
@@ -343,15 +333,9 @@ impl DiskSim {
                 let track = self.mechanics.geometry().locate(r.lba)?.track;
                 queue.push(QueuedRequest {
                     id: next_id,
-                    arrival_ns: r.arrival_ns,
-                    lba: r.lba,
-                    sectors: r.sectors,
+                    request: r,
                     track,
                 });
-                pending.push(r);
-                if let Some(o) = &self.obs {
-                    o.event(r.arrival_ns, EventKind::RequestEnqueue, next_id);
-                }
                 next_id += 1;
             }
 
@@ -379,39 +363,19 @@ impl DiskSim {
                         head_track = self.mechanics.geometry().locate(extent.end() - 1)?.track;
                         destages += 1;
                         if let Some(o) = &self.obs {
-                            o.destages.inc();
-                            o.seeks.inc();
-                            o.attribute_destage(
-                                extent.lba,
-                                destage_at.round() as u64,
-                                ((end - destage_at) / 1_000.0).round() as u64,
-                            );
-                            o.event(destage_at.round() as u64, EventKind::Destage, extent.lba);
-                            o.sim_slice(
-                                crate::obs::track::SERVICE,
-                                "destage",
-                                destage_at.round() as u64,
-                                (end - destage_at).round() as u64,
-                                vec![("lba".to_owned(), spindle_obs::json::Json::Uint(extent.lba))],
-                            );
+                            o.record(&Outcome::Destage {
+                                lba: extent.lba,
+                                begin: destage_at,
+                                end,
+                            });
                         }
                         continue;
                     }
                 }
                 match upcoming {
                     Some(t) => {
-                        if let Some(o) = &self.obs {
-                            if t > now {
-                                o.event(now.round() as u64, EventKind::IdleBegin, 0);
-                                o.event(t.round() as u64, EventKind::IdleEnd, 0);
-                                o.sim_slice(
-                                    crate::obs::track::IDLE,
-                                    "idle",
-                                    now.round() as u64,
-                                    (t - now).round() as u64,
-                                    Vec::new(),
-                                );
-                            }
+                        if let Some(o) = self.obs.as_ref().filter(|_| t > now) {
+                            o.record(&Outcome::Idle { begin: now, end: t });
                         }
                         now = now.max(t);
                         continue;
@@ -421,15 +385,11 @@ impl DiskSim {
             }
 
             // Pick and service the next request.
-            if let Some(o) = &self.obs {
-                o.queue_depth.record(queue.len() as u64);
-            }
+            let queue_depth = queue.len();
             let idx = self
                 .scheduler
                 .select(&queue, head_track, now, &self.mechanics);
-            let q = queue.remove(idx);
-            let r = pending.remove(idx);
-            debug_assert_eq!(r.arrival_ns, q.arrival_ns, "queue/pending out of sync");
+            let QueuedRequest { id, request: r, .. } = queue.remove(idx);
             let start = now;
             // Injected command timeout: the command stalls, then the
             // retry services normally starting at the delayed instant
@@ -437,15 +397,14 @@ impl DiskSim {
             let timeout_fault = self
                 .faults
                 .as_ref()
-                .is_some_and(|fl| fl.timeouts.contains(&q.id));
+                .is_some_and(|fl| fl.timeouts.contains(&id));
             let timeout_ns = if timeout_fault {
                 TIMEOUT_PENALTY_NS as f64
             } else {
                 0.0
             };
-            let outcome = self.service(&r, head_track, now + timeout_ns)?;
-            let (service_ns, busy_extra_ns, cache_hit) =
-                (outcome.service_ns, outcome.busy_extra_ns, outcome.cache_hit);
+            let serviced = self.service(&r, head_track, now + timeout_ns)?;
+            let cache_hit = serviced.cache_hit;
             // Injected media error: the transfer fails on the medium
             // and succeeds one full revolution later. Cache hits never
             // touch the medium, so the fault is inert for them.
@@ -453,7 +412,7 @@ impl DiskSim {
                 && self
                     .faults
                     .as_ref()
-                    .is_some_and(|fl| fl.media_errors.contains(&q.id));
+                    .is_some_and(|fl| fl.media_errors.contains(&id));
             let media_ns = if media_fault {
                 self.mechanics.rotation_ns()
             } else {
@@ -465,8 +424,9 @@ impl DiskSim {
             if media_fault {
                 media_errors += 1;
             }
-            let complete = start + self.controller_overhead_ns + timeout_ns + service_ns + media_ns;
-            let busy_end = complete + busy_extra_ns;
+            let complete =
+                start + self.controller_overhead_ns + timeout_ns + serviced.service_ns + media_ns;
+            let busy_end = complete + serviced.busy_extra_ns;
             busy.push(start.round() as u64, busy_end.round() as u64)?;
             if !cache_hit {
                 // The head ends at the last sector touched (including
@@ -485,101 +445,17 @@ impl DiskSim {
                 (OpKind::Write, false) => writes_forced += 1,
             }
             if let Some(o) = &self.obs {
-                o.event(start.round() as u64, EventKind::RequestDispatch, q.id);
-                if timeout_fault {
-                    o.timeouts.inc();
-                    o.event(start.round() as u64, EventKind::Timeout, q.id);
-                }
-                if media_fault {
-                    o.media_errors.inc();
-                    o.event(
-                        (complete - media_ns).round() as u64,
-                        EventKind::MediaError,
-                        q.id,
-                    );
-                }
-                match (r.op, cache_hit) {
-                    (OpKind::Read, true) => o.read_hits.inc(),
-                    (OpKind::Read, false) => o.read_misses.inc(),
-                    (OpKind::Write, true) => o.writes_cached.inc(),
-                    (OpKind::Write, false) => o.writes_forced.inc(),
-                }
-                let kind = if cache_hit {
-                    EventKind::CacheHit
-                } else {
-                    o.seeks.inc();
-                    EventKind::CacheMiss
-                };
-                o.event(start.round() as u64, kind, r.lba);
-                let op_name = match r.op {
-                    OpKind::Read => "read",
-                    OpKind::Write => "write",
-                };
-                let response_ns = complete - r.arrival_ns as f64;
-                let queue_ns = (start - r.arrival_ns as f64).max(0.0);
-                o.attribute_request(
-                    q.id,
-                    op_name,
-                    complete.round() as u64,
-                    (response_ns / 1_000.0).round() as u64,
-                    (queue_ns / 1_000.0).round() as u64,
-                    outcome.components(),
-                );
-                o.requests_completed.inc();
-                o.event(complete.round() as u64, EventKind::RequestComplete, q.id);
-                // Request lifecycle on the simulated-time tracks:
-                // enqueue → dispatch on the queue track, dispatch →
-                // complete on the service track.
-                if o.flight().is_some() {
-                    use spindle_obs::json::Json;
-                    let start_ns = start.round() as u64;
-                    let id_arg = ("id".to_owned(), Json::Uint(q.id));
-                    if timeout_fault {
-                        o.sim_slice(
-                            crate::obs::track::SERVICE,
-                            "timeout",
-                            start_ns,
-                            timeout_ns.round() as u64,
-                            vec![id_arg.clone()],
-                        );
-                    }
-                    if media_fault {
-                        o.sim_slice(
-                            crate::obs::track::SERVICE,
-                            "media retry",
-                            (complete - media_ns).round() as u64,
-                            media_ns.round() as u64,
-                            vec![id_arg.clone()],
-                        );
-                    }
-                    if start_ns > r.arrival_ns {
-                        o.sim_slice(
-                            crate::obs::track::QUEUE,
-                            op_name,
-                            r.arrival_ns,
-                            start_ns - r.arrival_ns,
-                            vec![id_arg.clone()],
-                        );
-                    }
-                    o.sim_slice(
-                        crate::obs::track::SERVICE,
-                        if cache_hit {
-                            match r.op {
-                                OpKind::Read => "read (hit)",
-                                OpKind::Write => "write (cached)",
-                            }
-                        } else {
-                            op_name
-                        },
-                        start_ns,
-                        (complete - start).round() as u64,
-                        vec![
-                            id_arg,
-                            ("lba".to_owned(), Json::Uint(r.lba)),
-                            ("sectors".to_owned(), Json::Uint(u64::from(r.sectors))),
-                        ],
-                    );
-                }
+                o.record(&Outcome::Served(Served {
+                    id,
+                    request: r,
+                    start,
+                    complete,
+                    timeout_ns,
+                    media_ns,
+                    cache_hit,
+                    timing: serviced.timing,
+                    queue_depth,
+                }));
             }
             completed.push(CompletedRequest {
                 request: r,
@@ -590,9 +466,6 @@ impl DiskSim {
             now = busy_end;
         }
 
-        if let Some(o) = &self.obs {
-            o.settle();
-        }
         let span = now.round().max(1.0) as u64;
         Ok(SimResult {
             completed,
@@ -672,16 +545,6 @@ impl ServiceOutcome {
             cache_hit: false,
             timing: Some(timing),
         }
-    }
-
-    /// The attribution components in microseconds (`None` for cache
-    /// hits, which never touch the mechanism).
-    fn components(&self) -> Option<Components> {
-        self.timing.map(|t| Components {
-            seek_us: (t.seek_ns / 1_000.0).round() as u64,
-            rotation_us: (t.rotation_ns / 1_000.0).round() as u64,
-            transfer_us: (t.transfer_ns / 1_000.0).round() as u64,
-        })
     }
 }
 
@@ -952,16 +815,37 @@ mod tests {
         assert_eq!(result.destages, 0);
     }
 
-    #[test]
-    fn observer_counters_match_sim_result() {
-        use crate::obs::SimObserver;
-        use spindle_obs::{MetricsRegistry, ObsConfig};
+    /// Simulator with a registry observer and a flight recorder attached.
+    fn traced_sim() -> (
+        DiskSim,
+        spindle_obs::MetricsRegistry,
+        std::sync::Arc<spindle_obs::FlightRecorder>,
+    ) {
+        use spindle_obs::{FlightRecorder, MetricsRegistry, ObsConfig};
+        use std::sync::Arc;
 
         let registry = MetricsRegistry::new();
+        let rec = Arc::new(FlightRecorder::new());
         let mut s = sim();
-        s.attach_observer(SimObserver::new(&registry, &ObsConfig::enabled()));
-        let log = s.observer().unwrap().event_log().expect("events enabled");
+        s.attach_observer(
+            SimObserver::new(&registry, &ObsConfig::metrics_only()).with_flight(Arc::clone(&rec)),
+        );
+        (s, registry, rec)
+    }
 
+    /// The `drive.events` instants of `rec`, in recording order.
+    fn instants(rec: &spindle_obs::FlightRecorder) -> Vec<spindle_obs::SimSlice> {
+        rec.sim_slices()
+            .into_iter()
+            .filter(|e| e.track == crate::obs::track::EVENTS)
+            .collect()
+    }
+
+    #[test]
+    fn observer_counters_match_sim_result() {
+        use crate::obs::instant;
+
+        let (mut s, registry, rec) = traced_sim();
         // A mix of reads (some sequential for hits) and writes with idle
         // gaps so destaging kicks in.
         let mut reqs = Vec::new();
@@ -976,6 +860,7 @@ mod tests {
             ));
         }
         let result = s.run(&reqs).unwrap();
+        assert!(result.destages > 0, "the stream must exercise destaging");
 
         let snap = registry.snapshot();
         let total = reqs.len() as u64;
@@ -996,28 +881,27 @@ mod tests {
         let depth = snap.histogram("disk.queue_depth").unwrap();
         assert_eq!(depth.count, total, "one depth sample per dispatch");
 
-        // Event stream consistency: one enqueue/dispatch/complete per
+        // Instant consistency: one enqueue/dispatch/complete per
         // request, one cache event per request, one destage event per
         // destage operation.
-        let events = log.snapshot();
-        let count = |k| events.iter().filter(|e| e.kind == k).count() as u64;
-        assert_eq!(count(EventKind::RequestEnqueue), total);
-        assert_eq!(count(EventKind::RequestDispatch), total);
-        assert_eq!(count(EventKind::RequestComplete), total);
+        let events = instants(&rec);
+        let count = |k: &str| events.iter().filter(|e| e.name == k).count() as u64;
+        assert_eq!(count(instant::REQUEST_ENQUEUE), total);
+        assert_eq!(count(instant::REQUEST_DISPATCH), total);
+        assert_eq!(count(instant::REQUEST_COMPLETE), total);
         assert_eq!(
-            count(EventKind::CacheHit) + count(EventKind::CacheMiss),
+            count(instant::CACHE_HIT) + count(instant::CACHE_MISS),
             total
         );
-        assert_eq!(count(EventKind::Destage), result.destages);
-        assert_eq!(count(EventKind::IdleBegin), count(EventKind::IdleEnd));
+        assert_eq!(count(instant::DESTAGE), result.destages);
+        assert_eq!(count(instant::IDLE_BEGIN), count(instant::IDLE_END));
     }
 
     #[test]
     fn unobserved_sim_matches_observed_sim() {
-        use crate::obs::SimObserver;
-        use spindle_obs::{MetricsRegistry, ObsConfig};
-
-        let reqs: Vec<Request> = (0..12)
+        // Write-back writes (destaged in the idle gaps) interleaved with
+        // scattered reads, plus one injected media error and timeout.
+        let reqs: Vec<Request> = (0..24)
             .map(|i| {
                 if i % 3 == 0 {
                     write(i * 3_000_000, 20_000_000 + i * 500_000, 32)
@@ -1026,22 +910,20 @@ mod tests {
                 }
             })
             .collect();
+        let mut faults = SimFaults::default();
+        faults.media_errors.insert(4);
+        faults.timeouts.insert(7);
 
         let mut plain = sim();
+        plain.inject_faults(faults.clone());
         let base = plain.run(&reqs).unwrap();
+        assert!(base.destages > 0);
+        assert_eq!((base.media_errors, base.timeouts), (1, 1));
 
-        let registry = MetricsRegistry::new();
-        let mut observed = sim();
-        observed.attach_observer(SimObserver::new(&registry, &ObsConfig::enabled()));
-        let traced = observed.run(&reqs).unwrap();
-
+        let (mut observed, _registry, _rec) = traced_sim();
+        observed.inject_faults(faults);
         // Telemetry must not perturb simulation results.
-        assert_eq!(base.completed.len(), traced.completed.len());
-        for (a, b) in base.completed.iter().zip(traced.completed.iter()) {
-            assert_eq!(a.complete_ns, b.complete_ns);
-            assert_eq!(a.cache_hit, b.cache_hit);
-        }
-        assert_eq!(base.busy.periods(), traced.busy.periods());
+        assert_eq!(base, observed.run(&reqs).unwrap());
     }
 
     fn scattered_reads(n: u64, gap_ns: u64) -> Vec<Request> {
@@ -1116,13 +998,9 @@ mod tests {
 
     #[test]
     fn fault_events_and_counters_reach_the_observer() {
-        use crate::obs::SimObserver;
-        use spindle_obs::{MetricsRegistry, ObsConfig};
+        use crate::obs::instant;
 
-        let registry = MetricsRegistry::new();
-        let mut s = sim();
-        s.attach_observer(SimObserver::new(&registry, &ObsConfig::enabled()));
-        let log = s.observer().unwrap().event_log().expect("events enabled");
+        let (mut s, registry, rec) = traced_sim();
         let mut faults = SimFaults::default();
         faults.media_errors.insert(1);
         faults.timeouts.insert(2);
@@ -1136,18 +1014,20 @@ mod tests {
         assert_eq!(snap.counter("disk.media_errors"), Some(1));
         assert_eq!(snap.counter("disk.timeouts"), Some(1));
 
-        let events = log.snapshot();
-        let media: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::MediaError)
-            .collect();
-        let timeouts: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::Timeout)
-            .collect();
-        assert_eq!(media.len(), 1);
-        assert_eq!(media[0].detail, 1, "event names the request id");
-        assert_eq!(timeouts.len(), 1);
-        assert_eq!(timeouts[0].detail, 2);
+        let events = instants(&rec);
+        let detail = |k: &str| -> Vec<_> {
+            events
+                .iter()
+                .filter(|e| e.name == k)
+                .map(|e| e.args[0].1.clone())
+                .collect()
+        };
+        use spindle_obs::json::Json;
+        assert_eq!(
+            detail(instant::MEDIA_ERROR),
+            [Json::Uint(1)],
+            "the instant names the request id"
+        );
+        assert_eq!(detail(instant::TIMEOUT), [Json::Uint(2)]);
     }
 }

@@ -1,8 +1,5 @@
 //! Observability configuration.
 
-use crate::events::EventLog;
-use std::sync::Arc;
-
 /// What the instrumentation layer is allowed to record.
 ///
 /// The default is fully disabled: instrumented code paths must cost
@@ -11,51 +8,24 @@ use std::sync::Arc;
 pub struct ObsConfig {
     /// Record counters, gauges, histograms, and spans.
     pub metrics: bool,
-    /// Trace simulator-level events into a ring buffer.
-    pub events: bool,
-    /// Ring capacity used when `events` is true.
-    pub event_capacity: usize,
 }
-
-/// Default event ring capacity: large enough for the tail of any
-/// realistic run without unbounded memory.
-pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
 impl ObsConfig {
     /// Nothing is recorded (the default).
     pub const fn disabled() -> Self {
-        ObsConfig {
-            metrics: false,
-            events: false,
-            event_capacity: 0,
-        }
+        ObsConfig { metrics: false }
     }
 
-    /// Metrics and event tracing both on.
+    /// The same configuration as [`ObsConfig::metrics_only`]. Kept as
+    /// an alias for callers written when a separate event ring existed;
+    /// new code uses `metrics_only()`.
     pub const fn enabled() -> Self {
-        ObsConfig {
-            metrics: true,
-            events: true,
-            event_capacity: DEFAULT_EVENT_CAPACITY,
-        }
+        Self::metrics_only()
     }
 
-    /// Metrics on, event tracing off — the cheap production setting.
+    /// Metrics on: counters, histograms and spans are recorded.
     pub const fn metrics_only() -> Self {
-        ObsConfig {
-            metrics: true,
-            events: false,
-            event_capacity: 0,
-        }
-    }
-
-    /// Allocates the event ring this configuration asks for, if any.
-    pub fn event_log(&self) -> Option<Arc<EventLog>> {
-        if self.events && self.event_capacity > 0 {
-            Some(Arc::new(EventLog::new(self.event_capacity)))
-        } else {
-            None
-        }
+        ObsConfig { metrics: true }
     }
 }
 
@@ -74,21 +44,21 @@ mod tests {
         let c = ObsConfig::default();
         assert_eq!(c, ObsConfig::disabled());
         assert!(!c.metrics);
-        assert!(c.event_log().is_none());
     }
 
     #[test]
-    fn enabled_allocates_an_event_log() {
-        let c = ObsConfig::enabled();
-        assert!(c.metrics);
-        let log = c.event_log().expect("event log allocated");
-        assert_eq!(log.capacity(), DEFAULT_EVENT_CAPACITY);
+    fn enabled_is_an_alias_of_metrics_only() {
+        assert_eq!(ObsConfig::enabled(), ObsConfig::metrics_only());
     }
 
     #[test]
     fn metrics_only_skips_events() {
+        // Simulator events reach only the flight recorder's
+        // `drive.events` track; the configuration holds the metrics
+        // switch and nothing else.
         let c = ObsConfig::metrics_only();
         assert!(c.metrics);
-        assert!(c.event_log().is_none());
+        assert_eq!(c, ObsConfig { metrics: true });
+        assert_ne!(c, ObsConfig::disabled());
     }
 }

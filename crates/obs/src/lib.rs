@@ -36,9 +36,6 @@
 //! * [`jsonl`] — durable JSON-lines logs: the fsync'd append handle and
 //!   the one torn-tail-tolerant reader behind the checkpoint journal,
 //!   the serve job journal and the per-job span file.
-//! * [`events`] — a fixed-capacity ring-buffer [`EventLog`] for
-//!   simulator-level events (request enqueue/dispatch/complete, cache
-//!   hit/miss, destage, idle begin/end), gated behind [`ObsConfig`].
 //! * [`logger`] — a tiny leveled stderr logger behind the
 //!   [`progress!`]/[`detail!`] macros, driving `--verbose`/`--quiet`.
 //! * [`prom`] — a Prometheus text exposition encoder ([`PromSink`]),
@@ -48,7 +45,10 @@
 //!   dependency, and the offline build registry has none to offer).
 //! * [`recorder`] — the [`FlightRecorder`]: full per-event capture of a
 //!   run on two correlated timelines (simulated time and wall-clock
-//!   time), attached only when a trace export is requested.
+//!   time), attached only when a trace export is requested. It is the
+//!   one store of simulator events: the disk simulator reports each
+//!   outcome once, and its observer writes the outcome's slices and
+//!   instants here.
 //! * [`trace_event`] — Chrome trace-event JSON export of a recorder,
 //!   loadable in Perfetto / `chrome://tracing`.
 //!
@@ -58,9 +58,9 @@
 //! with no observer attached (the default) the added cost is a
 //! predicted-not-taken branch. Counter and histogram updates are single
 //! relaxed atomic operations on pre-resolved handles — no map lookups on
-//! the hot path. Event logging allocates nothing after construction and
-//! is entirely disabled unless an [`ObsConfig`] with `events: true` is
-//! supplied.
+//! the hot path. Per-event capture (slices and instants) happens only in
+//! a [`FlightRecorder`], which is attached only when a trace is asked
+//! for.
 //!
 //! # Example
 //!
@@ -90,7 +90,6 @@
 
 pub mod config;
 pub mod context;
-pub mod events;
 pub mod exemplar;
 pub mod frame;
 pub mod hash;
@@ -107,7 +106,6 @@ pub mod trace_event;
 
 pub use config::ObsConfig;
 pub use context::TraceContext;
-pub use events::{Event, EventKind, EventLog};
 pub use exemplar::{Exemplar, ExemplarHandle, ExemplarStore};
 pub use frame::{Frame, FrameDecoder, FrameError, SpanBatch, SpanRec, WindowBatch};
 pub use logger::LogLevel;

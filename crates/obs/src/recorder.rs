@@ -26,7 +26,6 @@
 //!
 //! [`ObsSpan`]: crate::ObsSpan
 
-use crate::events::EventLog;
 use crate::json::Json;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -155,23 +154,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Copies the retained entries of an [`EventLog`] ring onto the
-    /// simulated-time track `track` as instant events, and records the
-    /// ring's totals (`events.recorded`, `events.dropped`) as metadata
-    /// so a truncated trace is visible instead of silent.
-    pub fn ingest_events(&self, log: &EventLog, track: &str) {
-        for e in log.snapshot() {
-            self.sim_instant(
-                track,
-                e.kind.name(),
-                e.t_ns,
-                vec![("detail".to_owned(), Json::Uint(e.detail))],
-            );
-        }
-        self.set_meta("events.recorded", Json::Uint(log.total_recorded()));
-        self.set_meta("events.dropped", Json::Uint(log.dropped()));
-    }
-
     /// The simulated-time slices recorded so far (insertion order).
     #[must_use]
     pub fn sim_slices(&self) -> Vec<SimSlice> {
@@ -273,7 +255,6 @@ pub fn thread_label() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::EventKind;
 
     #[test]
     fn slices_record_on_both_timelines() {
@@ -315,22 +296,6 @@ mod tests {
         let meta = rec.meta();
         assert_eq!(meta.len(), 2);
         assert_eq!(meta[0], ("k".to_owned(), Json::Uint(2)));
-    }
-
-    #[test]
-    fn ingest_copies_ring_and_notes_drops() {
-        let log = EventLog::new(2);
-        for t in 0..5 {
-            log.record(t, EventKind::RequestComplete, t);
-        }
-        let rec = FlightRecorder::new();
-        rec.ingest_events(&log, "drive.events");
-        let sim = rec.sim_slices();
-        assert_eq!(sim.len(), 2, "only retained events are copied");
-        assert!(sim.iter().all(|s| s.dur_ns.is_none()));
-        let meta = rec.meta();
-        assert!(meta.contains(&("events.recorded".to_owned(), Json::Uint(5))));
-        assert!(meta.contains(&("events.dropped".to_owned(), Json::Uint(3))));
     }
 
     #[test]

@@ -280,14 +280,13 @@ impl Invocation {
         let trace_out = opts.get("trace-out").map(str::to_owned);
         // A trace context in the environment (the serve daemon mints one
         // per job attempt) records like --trace-out does; the spans ship
-        // upstream at exporter shutdown instead of landing in a file.
+        // upstream at exporter shutdown instead of landing in a file. The
+        // simulator reaches the recorder through its metrics observer.
         let traced = trace_out.is_some() || TraceContext::from_env().is_some();
         // A telemetry sink (the serve daemon sets one for its children)
         // needs the simulator's registry counters in its snapshots.
         let sink = std::env::var(spindle_obs::frame::SINK_ENV).is_ok_and(|v| !v.is_empty());
-        let obs = if traced {
-            ObsConfig::enabled()
-        } else if metrics.is_some() || sink {
+        let obs = if traced || metrics.is_some() || sink {
             ObsConfig::metrics_only()
         } else {
             ObsConfig::disabled()
@@ -588,8 +587,10 @@ mod tests {
         let metered = resolve(&["--metrics"]);
         assert_eq!(metered.obs, ObsConfig::metrics_only());
         assert!(metered.recorder.is_none());
-        let traced = resolve(&["--metrics", "--trace-out", "t.json"]);
-        assert_eq!(traced.obs, ObsConfig::enabled());
+        // A trace alone turns the observer on: the simulator reaches the
+        // recorder through it.
+        let traced = resolve(&["--trace-out", "t.json"]);
+        assert_eq!(traced.obs, ObsConfig::metrics_only());
         assert!(traced.recorder.is_some());
     }
 

@@ -24,9 +24,8 @@
 //! * [`status`] — the [`RunStatus`] shared state the front ends
 //!   (`spindle`, `experiments`) publish phase and progress into.
 //! * [`live`] — the `--live` terminal dashboard: in-place ANSI redraw
-//!   of progress, throughput, ETA, worker lanes, hottest spans, and
-//!   `events.dropped`, degrading to plain line output when stderr is
-//!   not a TTY.
+//!   of progress, throughput, ETA, worker lanes and hottest spans,
+//!   degrading to plain line output when stderr is not a TTY.
 //! * [`front`] — the command-line front end both binaries share: one
 //!   option parser, one resolution of flags and environment into an
 //!   [`Invocation`](front::Invocation), and one run lifecycle around

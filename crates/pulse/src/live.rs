@@ -6,8 +6,7 @@
 //! ETA waits for the steady-rate gate, so it never whipsaws in the
 //! first seconds of a run), a throughput sparkline over the wall
 //! rollup's 1 s windows when a [`RollupSet`] is attached, per-worker
-//! utilization lanes, the top-k hottest spans by total time, and the
-//! `events.dropped` gauge.
+//! utilization lanes, and the top-k hottest spans by total time.
 //!
 //! On a TTY the dashboard redraws in place with ANSI cursor movement
 //! (`ESC[nA` up, `ESC[J` clear-below). When stderr is not a TTY —
@@ -254,11 +253,6 @@ fn render_frame(
         ));
     }
 
-    if let Some(dropped) = snapshot.gauge("events.dropped") {
-        if dropped > 0 {
-            out.push_str(&format!("  ! events.dropped: {dropped}\n"));
-        }
-    }
     out
 }
 
@@ -288,13 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn frame_shows_progress_workers_spans_and_drops() {
+    fn frame_shows_progress_workers_and_spans() {
         let registry: &'static MetricsRegistry = Box::leak(Box::default());
         registry.counter("engine.worker.0.busy_us").add(75);
         registry.counter("engine.worker.0.idle_us").add(25);
         registry.counter("engine.worker.0.tasks_executed").add(4);
         registry.record_span("phase.run", Duration::from_millis(8));
-        registry.gauge("events.dropped").set(3);
         let status = RunStatus::new(8);
         status.set_phase("running");
         status.complete_one();
@@ -304,7 +297,6 @@ mod tests {
         assert!(frame.contains("w0 ["), "{frame}");
         assert!(frame.contains("75% busy"), "{frame}");
         assert!(frame.contains("span phase.run: 1 calls"), "{frame}");
-        assert!(frame.contains("events.dropped: 3"), "{frame}");
         assert!(!frame.contains('\x1b'), "frames carry no ANSI themselves");
         sampler.stop();
     }

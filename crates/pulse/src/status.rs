@@ -204,12 +204,6 @@ pub fn status_json(status: &RunStatus, snapshot: &Snapshot, sampler: &Sampler) -
             rate.map_or(Json::Null, Json::Num),
         ),
         ("eta_secs".to_owned(), eta.map_or(Json::Null, Json::Num)),
-        (
-            "events_dropped".to_owned(),
-            snapshot
-                .gauge("events.dropped")
-                .map_or(Json::Null, Json::Int),
-        ),
         ("workers".to_owned(), Json::Arr(workers)),
     ])
 }

@@ -67,7 +67,11 @@ SPINDLE=target/release/spindle
 SMOKE=artifacts/smoke-trace.bin
 mkdir -p artifacts
 run "$SPINDLE" generate --env mail --span 60 --seed 7 --out "$SMOKE" --quiet
-run "$SPINDLE" simulate --in "$SMOKE" --trace-out artifacts/trace.json --quiet
+# Injected faults put media-retry and timeout slices on the trace too;
+# the checker then validates the document a viewer would load.
+run "$SPINDLE" simulate --in "$SMOKE" --faults media@3,timeout@5 \
+    --trace-out artifacts/trace.json --quiet
+run "$SPINDLE" trace check artifacts/trace.json
 run "$SPINDLE" report --in "$SMOKE" --out artifacts/report.html --quiet
 run "$SPINDLE" observe --in "$SMOKE" --out artifacts/observatory.html --quiet
 run target/release/experiments --quick --timescales-out artifacts/timescales.json --quiet t1

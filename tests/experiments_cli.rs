@@ -1,6 +1,7 @@
 //! Command-line behaviour of the `experiments` binary outside the
 //! matrix itself: a reader that closes stdout early, usage errors for
-//! unknown flags and missing option values, `--quiet`, and the phase
+//! unknown flags, missing option values and repeated experiment ids,
+//! `--quiet`, and the phase
 //! spans a `--metrics` dump attributes the pass to.
 
 use std::io::{BufRead, BufReader};
@@ -51,6 +52,26 @@ fn unknown_record_flag_and_bare_resume_are_usage_errors() {
         "unknown flag `--record`",
     );
     usage_error(&["--quick", "--resume"], "option --resume needs a value");
+}
+
+#[test]
+fn repeated_experiment_id_is_a_usage_error() {
+    // Ids are case-insensitive, so `T1 t1` repeats t1 as well.
+    for args in [["--quick", "t1", "t1"], ["--quick", "T1", "t1"]] {
+        let out = Command::new(bin())
+            .args(args)
+            .env_remove("SPINDLE_FAULTS")
+            .output()
+            .expect("spawn experiments binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("experiment `t1` given more than once"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage: experiments"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran experiments");
+    }
 }
 
 #[test]

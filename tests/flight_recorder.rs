@@ -50,7 +50,7 @@ fn pooled_export(jobs: usize) -> String {
     let completed = Pool::new(jobs).map(workloads, |_ord, requests| {
         let mut sim = DiskSim::new(DriveProfile::cheetah_15k(), SimConfig::default());
         sim.attach_observer(
-            SimObserver::new(&registry, &ObsConfig::enabled()).with_flight(Arc::clone(&rec)),
+            SimObserver::new(&registry, &ObsConfig::metrics_only()).with_flight(Arc::clone(&rec)),
         );
         sim.run(&requests)
             .expect("simulation succeeds")

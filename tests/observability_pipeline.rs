@@ -1,28 +1,26 @@
 //! Integration: a full generate → simulate pipeline run with
 //! observability enabled must account for every request, both in the
-//! metrics registry and in the event log, and the JSON export of that
-//! registry must round-trip through the parser.
+//! metrics registry and in the flight recorder's `drive.events`
+//! instants, and the JSON export of that registry must round-trip
+//! through the parser.
 
 use spindle_bench::pipeline::EnvRun;
 use spindle_bench::ExpConfig;
-use spindle_disk::sim::SimConfig;
+use spindle_disk::obs::{instant, track, SimObserver};
+use spindle_disk::profile::DriveProfile;
+use spindle_disk::sim::{DiskSim, SimConfig, SimFaults};
 use spindle_obs::json::{self, Json};
 use spindle_obs::sink::{JsonSink, MetricsSink};
-use spindle_obs::{EventKind, MetricsRegistry, ObsConfig};
+use spindle_obs::{FlightRecorder, MetricsRegistry, ObsConfig};
 use spindle_synth::presets::Environment;
 use spindle_trace::OpKind;
+use std::sync::Arc;
 
 fn observed_run(env: Environment) -> (EnvRun, MetricsRegistry) {
     let mut cfg = ExpConfig::quick();
     cfg.ms_span_secs = 120.0;
-    // Size the ring so the full event stream of this short run fits
-    // without wrapping — the counting assertions need every event.
-    let obs_cfg = ObsConfig {
-        metrics: true,
-        events: true,
-        event_capacity: 1 << 20,
-    };
     let registry = MetricsRegistry::new();
+    let obs_cfg = ObsConfig::metrics_only();
     let run = EnvRun::observed(env, &cfg, SimConfig::default(), &obs_cfg, &registry)
         .expect("observed pipeline run succeeds");
     (run, registry)
@@ -83,42 +81,70 @@ fn registry_accounts_for_every_request() {
 
 #[test]
 fn event_log_is_consistent_with_the_metrics() {
-    let (run, registry) = observed_run(Environment::Web);
-    let snap = registry.snapshot();
-    let log = run.events.expect("event tracing was enabled");
-    assert_eq!(
-        log.total_recorded(),
-        log.len() as u64,
-        "ring must not have wrapped for the counting assertions below"
+    let (run, _) = observed_run(Environment::Web);
+    // Replay the pipeline's stream, with injected media errors and a
+    // timeout, on a simulator that also carries a private flight
+    // recorder (the pipeline only reaches a recorder installed
+    // process-wide, which concurrent tests would share).
+    let registry = MetricsRegistry::new();
+    let rec = Arc::new(FlightRecorder::new());
+    let mut sim = DiskSim::new(DriveProfile::cheetah_15k(), SimConfig::default());
+    sim.attach_observer(
+        SimObserver::new(&registry, &ObsConfig::metrics_only()).with_flight(Arc::clone(&rec)),
     );
-    let events = log.snapshot();
-    let count = |k: EventKind| events.iter().filter(|e| e.kind == k).count() as u64;
+    sim.inject_faults(SimFaults {
+        media_errors: (0..50).collect(),
+        timeouts: [5].into(),
+    });
+    let faulted = sim.run(&run.requests).unwrap();
+    assert_eq!(faulted.completed.len(), run.sim.completed.len());
+    assert!(faulted.media_errors > 0 && faulted.timeouts == 1);
+    let snap = registry.snapshot();
+    let events: Vec<_> = rec
+        .sim_slices()
+        .into_iter()
+        .filter(|e| e.track == track::EVENTS)
+        .collect();
+    let count = |k: &str| events.iter().filter(|e| e.name == k).count() as u64;
     let total = run.requests.len() as u64;
 
-    assert_eq!(count(EventKind::RequestEnqueue), total);
-    assert_eq!(count(EventKind::RequestDispatch), total);
-    assert_eq!(count(EventKind::RequestComplete), total);
+    assert_eq!(count(instant::REQUEST_ENQUEUE), total);
+    assert_eq!(count(instant::REQUEST_DISPATCH), total);
+    assert_eq!(count(instant::REQUEST_COMPLETE), total);
     assert_eq!(
-        count(EventKind::CacheHit),
+        count(instant::CACHE_HIT),
         snap.counter("disk.read_hits").unwrap_or(0)
             + snap.counter("disk.writes_cached").unwrap_or(0)
     );
     assert_eq!(
-        count(EventKind::CacheMiss),
+        count(instant::CACHE_MISS),
         snap.counter("disk.read_misses").unwrap_or(0)
             + snap.counter("disk.writes_forced").unwrap_or(0)
     );
     assert_eq!(
-        count(EventKind::Destage),
+        count(instant::DESTAGE),
         snap.counter("disk.destages").unwrap_or(0)
     );
-    assert_eq!(count(EventKind::IdleBegin), count(EventKind::IdleEnd));
+    assert_eq!(
+        count(instant::MEDIA_ERROR),
+        snap.counter("disk.media_errors").unwrap_or(0)
+    );
+    assert_eq!(
+        count(instant::TIMEOUT),
+        snap.counter("disk.timeouts").unwrap_or(0)
+    );
+    assert_eq!(count(instant::IDLE_BEGIN), count(instant::IDLE_END));
 
-    // Timestamps come out of the ring oldest-first.
-    for w in events.windows(2) {
+    // Instants are recorded in simulation-time order, except that each
+    // request's enqueue is recorded with its service, at its arrival.
+    let timed: Vec<_> = events
+        .iter()
+        .filter(|e| e.name != instant::REQUEST_ENQUEUE)
+        .collect();
+    for w in timed.windows(2) {
         assert!(
-            w[1].t_ns >= w[0].t_ns || w[1].kind == EventKind::RequestEnqueue,
-            "non-enqueue events are emitted in simulation-time order"
+            w[1].begin_ns >= w[0].begin_ns,
+            "non-enqueue instants are recorded in simulation-time order"
         );
     }
 }
@@ -166,12 +192,10 @@ fn disabled_observability_changes_nothing() {
         Environment::Dev,
         &cfg,
         SimConfig::default(),
-        &ObsConfig::enabled(),
+        &ObsConfig::metrics_only(),
         &registry,
     )
     .unwrap();
     assert_eq!(plain.requests, observed.requests);
-    assert_eq!(plain.sim.completed, observed.sim.completed);
-    assert_eq!(plain.sim.busy, observed.sim.busy);
-    assert!(plain.events.is_none());
+    assert_eq!(plain.sim, observed.sim);
 }
