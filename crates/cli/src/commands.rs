@@ -1478,7 +1478,6 @@ mod tests {
             spans: vec![
                 span(SpanOrigin::Daemon, "daemon", "queue.wait", 1_000),
                 span(SpanOrigin::ChildWall, "main", "cli.simulate", 2_000),
-                span(SpanOrigin::ChildSim, "drive.queue", "read", 42),
             ],
             offset_ns: Some(10_000),
             dropped: 0,

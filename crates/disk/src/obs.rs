@@ -230,10 +230,13 @@ impl SimObserver {
     }
 
     /// Attaches a flight recorder: every outcome also lands on the
-    /// simulated-time tracks.
+    /// simulated-time tracks. A [`FlightRecorder::wall_only`] recorder
+    /// is not held, so it costs the simulator nothing per event.
     #[must_use]
     pub fn with_flight(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.flight = Some(recorder);
+        if recorder.records_sim() {
+            self.flight = Some(recorder);
+        }
         self
     }
 
@@ -518,6 +521,9 @@ mod tests {
         });
         let names: Vec<_> = rec.sim_slices().into_iter().map(|s| s.name).collect();
         assert_eq!(names, ["idle_begin", "idle_end", "idle"]);
+        // A wall-only recorder is not held at all.
+        let walled = silent.with_flight(Arc::new(FlightRecorder::wall_only()));
+        assert!(walled.flight.is_none());
     }
 
     #[test]

@@ -12,21 +12,21 @@
 //!   and banks them into a per-job [`RollupSet`] plus a fleet-wide
 //!   wheel, so cross-process rollups use exactly the in-process merge
 //!   arithmetic.
-//! * [`Frame::Windows`] — a [`WindowBatch`]: one rollup resolution's
-//!   retained windows plus its evicted accumulator, shipped at
-//!   shutdown when the child maintains its own wheel.
 //! * [`Frame::Progress`] — phase name plus completed/total work units.
 //! * [`Frame::Log`] — one exporter-side log-tail line.
-//! * [`Frame::Span`] — a [`SpanBatch`]: flight-recorder intervals
-//!   (wall spans on the child's monotonic clock, sim slices on the
-//!   simulated-time axis), shipped at shutdown so the daemon can
-//!   assemble a causal cross-process trace.
+//! * [`Frame::Span`] — a [`SpanBatch`]: the child's flight-recorder
+//!   wall-clock spans on its monotonic clock, shipped at shutdown so
+//!   the daemon can assemble a causal cross-process trace. Sim-time
+//!   tracks never cross the wire; their one home is the `trace.json`
+//!   a `--trace-out` run writes.
 //!
 //! [`Frame::Hello`] opens every stream (protocol version, child pid,
 //! label, and the sender's monotonic-epoch reading, which lets the
 //! receiver compute a per-child clock offset and align wall spans onto
 //! its own timeline) and [`Frame::Bye`] closes it cleanly; a stream
 //! that ends without `Bye` is a torn tail (child killed mid-stream).
+//! Both ends are the same build (the daemon spawns its own binaries),
+//! so the decoder accepts exactly [`PROTOCOL_VERSION`].
 //!
 //! # Wire format
 //!
@@ -46,8 +46,7 @@
 //! never panics. The one forward-compat carve-out: a checksum-valid
 //! frame whose *kind byte* is unknown is skipped and counted
 //! ([`FrameDecoder::skipped`]) rather than poisoning, because the
-//! length prefix already delimits it exactly — an old daemon
-//! tolerates a newer child's extra frame kinds.
+//! length prefix already delimits it exactly.
 //!
 //! [`RollupSet`]: crate::rollup::RollupSet
 //! [`rollup::snapshot_delta`]: crate::rollup::snapshot_delta
@@ -55,18 +54,12 @@
 use crate::hash::fnv1a32;
 use crate::json::Json;
 use crate::registry::{HistogramSnapshot, Snapshot};
-use crate::rollup::{ResolutionSnapshot, WindowAccum};
 use std::fmt;
 
-/// Protocol version carried in every [`Frame::Hello`]. Version 2
-/// added the Hello `epoch_ns` field and the [`Frame::Span`] kind; a
-/// version-1 Hello (no epoch field) still decodes, with `epoch_ns`
-/// reported as 0. Any other version is [`FrameError::Version`] rather
-/// than a guess at an unknown layout.
-pub const PROTOCOL_VERSION: u16 = 2;
-
-/// The last protocol version this decoder still accepts.
-const MIN_PROTOCOL_VERSION: u16 = 1;
+/// Protocol version carried in every [`Frame::Hello`]. The decoder
+/// accepts only this version: any other is [`FrameError::Version`]
+/// rather than a guess at an unknown layout.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on one frame's body, rejecting hostile length prefixes
 /// before any allocation. Real snapshots are a few KiB.
@@ -80,19 +73,23 @@ pub const SINK_ENV: &str = "SPINDLE_TELEMETRY_SINK";
 
 const KIND_HELLO: u8 = 1;
 const KIND_SNAPSHOT: u8 = 2;
-const KIND_WINDOWS: u8 = 3;
+// Kind 3 carried version 2's rollup windows; it stays retired so an
+// old frame is skipped, never misread.
 const KIND_PROGRESS: u8 = 4;
 const KIND_LOG: u8 = 5;
 const KIND_BYE: u8 = 6;
 const KIND_SPAN: u8 = 7;
+
+/// The one span-record flag: a duration follows `begin_ns`.
+const FLAG_DUR: u8 = 2;
 
 /// One telemetry frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Stream opener: protocol version, child pid, free-form label.
     Hello {
-        /// Must be a version the decoder speaks (1 or 2); anything
-        /// else is [`FrameError::Version`].
+        /// Must be [`PROTOCOL_VERSION`]; anything else is
+        /// [`FrameError::Version`].
         version: u16,
         /// The sender's process id (0 when unknown).
         pid: u32,
@@ -102,7 +99,7 @@ pub enum Frame {
         /// flight-recorder epoch) when this Hello was encoded. The
         /// receiver reads its own clock at decode time and subtracts,
         /// yielding the per-child offset that maps span timestamps
-        /// onto the receiver's timeline. 0 from version-1 senders.
+        /// onto the receiver's timeline.
         epoch_ns: u64,
     },
     /// A full registry snapshot at `t_ns` since the export epoch.
@@ -113,8 +110,6 @@ pub enum Frame {
         /// The registry snapshot (spans always empty on decode).
         snapshot: Snapshot,
     },
-    /// One rollup resolution's windows, shipped at shutdown.
-    Windows(WindowBatch),
     /// Phase plus completed/total work units at `t_ns`.
     Progress {
         /// Nanoseconds since the sender's export epoch.
@@ -140,15 +135,13 @@ pub enum Frame {
         /// Frames the sender emitted before this one.
         frames_sent: u64,
     },
-    /// A batch of flight-recorder spans (protocol version 2).
+    /// A batch of flight-recorder wall spans.
     Span(SpanBatch),
 }
 
-/// A batch of flight-recorder intervals shipped upstream so the
-/// receiver can assemble a cross-process trace. Wall spans are
-/// stamped on the sender's span clock (the same epoch the Hello's
-/// `epoch_ns` reads); sim spans are on the simulated-time axis and
-/// need no clock alignment.
+/// A batch of flight-recorder wall spans shipped upstream so the
+/// receiver can assemble a cross-process trace, stamped on the
+/// sender's span clock (the same epoch the Hello's `epoch_ns` reads).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanBatch {
     /// Nanoseconds since the sender's export epoch when the batch was
@@ -164,14 +157,11 @@ pub struct SpanBatch {
 /// One interval or instant in a [`SpanBatch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRec {
-    /// `true`: simulated-time axis; `false`: the sender's wall clock.
-    pub sim: bool,
-    /// Track name (sim) or thread label (wall).
+    /// Thread label of the sender's thread that recorded the span.
     pub track: String,
     /// What the span is.
     pub name: String,
-    /// Start in nanoseconds — simulated time, or the sender's span
-    /// clock for wall spans.
+    /// Start in nanoseconds on the sender's span clock.
     pub begin_ns: u64,
     /// Duration in nanoseconds; `None` marks an instant event.
     pub dur_ns: Option<u64>,
@@ -179,105 +169,14 @@ pub struct SpanRec {
     pub args: String,
 }
 
-/// One rollup resolution's retained windows plus its evicted
-/// accumulator — the cross-process form of
-/// [`ResolutionSnapshot`](crate::rollup::ResolutionSnapshot), with the
-/// resolution identified by owned strings instead of `&'static str`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowBatch {
-    /// The time axis (`"wall"` or `"sim"`).
-    pub axis: String,
-    /// Resolution name (`"1s"`, `"run"`, …).
-    pub resolution: String,
-    /// Window width in nanoseconds (`None` for whole-run).
-    pub window_ns: Option<u64>,
-    /// Windows folded into `evicted` before shipping.
-    pub evicted_windows: u64,
-    /// The exact merge of everything evicted.
-    pub evicted: WindowAccum,
-    /// Retained `(index, accum)` windows, oldest first.
-    pub windows: Vec<(u64, WindowAccum)>,
-}
-
-impl WindowBatch {
-    /// Builds the wire form of one in-process resolution snapshot.
-    #[must_use]
-    pub fn from_resolution(axis: &str, r: &ResolutionSnapshot) -> WindowBatch {
-        WindowBatch {
-            axis: axis.to_owned(),
-            resolution: r.resolution.name.to_owned(),
-            window_ns: r.resolution.window_ns,
-            evicted_windows: r.evicted_windows,
-            evicted: r.evicted.clone(),
-            windows: r
-                .windows
-                .iter()
-                .map(|w| (w.index, w.accum.clone()))
-                .collect(),
-        }
-    }
-
-    /// Exact whole-history merge (evicted plus every retained window),
-    /// mirroring [`ResolutionSnapshot::merged`](crate::rollup::ResolutionSnapshot::merged).
-    #[must_use]
-    pub fn merged(&self) -> WindowAccum {
-        let mut out = self.evicted.clone();
-        for (_, accum) in &self.windows {
-            out.merge_from(accum);
-        }
-        out
-    }
-
-    /// Compact JSON view (the daemon's `reported` section): resolution
-    /// identity plus the exact merge, not the full window list.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let merged = self.merged();
-        let counters = merged
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::Uint(*v)))
-            .collect();
-        let gauges = merged
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::Int(*v)))
-            .collect();
-        let histograms = merged
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                (
-                    k.clone(),
-                    Json::Obj(vec![
-                        ("count".to_owned(), Json::Uint(h.count)),
-                        ("sum".to_owned(), Json::Uint(h.sum)),
-                        ("p99".to_owned(), Json::Num(h.quantile(0.99))),
-                    ]),
-                )
-            })
-            .collect();
-        Json::Obj(vec![
-            ("axis".to_owned(), Json::Str(self.axis.clone())),
-            ("name".to_owned(), Json::Str(self.resolution.clone())),
-            (
-                "window_ns".to_owned(),
-                self.window_ns.map_or(Json::Null, Json::Uint),
-            ),
-            ("retained".to_owned(), Json::Uint(self.windows.len() as u64)),
-            (
-                "evicted_windows".to_owned(),
-                Json::Uint(self.evicted_windows),
-            ),
-            (
-                "merged".to_owned(),
-                Json::Obj(vec![
-                    ("counters".to_owned(), Json::Obj(counters)),
-                    ("gauges".to_owned(), Json::Obj(gauges)),
-                    ("histograms".to_owned(), Json::Obj(histograms)),
-                ]),
-            ),
-        ])
+/// Renders span args to the [`SpanRec::args`] form: a JSON object
+/// string, or empty when there are none.
+#[must_use]
+pub fn render_args(args: &[(String, Json)]) -> String {
+    if args.is_empty() {
+        String::new()
+    } else {
+        Json::Obj(args.to_vec()).to_string()
     }
 }
 
@@ -385,24 +284,6 @@ fn put_hist(out: &mut Vec<u8>, h: &HistogramSnapshot) {
     put_u64(out, h.sum);
 }
 
-fn put_accum(out: &mut Vec<u8>, a: &WindowAccum) {
-    put_u32(out, a.counters.len() as u32);
-    for (name, v) in &a.counters {
-        put_str(out, name);
-        put_u64(out, *v);
-    }
-    put_u32(out, a.gauges.len() as u32);
-    for (name, v) in &a.gauges {
-        put_str(out, name);
-        put_i64(out, *v);
-    }
-    put_u32(out, a.histograms.len() as u32);
-    for (name, h) in &a.histograms {
-        put_str(out, name);
-        put_hist(out, h);
-    }
-}
-
 impl Frame {
     /// Encodes the frame as one self-delimiting wire unit. Map-like
     /// payloads come out in sorted key order, so equal frames encode
@@ -421,11 +302,7 @@ impl Frame {
                 put_u16(&mut body, *version);
                 put_u32(&mut body, *pid);
                 put_str(&mut body, label);
-                // The epoch field exists from version 2 on; a v1 Hello
-                // must stay byte-compatible with v1 decoders.
-                if *version >= 2 {
-                    put_u64(&mut body, *epoch_ns);
-                }
+                put_u64(&mut body, *epoch_ns);
             }
             Frame::Snapshot { t_ns, snapshot } => {
                 body.push(KIND_SNAPSHOT);
@@ -444,19 +321,6 @@ impl Frame {
                 for (name, h) in &snapshot.histograms {
                     put_str(&mut body, name);
                     put_hist(&mut body, h);
-                }
-            }
-            Frame::Windows(batch) => {
-                body.push(KIND_WINDOWS);
-                put_str(&mut body, &batch.axis);
-                put_str(&mut body, &batch.resolution);
-                put_u64(&mut body, batch.window_ns.unwrap_or(0));
-                put_u64(&mut body, batch.evicted_windows);
-                put_accum(&mut body, &batch.evicted);
-                put_u32(&mut body, batch.windows.len() as u32);
-                for (index, accum) in &batch.windows {
-                    put_u64(&mut body, *index);
-                    put_accum(&mut body, accum);
                 }
             }
             Frame::Progress {
@@ -487,14 +351,7 @@ impl Frame {
                 put_u64(&mut body, batch.dropped);
                 put_u32(&mut body, batch.spans.len() as u32);
                 for s in &batch.spans {
-                    let mut flags = 0u8;
-                    if s.sim {
-                        flags |= 1;
-                    }
-                    if s.dur_ns.is_some() {
-                        flags |= 2;
-                    }
-                    body.push(flags);
+                    body.push(if s.dur_ns.is_some() { FLAG_DUR } else { 0 });
                     put_str(&mut body, &s.track);
                     put_str(&mut body, &s.name);
                     put_u64(&mut body, s.begin_ns);
@@ -597,43 +454,18 @@ fn read_hist(r: &mut Reader<'_>) -> Result<HistogramSnapshot, FrameError> {
     })
 }
 
-fn read_accum(r: &mut Reader<'_>) -> Result<WindowAccum, FrameError> {
-    let mut out = WindowAccum::default();
-    let n = r.u32()?;
-    for _ in 0..n {
-        let name = r.str()?;
-        let v = r.u64()?;
-        out.counters.insert(name, v);
-    }
-    let n = r.u32()?;
-    for _ in 0..n {
-        let name = r.str()?;
-        let v = r.i64()?;
-        out.gauges.insert(name, v);
-    }
-    let n = r.u32()?;
-    for _ in 0..n {
-        let name = r.str()?;
-        let h = read_hist(r)?;
-        out.histograms.insert(name, h);
-    }
-    Ok(out)
-}
-
 fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
     let mut r = Reader { buf: body, pos: 0 };
     let kind = r.u8()?;
     let frame = match kind {
         KIND_HELLO => {
             let version = r.u16()?;
-            if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+            if version != PROTOCOL_VERSION {
                 return Err(FrameError::Version { got: version });
             }
             let pid = r.u32()?;
             let label = r.str()?;
-            // Version 1 predates the epoch field; report it as 0 so
-            // receivers can still tell "no reading" from a real one.
-            let epoch_ns = if version >= 2 { r.u64()? } else { 0 };
+            let epoch_ns = r.u64()?;
             Frame::Hello {
                 version,
                 pid,
@@ -671,30 +503,6 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
                 },
             }
         }
-        KIND_WINDOWS => {
-            let axis = r.str()?;
-            let resolution = r.str()?;
-            let window_ns = match r.u64()? {
-                0 => None,
-                ns => Some(ns),
-            };
-            let evicted_windows = r.u64()?;
-            let evicted = read_accum(&mut r)?;
-            let n = r.u32()?;
-            let mut windows = Vec::new();
-            for _ in 0..n {
-                let index = r.u64()?;
-                windows.push((index, read_accum(&mut r)?));
-            }
-            Frame::Windows(WindowBatch {
-                axis,
-                resolution,
-                window_ns,
-                evicted_windows,
-                evicted,
-                windows,
-            })
-        }
         KIND_PROGRESS => {
             let t_ns = r.u64()?;
             let completed = r.u64()?;
@@ -724,16 +532,19 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
             let mut spans = Vec::new();
             for _ in 0..n {
                 let flags = r.u8()?;
-                if flags & !3 != 0 {
+                if flags & !FLAG_DUR != 0 {
                     return Err(FrameError::Corrupt("unknown span flags"));
                 }
                 let track = r.str()?;
                 let name = r.str()?;
                 let begin_ns = r.u64()?;
-                let dur_ns = if flags & 2 != 0 { Some(r.u64()?) } else { None };
+                let dur_ns = if flags & FLAG_DUR != 0 {
+                    Some(r.u64()?)
+                } else {
+                    None
+                };
                 let args = r.str()?;
                 spans.push(SpanRec {
-                    sim: flags & 1 != 0,
                     track,
                     name,
                     begin_ns,
@@ -761,8 +572,7 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
 /// stream has no resync point) and repeats on later calls. The one
 /// exception is an unknown *kind* on a checksum-valid frame: the
 /// length prefix delimits it exactly, so the decoder skips it, bumps
-/// [`FrameDecoder::skipped`], and keeps decoding — a v1 receiver
-/// tolerates a v2 sender's extra frame kinds.
+/// [`FrameDecoder::skipped`], and keeps decoding.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
@@ -869,7 +679,6 @@ impl FrameDecoder {
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
-    use crate::rollup::RollupSet;
 
     fn sample_snapshot() -> Snapshot {
         let reg = MetricsRegistry::new();
@@ -885,10 +694,6 @@ mod tests {
 
     fn all_kinds() -> Vec<Frame> {
         let snap = sample_snapshot();
-        let rollups = RollupSet::wall();
-        rollups.ingest_snapshot(1_500_000_000, &snap);
-        let res = rollups.snapshot();
-        let batch = WindowBatch::from_resolution("wall", &res.resolutions[0]);
         vec![
             Frame::Hello {
                 version: PROTOCOL_VERSION,
@@ -903,7 +708,6 @@ mod tests {
                     ..snap
                 },
             },
-            Frame::Windows(batch),
             Frame::Progress {
                 t_ns: 2_000_000_000,
                 completed: 17,
@@ -923,7 +727,6 @@ mod tests {
                 dropped: 3,
                 spans: vec![
                     SpanRec {
-                        sim: false,
                         track: "main".to_owned(),
                         name: "cli.simulate".to_owned(),
                         begin_ns: 1_000,
@@ -931,9 +734,8 @@ mod tests {
                         args: "{\"phase\":\"run\"}".to_owned(),
                     },
                     SpanRec {
-                        sim: true,
-                        track: "drive.events".to_owned(),
-                        name: "cache_miss".to_owned(),
+                        track: "worker0".to_owned(),
+                        name: "mark".to_owned(),
                         begin_ns: 42,
                         dur_ns: None,
                         args: String::new(),
@@ -996,7 +798,7 @@ mod tests {
         // checksum over the cut body: framing accepts it, field
         // decoding must fail cleanly.
         let body = {
-            let full = all_kinds()[3].encode();
+            let full = all_kinds()[2].encode();
             full[8..full.len() - 4].to_vec()
         };
         let mut wire = Vec::new();
@@ -1011,7 +813,7 @@ mod tests {
     #[test]
     fn every_single_bit_flip_is_caught_or_deferred() {
         let frames = all_kinds();
-        let original = &frames[3];
+        let original = &frames[2];
         let wire = original.encode();
         for bit in 0..wire.len() * 8 {
             let mut flipped = wire.clone();
@@ -1043,8 +845,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_hello_still_decodes_with_a_zero_epoch() {
-        // A version-1 Hello has no epoch field; hand-encode one.
+    fn older_protocol_hellos_are_version_errors() {
+        // A version-1 Hello had no epoch field; hand-encode one. Both
+        // it and a version-2 Hello are refused: the daemon only speaks
+        // to its own build.
         let mut body = vec![KIND_HELLO];
         body.extend_from_slice(&1u16.to_le_bytes());
         body.extend_from_slice(&77u32.to_le_bytes());
@@ -1056,30 +860,32 @@ mod tests {
         wire.extend_from_slice(&body);
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
-        assert_eq!(
-            dec.next_frame().expect("v1 accepted"),
-            Some(Frame::Hello {
-                version: 1,
-                pid: 77,
-                label: "old".to_owned(),
-                epoch_ns: 0,
-            })
-        );
+        assert_eq!(dec.next_frame(), Err(FrameError::Version { got: 1 }));
+        let v2 = Frame::Hello {
+            version: 2,
+            pid: 77,
+            label: "old".to_owned(),
+            epoch_ns: 5,
+        };
+        let mut dec = FrameDecoder::new();
+        dec.push(&v2.encode());
+        assert_eq!(dec.next_frame(), Err(FrameError::Version { got: 2 }));
     }
 
     #[test]
     fn unknown_kinds_are_skipped_and_counted_not_poisonous() {
-        // A checksum-valid frame of an unknown (future) kind, followed
-        // by a perfectly ordinary frame: the decoder must step over
-        // the stranger and keep going, counting what it skipped.
+        // Checksum-valid frames of unknown kinds (3 is the retired
+        // window kind), followed by a perfectly ordinary frame: the
+        // decoder must step over the strangers and keep going,
+        // counting what it skipped.
         let mut wire = Vec::new();
-        for kind in [42u8, 200u8] {
+        for kind in [3u8, 200u8] {
             let body = vec![kind, 1, 2, 3];
             wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
             wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
             wire.extend_from_slice(&body);
         }
-        let survivor = all_kinds()[3].clone();
+        let survivor = all_kinds()[2].clone();
         wire.extend_from_slice(&survivor.encode());
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
@@ -1115,7 +921,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_in_body_are_corrupt() {
-        let mut body = all_kinds()[5].encode()[8..].to_vec();
+        let mut body = all_kinds()[4].encode()[8..].to_vec();
         body.push(0xEE);
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -1128,7 +934,7 @@ mod tests {
 
     #[test]
     fn hostile_span_frames_fail_typed_never_panic() {
-        let batch = all_kinds()[6].clone();
+        let batch = all_kinds()[5].clone();
         let wire = batch.encode();
         // Checksum-valid truncation mid-span: re-frame a cut body.
         let body = wire[8..wire.len() - 6].to_vec();
@@ -1225,30 +1031,5 @@ mod tests {
         };
         assert!(decoded.len() <= usize::from(u16::MAX));
         assert!(line.starts_with(&decoded));
-    }
-
-    #[test]
-    fn window_batch_merge_matches_in_process_merge() {
-        let rollups = RollupSet::wall();
-        for tick in 0..5u64 {
-            let snap = {
-                let reg = MetricsRegistry::new();
-                reg.counter("disk.reads").add((tick + 1) * 10);
-                reg.histogram("lat").record(tick * 100);
-                reg.snapshot()
-            };
-            rollups.ingest_snapshot(tick * 1_000_000_000, &snap);
-        }
-        let snap = rollups.snapshot();
-        for res in &snap.resolutions {
-            let batch = WindowBatch::from_resolution("wall", res);
-            let mut dec = FrameDecoder::new();
-            dec.push(&Frame::Windows(batch.clone()).encode());
-            let Some(Frame::Windows(decoded)) = dec.next_frame().expect("valid") else {
-                panic!("expected a windows frame");
-            };
-            assert_eq!(decoded, batch);
-            assert_eq!(decoded.merged(), res.merged());
-        }
     }
 }

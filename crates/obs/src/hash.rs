@@ -41,8 +41,9 @@ mod tests {
 
     #[test]
     fn trace_ids_stay_bit_identical() {
-        let ctx = crate::TraceContext::mint("job-0001", 1);
-        assert_eq!(ctx.trace_id, 0x1fd5_564f_322c_9b40);
-        assert_eq!(ctx.root_span, 0x8963_b185_cdb3_5898);
+        // The serve daemon mints a job's trace id from its id and each
+        // attempt's root-span id from `ID#ATTEMPT`.
+        assert_eq!(fnv1a64(b"job-0001"), 0x1fd5_564f_322c_9b40);
+        assert_eq!(fnv1a64(b"job-0001#1"), 0x8963_b185_cdb3_5898);
     }
 }

@@ -23,14 +23,10 @@
 //!   ids and flight-recorder slices.
 //! * [`frame`] — the cross-process telemetry frame protocol: a
 //!   compact, versioned, length-prefixed and checksummed binary codec
-//!   (snapshot deltas, rollup-window batches, progress/phase events,
-//!   log-tail events, flight-recorder span batches) with an
-//!   incremental, hostile-input-safe decoder, spoken between job
-//!   children and the `spindle serve` daemon.
-//! * [`context`] — cross-process trace-context propagation: the
-//!   [`TraceContext`] the serve daemon mints per job attempt and hands
-//!   to children via `SPINDLE_TRACE_CONTEXT`, tying daemon lifecycle
-//!   spans and child flight-recorder spans into one causal trace.
+//!   (registry snapshots, progress/phase events, log-tail events,
+//!   flight-recorder wall-span batches) with an incremental,
+//!   hostile-input-safe decoder, spoken between job children and the
+//!   `spindle serve` daemon.
 //! * [`hash`] — FNV-1a, the one hash behind frame checksums, trace
 //!   ids and breaker fingerprints.
 //! * [`jsonl`] — durable JSON-lines logs: the fsync'd append handle and
@@ -45,7 +41,8 @@
 //!   dependency, and the offline build registry has none to offer).
 //! * [`recorder`] — the [`FlightRecorder`]: full per-event capture of a
 //!   run on two correlated timelines (simulated time and wall-clock
-//!   time), attached only when a trace export is requested. It is the
+//!   time), attached only when a trace export is requested; a run
+//!   streaming telemetry to a daemon keeps a wall-only one. It is the
 //!   one store of simulator events: the disk simulator reports each
 //!   outcome once, and its observer writes the outcome's slices and
 //!   instants here.
@@ -89,7 +86,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod config;
-pub mod context;
 pub mod exemplar;
 pub mod frame;
 pub mod hash;
@@ -105,9 +101,8 @@ pub mod span;
 pub mod trace_event;
 
 pub use config::ObsConfig;
-pub use context::TraceContext;
 pub use exemplar::{Exemplar, ExemplarHandle, ExemplarStore};
-pub use frame::{Frame, FrameDecoder, FrameError, SpanBatch, SpanRec, WindowBatch};
+pub use frame::{Frame, FrameDecoder, FrameError, SpanBatch, SpanRec};
 pub use logger::LogLevel;
 pub use prom::PromSink;
 pub use recorder::{FlightRecorder, SimSlice, WallSlice};

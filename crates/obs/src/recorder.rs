@@ -19,10 +19,13 @@
 //! timelines as Chrome trace-event JSON loadable in Perfetto or
 //! `chrome://tracing`.
 //!
-//! Recording takes one mutex acquisition and a `Vec` push per slice;
-//! the recorder is only ever attached when a caller asks for a trace
-//! (`--trace-out`), so instrumented hot paths otherwise pay a skipped
-//! `Option` branch.
+//! Recording takes one mutex acquisition and a `Vec` push per slice.
+//! A full recorder ([`FlightRecorder::new`]) is attached only when a
+//! caller asks for a trace (`--trace-out`); a run that streams telemetry
+//! to a daemon installs a [`FlightRecorder::wall_only`] one, which keeps
+//! the few wall-clock slices and drops sim slices, so the simulator
+//! never holds it and instrumented hot paths pay a skipped `Option`
+//! branch.
 //!
 //! [`ObsSpan`]: crate::ObsSpan
 
@@ -73,17 +76,36 @@ struct Inner {
 #[derive(Debug)]
 pub struct FlightRecorder {
     epoch: Instant,
+    sim: bool,
     inner: Mutex<Inner>,
 }
 
 impl FlightRecorder {
-    /// An empty recorder whose wall-clock epoch is *now*.
+    /// An empty recorder of both timelines whose wall-clock epoch is
+    /// *now*.
     #[must_use]
     pub fn new() -> Self {
         FlightRecorder {
             epoch: Instant::now(),
+            sim: true,
             inner: Mutex::new(Inner::default()),
         }
+    }
+
+    /// An empty recorder of the wall-clock timeline only: sim slices
+    /// and instants are dropped on arrival.
+    #[must_use]
+    pub fn wall_only() -> Self {
+        FlightRecorder {
+            sim: false,
+            ..Self::new()
+        }
+    }
+
+    /// Whether simulated-time slices are kept.
+    #[must_use]
+    pub fn records_sim(&self) -> bool {
+        self.sim
     }
 
     /// The instant wall-clock slices are measured against.
@@ -105,6 +127,9 @@ impl FlightRecorder {
         dur_ns: u64,
         args: Vec<(String, Json)>,
     ) {
+        if !self.sim {
+            return;
+        }
         self.lock().sim.push(SimSlice {
             track: track.to_owned(),
             name: name.to_owned(),
@@ -116,6 +141,9 @@ impl FlightRecorder {
 
     /// Records an instant event on a simulated-time track.
     pub fn sim_instant(&self, track: &str, name: &str, t_ns: u64, args: Vec<(String, Json)>) {
+        if !self.sim {
+            return;
+        }
         self.lock().sim.push(SimSlice {
             track: track.to_owned(),
             name: name.to_owned(),
@@ -276,6 +304,23 @@ mod tests {
         assert_eq!(wall.len(), 1);
         assert_eq!(wall[0].dur_ns, 1_000_000);
         assert!(!rec.is_empty());
+    }
+
+    #[test]
+    fn wall_only_recorder_drops_sim_slices() {
+        let rec = FlightRecorder::wall_only();
+        assert!(!rec.records_sim());
+        assert!(FlightRecorder::new().records_sim());
+        rec.sim_slice("drive.queue", "read", 100, 50, vec![]);
+        rec.sim_instant("drive.events", "cache_hit", 120, vec![]);
+        rec.wall_slice(
+            "cli.simulate",
+            rec.epoch(),
+            Duration::from_millis(1),
+            vec![],
+        );
+        assert!(rec.sim_slices().is_empty());
+        assert_eq!(rec.wall_slices().len(), 1);
     }
 
     #[test]

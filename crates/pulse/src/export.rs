@@ -6,8 +6,14 @@
 //! [`Exporter`] connects to the named `127.0.0.1` address and streams
 //! [`Frame`]s: a `Hello`, then registry snapshots on a fixed cadence
 //! interleaved with progress/phase events and log-tail lines, then a
-//! final flush (snapshot, progress, optional rollup-window batches)
-//! and a `Bye`.
+//! final flush (snapshot, progress, the installed flight recorder's
+//! wall spans) and a `Bye`.
+//!
+//! Only wall spans cross the wire, even from a recorder that also
+//! holds sim-time tracks: those belong to the run's own `--trace-out`
+//! document. A run that streams to a sink without `--trace-out`
+//! installs a wall-only recorder, so its simulator records nothing per
+//! event.
 //!
 //! The exporter follows the same read-only discipline as the rest of
 //! the pulse crate: it never writes to stdout, never registers metrics
@@ -19,9 +25,8 @@
 //! blocks": the daemon is responsible for draining its end promptly.
 
 use crate::status::RunStatus;
-use spindle_obs::frame::{Frame, SpanBatch, SpanRec, WindowBatch, PROTOCOL_VERSION, SINK_ENV};
-use spindle_obs::json::Json;
-use spindle_obs::{FlightRecorder, MetricsRegistry, RollupSet};
+use spindle_obs::frame::{render_args, Frame, SpanBatch, SpanRec, PROTOCOL_VERSION, SINK_ENV};
+use spindle_obs::{FlightRecorder, MetricsRegistry};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -38,8 +43,9 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Hard cap on span records shipped in the final flush; a pathological
-/// recorder (millions of sim events) must not turn shutdown into a
-/// multi-second network stall. Excess is counted, not silently lost.
+/// recorder (a pool churning through many tiny tasks) must not turn
+/// shutdown into a multi-second network stall. Excess is counted, not
+/// silently lost.
 const MAX_SPAN_RECS: usize = 8192;
 /// Records per `Span` frame; keeps every frame well under
 /// `MAX_FRAME_LEN` even with long track names and args.
@@ -234,10 +240,9 @@ impl Exporter {
     }
 
     /// Stops the export thread, then flushes a final snapshot and
-    /// progress event, the rollup wheel's window batches when the
-    /// front end kept one, the installed flight recorder's spans when
+    /// progress event, the installed flight recorder's wall spans when
     /// there is one, and a `Bye`.
-    pub fn finish(self, rollups: Option<&RollupSet>) {
+    pub fn finish(self) {
         self.shared.stop.store(true, Ordering::Release);
         let handle = self.handle.lock().expect("exporter handle lock").take();
         if let Some(h) = handle {
@@ -246,15 +251,6 @@ impl Exporter {
         }
         self.shared.tick();
         let t_ns = self.shared.t_ns();
-        if let Some(rollups) = rollups {
-            let snap = rollups.snapshot();
-            for res in &snap.resolutions {
-                self.shared
-                    .send(&Frame::Windows(WindowBatch::from_resolution(
-                        snap.axis, res,
-                    )));
-            }
-        }
         if let Some(recorder) = spindle_obs::recorder::installed() {
             for frame in span_frames(&recorder, t_ns) {
                 self.shared.send(&frame);
@@ -267,40 +263,21 @@ impl Exporter {
     }
 }
 
-/// Batches the recorder's wall and sim slices into `Span` frames.
-/// Wall spans come first — they are the causal skeleton the daemon
-/// parents onto its own timeline — so when the [`MAX_SPAN_RECS`] cap
-/// bites, only sim detail is shed; the shortfall lands in the last
-/// batch's `dropped` count.
+/// Batches the recorder's wall slices into `Span` frames. When the
+/// [`MAX_SPAN_RECS`] cap bites, the shortfall lands in the last batch's
+/// `dropped` count.
 fn span_frames(recorder: &FlightRecorder, t_ns: u64) -> Vec<Frame> {
-    fn render_args(args: &[(String, Json)]) -> String {
-        if args.is_empty() {
-            String::new()
-        } else {
-            Json::Obj(args.to_vec()).to_string()
-        }
-    }
-    let mut recs: Vec<SpanRec> = Vec::new();
-    for w in recorder.wall_slices() {
-        recs.push(SpanRec {
-            sim: false,
+    let mut recs: Vec<SpanRec> = recorder
+        .wall_slices()
+        .into_iter()
+        .map(|w| SpanRec {
             track: w.thread,
             name: w.name,
             begin_ns: w.begin_ns,
             dur_ns: Some(w.dur_ns),
             args: render_args(&w.args),
-        });
-    }
-    for s in recorder.sim_slices() {
-        recs.push(SpanRec {
-            sim: true,
-            track: s.track,
-            name: s.name,
-            begin_ns: s.begin_ns,
-            dur_ns: s.dur_ns,
-            args: render_args(&s.args),
-        });
-    }
+        })
+        .collect();
     let dropped = u64::try_from(recs.len().saturating_sub(MAX_SPAN_RECS)).unwrap_or(u64::MAX);
     recs.truncate(MAX_SPAN_RECS);
     if recs.is_empty() && dropped == 0 {
@@ -326,6 +303,7 @@ fn span_frames(recorder: &FlightRecorder, t_ns: u64) -> Vec<Frame> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spindle_obs::json::Json;
     use spindle_obs::FrameDecoder;
     use std::io::Read;
     use std::net::TcpListener;
@@ -377,9 +355,7 @@ mod tests {
         status.complete_one();
         std::thread::sleep(Duration::from_millis(250));
         registry.counter("work.items").add(2);
-        let rollups = RollupSet::wall();
-        rollups.ingest_snapshot(1, &registry.snapshot());
-        exporter.finish(Some(&rollups));
+        exporter.finish();
         let frames = drain_frames(sock);
         assert!(
             matches!(&frames[0], Frame::Hello { version, label, .. }
@@ -418,23 +394,6 @@ mod tests {
                 .any(|f| matches!(f, Frame::Log { line, .. } if line == "hello from the run")),
             "log-tail line shipped"
         );
-        let batches: Vec<_> = frames
-            .iter()
-            .filter_map(|f| match f {
-                Frame::Windows(b) => Some(b),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(batches.len(), 3, "one batch per wall resolution");
-        assert_eq!(
-            batches
-                .iter()
-                .find(|b| b.resolution == "run")
-                .expect("run batch")
-                .merged()
-                .counters["work.items"],
-            5
-        );
     }
 
     #[test]
@@ -454,7 +413,7 @@ mod tests {
         let status = Arc::new(RunStatus::new(1));
         let exporter = Exporter::start(&addr, leaked_registry(), status, "spans").expect("connect");
         let (sock, _) = listener.accept().expect("exporter connects");
-        exporter.finish(None);
+        exporter.finish();
         spindle_obs::recorder::uninstall();
         let frames = drain_frames(sock);
         let hello_epoch = match &frames[0] {
@@ -473,7 +432,9 @@ mod tests {
             })
             .expect("a span batch ships in the final flush");
         assert_eq!(batch.dropped, 0);
-        let wall = batch.spans.iter().find(|r| !r.sim).expect("wall span");
+        // The recorder holds sim slices too; only the wall one ships.
+        assert_eq!(batch.spans.len(), 1, "{:?}", batch.spans);
+        let wall = &batch.spans[0];
         assert_eq!(wall.name, "cli.simulate");
         assert_eq!(wall.dur_ns, Some(3_000_000));
         assert!(
@@ -481,8 +442,6 @@ mod tests {
             "args render: {}",
             wall.args
         );
-        let sim = batch.spans.iter().find(|r| r.sim).expect("sim span");
-        assert_eq!((sim.track.as_str(), sim.begin_ns), ("drive.queue", 1_000));
         assert!(
             matches!(frames.last(), Some(Frame::Bye { .. })),
             "bye still closes the stream"
@@ -520,7 +479,7 @@ mod tests {
         let (mut sock, _) = listener.accept().expect("exporter connects");
         // Give the export thread several cadences to (not) speak.
         std::thread::sleep(Duration::from_millis(400));
-        exporter.finish(None);
+        exporter.finish();
         spindle_harden::uninstall();
         sock.set_read_timeout(Some(Duration::from_secs(2))).ok();
         let mut dec = FrameDecoder::new();
@@ -561,6 +520,6 @@ mod tests {
             status.complete_one();
             std::thread::sleep(Duration::from_millis(20));
         }
-        exporter.finish(None);
+        exporter.finish();
     }
 }

@@ -9,10 +9,10 @@
 //!   line wherever they appear, leaving every other token in order.
 //! * **One resolution.** [`Invocation::resolve`] turns those options and
 //!   the environment (`SPINDLE_FAULTS`, `SPINDLE_TELEMETRY_SINK`,
-//!   `SPINDLE_TRACE_CONTEXT`, `SPINDLE_JOBS`) into one value: the fault
-//!   plan, the observer config, the flight recorder, the lenient
-//!   setting and the export destinations. Code below the front end
-//!   receives that value instead of consulting process-wide switches.
+//!   `SPINDLE_JOBS`) into one value: the fault plan, the observer
+//!   config, the flight recorder, the lenient setting and the export
+//!   destinations. Code below the front end receives that value instead
+//!   of consulting process-wide switches.
 //! * **One lifecycle.** [`Invocation::run`] installs what other crates
 //!   read process-wide (fault plan, flight recorder, log level, worker
 //!   count), starts the live [`Session`] and the frame [`Exporter`],
@@ -27,9 +27,7 @@
 use crate::{Exporter, RunStatus, Session};
 use spindle_harden::FaultPlan;
 use spindle_obs::sink::{JsonSink, MetricsSink, TextSink};
-use spindle_obs::{
-    progress, FlightRecorder, LogLevel, ObsConfig, RollupSet, TraceContext, TraceEventSink,
-};
+use spindle_obs::{progress, FlightRecorder, LogLevel, ObsConfig, RollupSet, TraceEventSink};
 use std::io::{self, Write};
 use std::iter::Peekable;
 use std::slice::Iter;
@@ -226,7 +224,8 @@ pub struct Invocation {
     pub lenient: bool,
     /// What the simulator observers record.
     pub obs: ObsConfig,
-    /// The flight recorder, present exactly when the run is traced.
+    /// The flight recorder: a full one when the run writes a trace, a
+    /// wall-only one when it streams to a telemetry sink, else none.
     pub recorder: Option<Arc<FlightRecorder>>,
     /// `--serve`: `Some(None)` bare, `Some(Some(addr))` explicit.
     pub serve: Option<Option<String>>,
@@ -242,13 +241,18 @@ impl Invocation {
     /// Resolves peeled global options and the environment. `note`
     /// prefixes the notes the lifecycle prints on stderr.
     ///
-    /// The observer config follows one table:
+    /// The observer config and the recorder follow one table:
     ///
-    /// | condition                                        | `obs`            | recorder |
-    /// |--------------------------------------------------|------------------|----------|
-    /// | `--trace-out`, or a trace context in the env     | `enabled()`      | yes      |
-    /// | otherwise `--metrics`, or a telemetry sink in env | `metrics_only()` | no       |
-    /// | otherwise                                        | `disabled()`     | no       |
+    /// | condition                           | `obs`            | recorder  |
+    /// |-------------------------------------|------------------|-----------|
+    /// | `--trace-out`                       | `metrics_only()` | full      |
+    /// | otherwise a telemetry sink in env   | `metrics_only()` | wall-only |
+    /// | otherwise `--metrics`               | `metrics_only()` | none      |
+    /// | otherwise                           | `disabled()`     | none      |
+    ///
+    /// The simulator reaches a recorder through its metrics observer
+    /// and holds only a full one; a sink's wall-only recorder carries
+    /// the run's wall spans upstream at exporter shutdown.
     ///
     /// # Errors
     ///
@@ -278,15 +282,15 @@ impl Invocation {
                 .map_err(|e| format!("bad {}: {e}", spindle_harden::FAULTS_ENV)),
         }?;
         let trace_out = opts.get("trace-out").map(str::to_owned);
-        // A trace context in the environment (the serve daemon mints one
-        // per job attempt) records like --trace-out does; the spans ship
-        // upstream at exporter shutdown instead of landing in a file. The
-        // simulator reaches the recorder through its metrics observer.
-        let traced = trace_out.is_some() || TraceContext::from_env().is_some();
         // A telemetry sink (the serve daemon sets one for its children)
         // needs the simulator's registry counters in its snapshots.
         let sink = std::env::var(spindle_obs::frame::SINK_ENV).is_ok_and(|v| !v.is_empty());
-        let obs = if traced || metrics.is_some() || sink {
+        let recorder = if trace_out.is_some() {
+            Some(FlightRecorder::new())
+        } else {
+            sink.then(FlightRecorder::wall_only)
+        };
+        let obs = if recorder.is_some() || metrics.is_some() {
             ObsConfig::metrics_only()
         } else {
             ObsConfig::disabled()
@@ -304,7 +308,7 @@ impl Invocation {
             faults: faults.map(Arc::new),
             lenient: opts.flag("lenient"),
             obs,
-            recorder: traced.then(|| Arc::new(FlightRecorder::new())),
+            recorder: recorder.map(Arc::new),
             serve: opts.last("serve").cloned(),
             live: opts.flag("live"),
             level,
@@ -398,16 +402,13 @@ impl Invocation {
             watched: self.metrics.is_some() || session.is_some() || exporter.is_some(),
         };
         let value = command(&run);
-        // The session banks its final sample during finish(), so the
-        // exporter flushes after it: its window batches then carry the
-        // complete wheel.
         let rollups = session.map(|s| {
             let rollups = Arc::clone(s.rollups());
             s.finish();
             rollups
         });
         if let Some(e) = exporter {
-            e.finish(rollups.as_deref());
+            e.finish();
         }
         let value = value?;
         self.export()?;
@@ -573,8 +574,7 @@ mod tests {
     #[test]
     fn observer_config_follows_the_resolution_table() {
         // Tests run without the serve daemon's environment variables.
-        if std::env::var(spindle_obs::frame::SINK_ENV).is_ok() || TraceContext::from_env().is_some()
-        {
+        if std::env::var(spindle_obs::frame::SINK_ENV).is_ok() {
             return;
         }
         let resolve = |args: &[&str]| {
@@ -591,7 +591,7 @@ mod tests {
         // recorder through it.
         let traced = resolve(&["--trace-out", "t.json"]);
         assert_eq!(traced.obs, ObsConfig::metrics_only());
-        assert!(traced.recorder.is_some());
+        assert!(traced.recorder.as_ref().is_some_and(|r| r.records_sim()));
     }
 
     #[test]

@@ -33,8 +33,8 @@
 //! * [`export`] — the child-side half of the cross-process telemetry
 //!   plane: when `SPINDLE_TELEMETRY_SINK` names a local sink address
 //!   (the `spindle serve` runner injects it for every job child), an
-//!   [`Exporter`] streams snapshot, progress, log-tail, and
-//!   rollup-window frames (`spindle_obs::frame`) to the daemon.
+//!   [`Exporter`] streams snapshot, progress, log-tail, and wall-span
+//!   frames (`spindle_obs::frame`) to the daemon.
 //!
 //! Telemetry is strictly read-only over the metrics registry: enabling
 //! `--serve` or `--live` cannot change any computed result, and both

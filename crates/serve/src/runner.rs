@@ -131,10 +131,6 @@ fn run_job(shared: &Shared, id: &str) {
     // that isn't just leaves the listener idle for the job's lifetime.
     let sink = Sink::bind().ok();
     let sink_addr = sink.as_ref().map(Sink::addr);
-    // The trace context is minted deterministically per (job, attempt):
-    // a resumed daemon reproduces the same ids, so offline assembly can
-    // re-derive the flow parents without any extra state.
-    let trace_ctx = spindle_obs::TraceContext::mint(id, attempt_no);
     let spawn = || -> Result<std::process::Child, String> {
         // Admission created this for locally-submitted jobs; a
         // re-adopted job from another daemon's journal may not have
@@ -155,17 +151,9 @@ fn run_job(shared: &Shared, id: &str) {
             .env_remove(spindle_harden::FAULTS_ENV)
             .env_remove(spindle_pulse::SERVE_ENV)
             .env_remove(spindle_pulse::LINGER_ENV)
-            .env_remove(spindle_obs::frame::SINK_ENV)
-            .env_remove(spindle_obs::context::TRACE_CONTEXT_ENV);
+            .env_remove(spindle_obs::frame::SINK_ENV);
         if let Some(addr) = &sink_addr {
             cmd.env(spindle_obs::frame::SINK_ENV, addr);
-            // Only meaningful alongside a sink: the context tells the
-            // child its spans belong to this trace and will be
-            // collected, so it installs a flight recorder.
-            cmd.env(
-                spindle_obs::context::TRACE_CONTEXT_ENV,
-                trace_ctx.to_string(),
-            );
         }
         cmd.spawn()
             .map_err(|e| format!("cannot spawn `{}`: {e}", program.display()))

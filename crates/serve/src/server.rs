@@ -24,12 +24,14 @@
 //!   behind the bounded ring gets `event: dropped` with the exact
 //!   count of what it missed.
 //! * `GET /jobs/ID/timescales` — the job's multi-resolution rollup
-//!   document rebuilt from its telemetry stream, plus the child's own
-//!   final window flush.
+//!   document rebuilt from its telemetry stream, with the stream's
+//!   frame, byte, decode-error and torn counters.
 //! * `GET /jobs/ID/trace` — the job's causal trace as a self-contained
-//!   Chrome trace-event document: daemon lifecycle spans, the child's
-//!   offset-aligned wall spans, and its sim-time tracks, with flow
-//!   arrows parenting each attempt to the child work it spawned.
+//!   Chrome trace-event document on the wall clock: daemon lifecycle
+//!   spans and the child's offset-aligned wall spans, with flow arrows
+//!   parenting each attempt to the child work it spawned. The run's
+//!   sim-time tracks live in the `trace.json` artifact of a spec with
+//!   `"trace": true`.
 //! * `GET /trace` — the daemon-wide document: every job's spans merged
 //!   onto one timeline, tracks prefixed by job id.
 //! * `GET /metrics`, `/healthz`, `/status`, `/timescales` — the same
@@ -654,7 +656,6 @@ fn job_timescales(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Resu
             Json::Bool(tel.torn.load(Ordering::Relaxed)),
         ),
         ("rollups".to_owned(), tel.rollups_json()),
-        ("reported".to_owned(), tel.reported_json()),
     ]);
     json_response(stream, "200 OK", &doc)
 }

@@ -4,13 +4,13 @@
 //! address in [`SINK_ENV`](spindle_obs::frame::SINK_ENV); a child
 //! built on `spindle-pulse` connects back and streams
 //! [`Frame`](spindle_obs::frame::Frame)s — registry snapshots,
-//! progress, log-tail lines, and a final rollup-window flush. This
+//! progress, log-tail lines, and a final flush of its wall spans. This
 //! module owns everything the daemon keeps per job:
 //!
 //! * [`JobTelemetry`] — a wall-axis [`RollupSet`] rebuilt from the
 //!   child's snapshots, a bounded [`EventRing`] feeding
 //!   `GET /jobs/ID/events`, progress state driving the job ETA, and
-//!   the child's own reported window batches.
+//!   the bounded trace-span store behind `GET /jobs/ID/trace`.
 //! * [`Fleet`] — the daemon-wide merged wheel: every per-job snapshot
 //!   delta is banked into it as well, so the fleet's lifetime totals
 //!   equal the sum of the per-job totals bucket-for-bucket (the same
@@ -28,7 +28,7 @@
 //! tell silence from loss.
 
 use crate::trace::{SpanOrigin, TraceSpan};
-use spindle_obs::frame::{Frame, FrameDecoder, WindowBatch};
+use spindle_obs::frame::{render_args, Frame, FrameDecoder};
 use spindle_obs::json::Json;
 use spindle_obs::rollup::{snapshot_delta, WindowAccum};
 use spindle_obs::{MetricsRegistry, RollupSet, Snapshot};
@@ -70,12 +70,13 @@ const ETA_SAMPLE_WINDOW: usize = 64;
 /// for the event ring.
 pub(crate) const TRACE_SPAN_CAP: usize = 4096;
 
-/// Slice of [`TRACE_SPAN_CAP`] held back for daemon-origin spans. A
-/// chatty child can ship tens of thousands of sim spans; if they could
-/// fill the whole store, the handful of lifecycle spans recorded at
-/// the *end* of an attempt (the attempt span itself, finalize) would
-/// be the first casualties — and they are the part of the trace only
-/// the daemon can tell.
+/// Slice of [`TRACE_SPAN_CAP`] held back for daemon-origin spans. The
+/// child is another process, and a hostile or runaway one can ship up
+/// to its own cap of spans per attempt, over several attempts; if they
+/// could fill the whole store, the handful of lifecycle spans recorded
+/// at the *end* of an attempt (the attempt span itself, finalize)
+/// would be the first casualties — and they are the part of the trace
+/// only the daemon can tell.
 pub(crate) const DAEMON_SPAN_RESERVE: usize = 256;
 
 /// Bounded span buffer with exact drop accounting. Child (bulk) spans
@@ -199,7 +200,6 @@ pub(crate) struct JobTelemetry {
     events: Mutex<EventRing>,
     progress: Mutex<ProgressState>,
     prev: Mutex<Option<Snapshot>>,
-    reported: Mutex<Vec<WindowBatch>>,
     pub(crate) frames: AtomicU64,
     pub(crate) bytes: AtomicU64,
     pub(crate) decode_errors: AtomicU64,
@@ -234,7 +234,6 @@ impl JobTelemetry {
                 samples: SampleWindow::new(ETA_SAMPLE_WINDOW),
             }),
             prev: Mutex::new(None),
-            reported: Mutex::new(Vec::new()),
             frames: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
@@ -383,12 +382,6 @@ impl JobTelemetry {
         self.rollups.to_json()
     }
 
-    /// The child's own final window flush, one entry per resolution.
-    pub(crate) fn reported_json(&self) -> Json {
-        let batches = self.reported.lock().expect("reported lock");
-        Json::Arr(batches.iter().map(WindowBatch::to_json).collect())
-    }
-
     /// Exact lifetime totals of the rebuilt wheel (the `run`
     /// resolution's merge) — what the fleet-sum invariant is checked
     /// against.
@@ -402,8 +395,8 @@ impl JobTelemetry {
     }
 
     /// Applies one decoded frame: snapshots bank into the job wheel
-    /// and the fleet wheel, progress/log frames become events, window
-    /// batches are kept verbatim.
+    /// and the fleet wheel, progress/log frames become events, span
+    /// batches land in the span store.
     pub(crate) fn apply_frame(&self, fleet: &Fleet, frame: Frame) {
         match frame {
             Frame::Hello {
@@ -415,8 +408,7 @@ impl JobTelemetry {
                 // Both clocks are read "now" (encode races decode by
                 // one loopback hop): daemon elapsed minus child
                 // elapsed is the shift that puts the child's wall
-                // spans on the daemon timeline. A v1 child reports
-                // epoch 0, degrading the offset to "Hello arrival".
+                // spans on the daemon timeline.
                 let here = i64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(i64::MAX);
                 let there = i64::try_from(epoch_ns).unwrap_or(i64::MAX);
                 self.clock_offset_ns
@@ -444,9 +436,6 @@ impl JobTelemetry {
                 self.rollups.ingest_accum(t_ns, &delta);
                 fleet.ingest(&delta);
             }
-            Frame::Windows(batch) => {
-                self.reported.lock().expect("reported lock").push(batch);
-            }
             Frame::Span(batch) => {
                 let mut store = self.spans.lock().expect("span store lock");
                 // The child's own shed count carries through, so
@@ -455,11 +444,7 @@ impl JobTelemetry {
                 store.dropped = store.dropped.saturating_add(batch.dropped);
                 for rec in batch.spans {
                     store.push(TraceSpan {
-                        origin: if rec.sim {
-                            SpanOrigin::ChildSim
-                        } else {
-                            SpanOrigin::ChildWall
-                        },
+                        origin: SpanOrigin::ChildWall,
                         track: rec.track,
                         name: rec.name,
                         begin_ns: rec.begin_ns,
@@ -499,16 +484,6 @@ impl JobTelemetry {
                 self.event("bye", vec![("frames", Json::Uint(frames_sent))]);
             }
         }
-    }
-}
-
-/// Renders span args to the stored wire form: a JSON object string,
-/// or empty when there are none.
-fn render_args(args: &[(String, Json)]) -> String {
-    if args.is_empty() {
-        String::new()
-    } else {
-        Json::Obj(args.to_vec()).to_string()
     }
 }
 
@@ -894,7 +869,6 @@ mod tests {
         let fleet = Fleet::new();
         let tel = JobTelemetry::new(16);
         let rec = |i: u64| SpanRec {
-            sim: i.is_multiple_of(2),
             track: "t".to_owned(),
             name: format!("s{i}"),
             begin_ns: i,

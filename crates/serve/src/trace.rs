@@ -4,9 +4,9 @@
 //! The daemon records its own lifecycle spans (admission, queue wait,
 //! spawn, each supervision attempt, retry backoff, finalization) into
 //! the per-job telemetry record, and children ship their
-//! flight-recorder wall and sim spans upstream over the frame
-//! protocol. This module turns that combined span set into a
-//! self-contained Chrome trace-event JSON document:
+//! flight-recorder wall spans upstream over the frame protocol. This
+//! module turns that combined span set into a self-contained Chrome
+//! trace-event JSON document of the job's wall-clock story:
 //!
 //! * pid 1 — the daemon timeline: lifecycle spans, on the daemon's
 //!   monotonic clock (per-job telemetry epoch).
@@ -14,22 +14,24 @@
 //!   by the Hello-derived offset (`daemon elapsed at Hello decode −
 //!   child span-clock elapsed at Hello encode`), so queue wait,
 //!   spawn, and the child's own phases line up on one axis.
-//! * pid 3 — the child's sim-time tracks, deliberately *not* shifted:
-//!   simulated nanoseconds are their own axis.
 //!
-//! Flow events (`ph:"s"` → `ph:"f"`, id = the attempt's minted root
-//! span id) parent each daemon attempt span to the first child wall
-//! span it spawned, so Perfetto draws the causal arrow across the
-//! process boundary.
+//! The run's sim-time tracks are not part of it: their one home is
+//! the `trace.json` a job spec with `"trace": true` writes.
+//!
+//! Flow events (`ph:"s"` → `ph:"f"`, id = the attempt's [`mint`]ed
+//! root span id) parent each daemon attempt span to the first child
+//! wall span it spawned, so Perfetto draws the causal arrow across
+//! the process boundary.
 //!
 //! The same span set is persisted as `spans.jsonl` in the job's
 //! artifact directory at finalization, and `spindle trace assemble
 //! --dir JOBDIR` rebuilds the identical document offline after the
 //! daemon is gone.
 
+use spindle_obs::hash::fnv1a64;
 use spindle_obs::json::{parse, Json};
+use spindle_obs::jsonl;
 use spindle_obs::trace_event::{meta_event, slice_event, us};
-use spindle_obs::{jsonl, TraceContext};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -37,15 +39,26 @@ use std::path::Path;
 /// directory.
 pub const SPANS_FILE: &str = "spans.jsonl";
 
-/// Schema tag on the span file's header line.
-pub const SPANS_SCHEMA: &str = "spindle-serve-spans/v1";
+/// Schema tag on the span file's header line. Version 2 files hold
+/// daemon and child wall spans only.
+pub const SPANS_SCHEMA: &str = "spindle-serve-spans/v2";
 
 /// Trace-event pid for the daemon lifecycle timeline.
 const DAEMON_PID: u64 = 1;
 /// Trace-event pid for child wall tracks (offset-aligned).
 const CHILD_WALL_PID: u64 = 2;
-/// Trace-event pid for child sim-time tracks (never shifted).
-const CHILD_SIM_PID: u64 = 3;
+
+/// Deterministic ids for `job_id`, attempt `attempt`: the trace id
+/// (one per job) and the attempt's root-span id, which names the flow
+/// arrow from the daemon's attempt span to the child's work. Same
+/// inputs, same ids, so a resumed daemon and offline assembly re-derive
+/// them without extra state.
+fn mint(job_id: &str, attempt: u32) -> (u64, u64) {
+    (
+        fnv1a64(job_id.as_bytes()),
+        fnv1a64(format!("{job_id}#{attempt}").as_bytes()),
+    )
+}
 
 /// Where a trace span came from, which also fixes what its `begin_ns`
 /// is relative to.
@@ -55,8 +68,6 @@ pub enum SpanOrigin {
     Daemon,
     /// Child wall span, child-epoch-relative (needs the clock offset).
     ChildWall,
-    /// Child sim-time span, simulated nanoseconds.
-    ChildSim,
 }
 
 impl SpanOrigin {
@@ -64,7 +75,6 @@ impl SpanOrigin {
         match self {
             SpanOrigin::Daemon => "daemon",
             SpanOrigin::ChildWall => "wall",
-            SpanOrigin::ChildSim => "sim",
         }
     }
 
@@ -72,7 +82,6 @@ impl SpanOrigin {
         match text {
             "daemon" => Some(SpanOrigin::Daemon),
             "wall" => Some(SpanOrigin::ChildWall),
-            "sim" => Some(SpanOrigin::ChildSim),
             _ => None,
         }
     }
@@ -138,8 +147,8 @@ pub struct JobSpans {
     pub id: String,
     /// Every retained span, recording order.
     pub spans: Vec<TraceSpan>,
-    /// Hello-derived clock offset for child wall spans, when a child
-    /// spoke the v2 protocol.
+    /// Hello-derived clock offset for child wall spans, once a child
+    /// said hello.
     pub offset_ns: Option<i64>,
     /// Exact count of spans shed by the bounded buffers (child-side
     /// and daemon-side combined).
@@ -287,7 +296,7 @@ pub fn job_trace_doc(job: &JobSpans) -> Json {
             ("id".to_owned(), Json::Str(job.id.clone())),
             (
                 "trace_id".to_owned(),
-                Json::Str(format!("{:016x}", TraceContext::mint(&job.id, 0).trace_id)),
+                Json::Str(format!("{:016x}", mint(&job.id, 0).0)),
             ),
             ("dropped".to_owned(), Json::Uint(job.dropped)),
             (
@@ -334,12 +343,6 @@ fn assemble(contributions: &[Contribution<'_>], metadata: Json) -> Json {
         None,
         "job child (wall clock)",
     ));
-    events.push(meta_event(
-        "process_name",
-        CHILD_SIM_PID,
-        None,
-        "job child (simulated time)",
-    ));
     let mut body = Vec::new();
     for c in contributions {
         let offset = c.job.offset_ns.unwrap_or(0);
@@ -357,7 +360,6 @@ fn assemble(contributions: &[Contribution<'_>], metadata: Json) -> Json {
                     align(span.begin_ns, offset) + c.shift_ns,
                     "wall",
                 ),
-                SpanOrigin::ChildSim => (CHILD_SIM_PID, span.begin_ns, "sim"),
             };
             let label = format!("{}{}", c.prefix, span.track);
             let tid = *tids.entry((pid, label.clone())).or_insert_with(|| {
@@ -367,8 +369,8 @@ fn assemble(contributions: &[Contribution<'_>], metadata: Json) -> Json {
                 *next
             });
             if span.origin == SpanOrigin::Daemon && span.name == "attempt" {
-                let ctx = TraceContext::mint(&c.job.id, attempt_ordinal);
-                attempt_flows.push((ctx.root_span, pid, tid, ts_ns));
+                let (_, root_span) = mint(&c.job.id, attempt_ordinal);
+                attempt_flows.push((root_span, pid, tid, ts_ns));
                 attempt_ordinal += 1;
             }
             if span.origin == SpanOrigin::ChildWall && first_child_wall.is_none() {
@@ -428,9 +430,9 @@ mod tests {
                     args: String::new(),
                 },
                 TraceSpan {
-                    origin: SpanOrigin::ChildSim,
-                    track: "drive.queue".to_owned(),
-                    name: "read".to_owned(),
+                    origin: SpanOrigin::ChildWall,
+                    track: "worker0".to_owned(),
+                    name: "mark".to_owned(),
                     begin_ns: 42,
                     dur_ns: None,
                     args: String::new(),
@@ -455,15 +457,22 @@ mod tests {
             .find(|e| e.get("name").and_then(Json::as_str) == Some("cli.simulate"))
             .expect("wall span present");
         assert_eq!(wall.get("ts").and_then(Json::as_f64), Some(110.0), "{wall}");
-        // Sim span is NOT shifted.
-        let sim = events
+        // So does a child instant, on its own thread row.
+        let mark = events
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("read"))
-            .expect("sim span present");
-        assert_eq!(sim.get("ts").and_then(Json::as_f64), Some(0.042));
+            .find(|e| e.get("name").and_then(Json::as_str) == Some("mark"))
+            .expect("child instant present");
+        assert_eq!(mark.get("ts").and_then(Json::as_f64), Some(100.042));
+        // Two processes: the daemon and the child's wall clock.
+        let processes: Vec<_> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("process_name"))
+            .filter_map(|e| e.get("args")?.get("name")?.as_str())
+            .collect();
+        assert_eq!(processes, ["serve daemon", "job child (wall clock)"]);
         // The attempt is parented to the child by a flow pair with the
         // minted root-span id.
-        let root = TraceContext::mint("job-0001", 0).root_span;
+        let (_, root) = mint("job-0001", 0);
         let flows: Vec<_> = events
             .iter()
             .filter(|e| matches!(e.get("ph").and_then(Json::as_str), Some("s") | Some("f")))
@@ -478,6 +487,25 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(3),
             "drop accounting is part of the document"
+        );
+    }
+
+    #[test]
+    fn minting_is_deterministic_and_attempt_scoped() {
+        assert_eq!(mint("job-0001", 0), mint("job-0001", 0));
+        let (trace_a, root_a) = mint("job-0001", 0);
+        let (trace_b, root_b) = mint("job-0001", 1);
+        assert_eq!(trace_a, trace_b, "one trace per job");
+        assert_ne!(root_a, root_b, "one root span per attempt");
+        assert_ne!(
+            trace_a,
+            mint("job-0002", 0).0,
+            "different jobs, different traces"
+        );
+        assert_eq!(
+            (trace_b, root_b),
+            (0x1fd5_564f_322c_9b40, 0x8963_b185_cdb3_5898),
+            "ids stay bit-identical across releases"
         );
     }
 
@@ -559,8 +587,11 @@ mod tests {
         std::fs::write(&path, &text).unwrap();
         let back = load_spans(&path).unwrap();
         assert_eq!(back.spans.len(), job.spans.len(), "torn tail dropped");
-        // A foreign header is a structured refusal.
+        // A foreign header is a structured refusal, and so is a file of
+        // the previous schema version, whose spans may carry sim time.
         std::fs::write(&path, "{\"schema\":\"other/v9\"}\n").unwrap();
+        assert!(load_spans(&path).unwrap_err().contains("schema"));
+        std::fs::write(&path, "{\"schema\":\"spindle-serve-spans/v1\"}\n").unwrap();
         assert!(load_spans(&path).unwrap_err().contains("schema"));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -350,10 +350,11 @@ else
             fi
 
             # Causal tracing: the finished job's Chrome trace must pass
-            # the structural checker and carry the daemon lifecycle
-            # spans (queue wait + at least one attempt). The document
-            # stays in artifacts/ so CI uploads something loadable
-            # straight into Perfetto.
+            # the structural checker and carry both halves of the
+            # story: the daemon lifecycle spans (queue wait + at least
+            # one attempt) and the child's wall spans, whole. The
+            # document stays in artifacts/ so CI uploads something
+            # loadable straight into Perfetto.
             echo "==> causal trace smoke (/jobs/$MATRIX_ID/trace)"
             run curl -sf "http://$ADDR/jobs/$MATRIX_ID/trace" \
                 -o artifacts/job-trace.json
@@ -364,6 +365,15 @@ else
             fi
             if ! grep -q '"name":"attempt"' artifacts/job-trace.json; then
                 echo "FAILED: job trace carries no attempt span" >&2
+                fail=1
+            fi
+            if ! grep -q '"job child (wall clock)"' artifacts/job-trace.json \
+                || ! grep -q '"cat":"wall"' artifacts/job-trace.json; then
+                echo "FAILED: job trace carries no child wall spans" >&2
+                fail=1
+            fi
+            if ! grep -q '"dropped":0' artifacts/job-trace.json; then
+                echo "FAILED: job trace dropped spans" >&2
                 fail=1
             fi
         fi

@@ -1,16 +1,18 @@
 //! Telemetry must be an observer, never a participant: running the
 //! `experiments` binary with `--serve`/`--live` enabled — which now
 //! includes the multi-resolution rollup wheel and the per-request
-//! latency attribution with its exemplars — has to produce
-//! byte-identical stdout and byte-identical simulated-time trace
-//! tracks at every `--jobs` value. Wall-clock tracks honestly differ
-//! run to run and are excluded from the comparison.
+//! latency attribution with its exemplars — or streaming to a frame
+//! sink has to produce byte-identical stdout and byte-identical
+//! simulated-time trace tracks at every `--jobs` value. Wall-clock
+//! tracks honestly differ run to run and are excluded from the
+//! comparison. What crosses the frame sink is the run's wall spans
+//! only: its sim-time tracks live in the `--trace-out` document.
 //!
 //! The `/timescales` endpoint must also agree with `/metrics`: the
 //! exact-merge invariant means every resolution's merged histogram
 //! totals equal the registry's final histograms.
 
-use spindle_obs::frame::{Frame, FrameDecoder, SINK_ENV};
+use spindle_obs::frame::{Frame, FrameDecoder, SpanRec, SINK_ENV};
 use spindle_obs::json::{self, Json};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -30,7 +32,8 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// Runs a quick two-experiment matrix with a trace export; `telemetry`
-/// adds `--serve 127.0.0.1:0 --live` plus a rollup export on top.
+/// adds `--serve 127.0.0.1:0 --live`, a rollup export and a frame sink
+/// on top, and checks that the sink received wall spans only.
 fn run(jobs: &str, trace: &std::path::Path, telemetry: bool) -> Output {
     let mut cmd = Command::new(bin());
     cmd.args(["--quick", "--jobs", jobs, "--trace-out"])
@@ -38,24 +41,28 @@ fn run(jobs: &str, trace: &std::path::Path, telemetry: bool) -> Output {
         .args(["t2", "f5"])
         .env_remove("SPINDLE_FAULTS")
         .env_remove(SINK_ENV)
-        .env_remove(spindle_obs::context::TRACE_CONTEXT_ENV)
         .env("SPINDLE_SERVE_LINGER_MS", "0");
-    if telemetry {
+    let sink = telemetry.then(|| {
         cmd.args(["--serve", "127.0.0.1:0", "--live", "--timescales-out"])
             .arg(trace.with_extension("timescales.json"));
-        // Causal tracing is an observer too: a minted trace context in
-        // the environment must not move a single output byte either.
+        // Streaming to a daemon is an observer too: the sink must not
+        // move a single output byte either.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind sink");
         cmd.env(
-            spindle_obs::context::TRACE_CONTEXT_ENV,
-            spindle_obs::TraceContext::mint("job-0001", 1).to_string(),
+            SINK_ENV,
+            listener.local_addr().expect("sink addr").to_string(),
         );
-    }
+        drain_sink(listener)
+    });
     let out = cmd.output().expect("run experiments binary");
     assert!(
         out.status.success(),
         "experiments --jobs {jobs} (telemetry: {telemetry}) failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
+    if let Some(sink) = sink {
+        shipped_wall_spans(&sink.join().expect("sink thread"));
+    }
     out
 }
 
@@ -126,8 +133,8 @@ fn serve_and_live_change_no_bytes_at_any_jobs_count() {
 }
 
 /// A frame sink for one child process: accepts the connection, decodes
-/// every frame, and returns the kinds seen in order.
-fn drain_sink(listener: TcpListener) -> std::thread::JoinHandle<Vec<&'static str>> {
+/// every frame, and returns them in order.
+fn drain_sink(listener: TcpListener) -> std::thread::JoinHandle<Vec<Frame>> {
     std::thread::spawn(move || {
         listener
             .set_nonblocking(true)
@@ -151,7 +158,7 @@ fn drain_sink(listener: TcpListener) -> std::thread::JoinHandle<Vec<&'static str
             .set_read_timeout(Some(Duration::from_secs(60)))
             .expect("read timeout");
         let mut decoder = FrameDecoder::new();
-        let mut kinds = Vec::new();
+        let mut frames = Vec::new();
         let mut buf = [0u8; 8192];
         loop {
             match stream.read(&mut buf) {
@@ -159,21 +166,51 @@ fn drain_sink(listener: TcpListener) -> std::thread::JoinHandle<Vec<&'static str
                 Ok(n) => {
                     decoder.push(&buf[..n]);
                     while let Some(frame) = decoder.next_frame().expect("well-formed frames") {
-                        kinds.push(match frame {
-                            Frame::Hello { .. } => "hello",
-                            Frame::Snapshot { .. } => "snapshot",
-                            Frame::Windows(_) => "windows",
-                            Frame::Progress { .. } => "progress",
-                            Frame::Log { .. } => "log",
-                            Frame::Span(_) => "span",
-                            Frame::Bye { .. } => "bye",
-                        });
+                        frames.push(frame);
                     }
                 }
             }
         }
-        kinds
+        frames
     })
+}
+
+/// The kind of each frame, in order.
+fn kinds(frames: &[Frame]) -> Vec<&'static str> {
+    frames
+        .iter()
+        .map(|frame| match frame {
+            Frame::Hello { .. } => "hello",
+            Frame::Snapshot { .. } => "snapshot",
+            Frame::Progress { .. } => "progress",
+            Frame::Log { .. } => "log",
+            Frame::Span(_) => "span",
+            Frame::Bye { .. } => "bye",
+        })
+        .collect()
+}
+
+/// The span records a sink received, checked to be the run's wall
+/// spans, whole: no sim-time track (`drive.*`) and nothing dropped.
+fn shipped_wall_spans(frames: &[Frame]) -> Vec<&SpanRec> {
+    let mut spans = Vec::new();
+    for frame in frames {
+        if let Frame::Span(batch) = frame {
+            assert_eq!(batch.dropped, 0, "the exporter shed spans");
+            spans.extend(&batch.spans);
+        }
+    }
+    assert!(
+        spans.iter().any(|r| r.name == "pipeline.simulate"),
+        "the wall spans of the run were shipped: {} records",
+        spans.len()
+    );
+    let sim: Vec<_> = spans
+        .iter()
+        .filter(|r| r.track.starts_with("drive."))
+        .collect();
+    assert!(sim.is_empty(), "sim-time records crossed the sink: {sim:?}");
+    spans
 }
 
 #[test]
@@ -216,12 +253,49 @@ fn frame_exporter_changes_no_bytes_at_any_jobs_count() {
             "exporter failed to reach the sink:\n{stderr}"
         );
         // The protocol actually ran: session open, at least one
-        // metrics snapshot, and a clean goodbye.
-        let kinds = sink.join().expect("sink thread");
+        // metrics snapshot, the wall spans (a full recorder ships no
+        // sim-time record), and a clean goodbye.
+        let frames = sink.join().expect("sink thread");
+        let kinds = kinds(&frames);
         assert_eq!(kinds.first(), Some(&"hello"), "{kinds:?}");
         assert_eq!(kinds.last(), Some(&"bye"), "{kinds:?}");
         assert!(kinds.contains(&"snapshot"), "{kinds:?}");
+        shipped_wall_spans(&frames);
     }
+}
+
+#[test]
+fn sink_only_run_ships_wall_spans_only() {
+    let plain = Command::new(bin())
+        .args(["--quick", "t2", "f5"])
+        .env_remove("SPINDLE_FAULTS")
+        .env_remove(SINK_ENV)
+        .output()
+        .expect("run experiments binary");
+    assert!(plain.status.success());
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind sink");
+    let addr = listener.local_addr().expect("sink addr").to_string();
+    let sink = drain_sink(listener);
+    let out = Command::new(bin())
+        .args(["--quick", "--jobs", "2", "t2", "f5"])
+        .env_remove("SPINDLE_FAULTS")
+        .env(SINK_ENV, &addr)
+        .output()
+        .expect("run experiments binary");
+    assert!(
+        out.status.success(),
+        "sink-only run failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(out.stdout, plain.stdout, "the sink moved stdout bytes");
+    let frames = sink.join().expect("sink thread");
+    let spans = shipped_wall_spans(&frames);
+    // The pool's workers label their own rows, so the wall story
+    // reaches past the main thread.
+    assert!(
+        spans.iter().any(|r| r.track.starts_with("worker")),
+        "no worker rows shipped"
+    );
 }
 
 /// One HTTP request against a serve daemon; returns the status line
