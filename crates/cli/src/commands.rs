@@ -11,7 +11,7 @@ use spindle_disk::profile::DriveProfile;
 use spindle_disk::scheduler::SchedulerKind;
 use spindle_disk::sim::{DiskSim, SimConfig, SimResult};
 use spindle_harden::io::FaultyReader;
-use spindle_obs::{progress, ObsConfig, ObsSpan};
+use spindle_obs::{progress, ObsSpan};
 use spindle_pulse::front::{self, Arity, Invocation, SHARED};
 use spindle_synth::family::FamilySpec;
 use spindle_synth::hourgen::{HourSeriesSpec, WEEK_HOURS};
@@ -36,8 +36,6 @@ USAGE:
   spindle analyze  --in FILE [--profile NAME]
   spindle report   --in FILE [--profile NAME] [--scheduler POLICY]
                    [--out FILE]
-  spindle observe  --in FILE [--profile NAME] [--scheduler POLICY]
-                   [--format html|md] [--out FILE]
   spindle family   [--drives N] [--weeks N] [--seed N]
   spindle hourgen  [--drives N] [--weeks N] [--seed N]
                    [--hours-out FILE] [--lifetimes-out FILE]
@@ -84,15 +82,15 @@ Global options (accepted before or after any command):
   --verbose              include detail messages on stderr
   --quiet                suppress progress messages on stderr
 
-`spindle observe` runs a trace through the simulator with the
-multi-time-scale telemetry attached and renders the observatory
-report: per-time-scale utilization, read/write mix, burstiness, idle
-statistics, and the tail-latency attribution table whose exemplars
-link the slowest buckets back to concrete request ids.
+`spindle report` runs a trace through the simulator and renders the
+run at 100 ms, 1 s, 10 s and 60 s windows into one self-contained
+HTML page: utilization, read/write mix with peak and peak-to-mean
+arrivals per window, idle-interval availability, and the tail-latency
+attribution table whose slowest entries name concrete request ids.
 
 `spindle serve` runs the simulation-as-a-service daemon: POST a JSON
-job spec to /jobs (kinds: generate, simulate, analyze, observe,
-matrix), poll GET /jobs/ID for status and ETA, fetch outputs from
+job spec to /jobs (kinds: generate, simulate, analyze, matrix),
+poll GET /jobs/ID for status and ETA, fetch outputs from
 /jobs/ID/artifacts/NAME, DELETE /jobs/ID to cancel. A full queue
 answers 429 with a Retry-After hint. Jobs and their artifacts live
 under --dir (default spindle-jobs); restarting with --resume-dir DIR
@@ -185,7 +183,6 @@ fn dispatch_command(argv: &[String], inv: &Invocation) -> CmdResult {
         "simulate" => simulate(&parse(rest, &["no-write-back"])?, inv),
         "analyze" => analyze(&parse(rest, &[])?, inv),
         "report" => crate::report::report(&parse(rest, &[])?, inv),
-        "observe" => crate::observe::observe(&parse(rest, &["no-write-back"])?, inv),
         "family" => family(&parse(rest, &[])?),
         "hourgen" => hourgen(&parse(rest, &[])?),
         "power" => power(&parse(rest, &["no-write-back"])?, inv),
@@ -534,12 +531,10 @@ fn generate(opts: &Options) -> CmdResult {
 }
 
 /// The simulator the options describe, observed as the invocation
-/// asks; `rollups` (the `observe` subcommand's simulated-time wheel)
-/// attaches an observer feeding it in any case.
+/// asks.
 pub(crate) fn build_sim(
     opts: &Options,
     inv: &Invocation,
-    rollups: Option<Arc<spindle_obs::RollupSet>>,
 ) -> Result<DiskSim, Box<dyn std::error::Error>> {
     let profile = profile_by_name(opts.get("profile").unwrap_or("cheetah-15k"))?;
     let scheduler = SchedulerKind::parse(opts.get("scheduler").unwrap_or("sptf"))?;
@@ -559,18 +554,10 @@ pub(crate) fn build_sim(
             timeouts: plan.timeouts().clone(),
         });
     }
-    let obs = if rollups.is_some() && !inv.obs.metrics {
-        ObsConfig::metrics_only()
-    } else {
-        inv.obs
-    };
-    if obs.metrics {
-        let mut observer = SimObserver::new(spindle_obs::global(), &obs);
+    if inv.obs.metrics {
+        let mut observer = SimObserver::new(spindle_obs::global(), &inv.obs);
         if let Some(rec) = &inv.recorder {
             observer = observer.with_flight(Arc::clone(rec));
-        }
-        if let Some(roll) = rollups {
-            observer = observer.with_rollups(roll);
         }
         sim.attach_observer(observer);
     }
@@ -582,7 +569,7 @@ pub(crate) fn run_simulation(
     inv: &Invocation,
     requests: &[Request],
 ) -> Result<SimResult, Box<dyn std::error::Error>> {
-    let mut sim = build_sim(opts, inv, None)?;
+    let mut sim = build_sim(opts, inv)?;
     let _span = ObsSpan::new(spindle_obs::global(), "cli.simulate");
     Ok(sim.run(requests)?)
 }
@@ -595,7 +582,7 @@ fn run_simulation_streamed(
     inv: &Invocation,
     path: &str,
 ) -> Result<SimResult, Box<dyn std::error::Error>> {
-    let mut sim = build_sim(opts, inv, None)?;
+    let mut sim = build_sim(opts, inv)?;
     let _span = ObsSpan::new(spindle_obs::global(), "cli.simulate");
     let lenient = inv.lenient;
     let file = open_trace(path, inv)?;
@@ -1338,38 +1325,14 @@ mod tests {
         assert!(html.contains("utilization by time-scale"));
         assert!(html.contains("read/write mix by time-scale"));
         assert!(html.contains("idle-interval availability"));
+        assert!(html.contains("tail latency attribution"));
+        for scale in ["100 ms", "1 s", "10 s", "60 s"] {
+            assert!(html.contains(&format!("<td>{scale}</td>")), "{scale}");
+        }
         // Self-contained: no external stylesheet or script references.
         assert!(!html.contains("<link"));
         assert!(!html.contains("<script"));
         assert!(dispatch(&argv(&["report"])).is_err(), "--in is required");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn observe_renders_html_or_markdown() {
-        let dir = std::env::temp_dir().join("spindle-cli-observe");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace_in = dir.join("o.bin");
-        let trace_s = trace_in.to_str().unwrap();
-        dispatch(&argv(&[
-            "generate", "--env", "mail", "--span", "120", "--seed", "4", "--out", trace_s,
-        ]))
-        .unwrap();
-        let observe = |out: &str, extra: &[&str]| {
-            let out = dir.join(out);
-            let mut args = vec!["observe", "--in", trace_s, "--out", out.to_str().unwrap()];
-            args.extend_from_slice(extra);
-            dispatch(&argv(&args)).map(|()| std::fs::read_to_string(out).unwrap())
-        };
-        let html = observe("o.html", &[]).unwrap();
-        assert!(html.starts_with("<!DOCTYPE html>"), "HTML by default");
-        let md = observe("o.txt", &["--format", "md"]).unwrap();
-        assert!(md.starts_with("# spindle observatory"), "{md}");
-        assert!(md.contains("| metric | value |"), "{md}");
-        // An `.md` output path selects markdown on its own.
-        let by_path = observe("o.md", &[]).unwrap();
-        assert!(by_path.starts_with("# spindle observatory"), "{by_path}");
-        assert!(observe("o.pdf", &["--format", "pdf"]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

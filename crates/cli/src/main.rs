@@ -6,16 +6,14 @@
 //! * `generate` — synthesize a millisecond trace for an environment.
 //! * `simulate` — run a trace through the disk simulator.
 //! * `analyze`  — full millisecond-scale characterization of a trace.
-//! * `report`   — render a run into a self-contained HTML summary.
-//! * `observe`  — render the multi-time-scale telemetry "observatory"
-//!   report (per-time-scale rollups, burstiness, tail attribution).
+//! * `report`   — render a run's multi-time-scale view (utilization,
+//!   R/W mix, burstiness, idleness, tail attribution) as one HTML page.
 //! * `family`   — generate and characterize a drive family.
 //!
 //! Run `spindle help` for the option reference.
 
 mod args;
 mod commands;
-mod observe;
 mod report;
 
 use std::process::ExitCode;

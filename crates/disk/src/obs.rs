@@ -38,10 +38,12 @@
 //! `transfer_us`) decompose each request's latency into where the time
 //! went; every recorded value also offers a deterministic
 //! [`Exemplar`] to its bucket, so a tail bucket links straight back to
-//! the request id carried by the flight-recorder slices. When a
-//! sim-axis [`RollupSet`] is attached with [`SimObserver::with_rollups`]
-//! the same observations are banked into multi-resolution simulated-time
-//! windows.
+//! the request id carried by the flight-recorder slices; `spindle
+//! report` reads these histograms and exemplars for its tail-attribution
+//! table. When a sim-axis [`RollupSet`] is attached with
+//! [`SimObserver::with_rollups`] the same observations are banked into
+//! multi-resolution simulated-time windows; no command reads that wheel,
+//! and it is kept only for perfbench's rollups observer tier.
 //!
 //! When a [`FlightRecorder`] is attached with
 //! [`SimObserver::with_flight`], each outcome additionally lands on the
@@ -243,7 +245,8 @@ impl SimObserver {
     /// Attaches a simulated-time rollup wheel: every attribution
     /// observation and completion is additionally banked into
     /// multi-resolution sim-time windows (stamped with simulated
-    /// nanoseconds, so the wheel is identical at any `--jobs`).
+    /// nanoseconds, so the wheel is identical at any `--jobs`). Kept
+    /// for perfbench's rollups observer tier, its only caller.
     #[must_use]
     pub fn with_rollups(mut self, rollups: Arc<RollupSet>) -> Self {
         self.rollups = Some(rollups);
@@ -336,8 +339,7 @@ impl SimObserver {
         if let Some(roll) = &self.rollups {
             roll.add_counter("disk.requests_completed", complete_ns, 1);
             // Per-op completion counters exist only on the wheel (the
-            // registry already splits reads/writes by cache outcome);
-            // they are what the observatory's R/W-mix table windows.
+            // registry already splits reads/writes by cache outcome).
             let per_op = match r.op {
                 OpKind::Read => "disk.reads",
                 OpKind::Write => "disk.writes",

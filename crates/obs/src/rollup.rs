@@ -14,6 +14,9 @@
 //! * **sim time** — fed point-by-point by the disk simulator's
 //!   observer via [`RollupSet::record_hist`] /
 //!   [`RollupSet::add_counter`], stamped with simulated nanoseconds.
+//!   No command reads this axis: [`RollupSet::sim`] and its
+//!   point-ingestion methods are kept for perfbench's rollups observer
+//!   tier, their only caller outside tests.
 //!
 //! Memory is bounded by construction: each resolution keeps at most
 //! `capacity` windows; older windows fold into an **evicted
@@ -265,8 +268,8 @@ impl RollupSet {
     }
 
     /// The standard simulated-time wheel the disk observer feeds:
-    /// 10 ms, 1 s, and 1 min windows plus a whole-run window — the
-    /// paper's "different time-scales" ladder.
+    /// 10 ms, 1 s, and 1 min windows plus a whole-run window. Kept for
+    /// perfbench's rollups observer tier.
     #[must_use]
     pub fn sim() -> Self {
         RollupSet::new(

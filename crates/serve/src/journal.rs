@@ -14,10 +14,13 @@
 //! The file is a [`spindle_obs::jsonl`] log, so it has the same damage
 //! policy as the bench checkpoint journal: a torn *final* line (what
 //! SIGKILL mid-write leaves) is ignored, damage before the last
-//! well-formed record is an error.
+//! well-formed record is an error. A well-formed submission whose spec
+//! this version rejects (a job kind that no longer exists, say) is not
+//! damage: loading refuses, naming the job and the rejection, wherever
+//! the line sits.
 
 use crate::job::JobState;
-use crate::spec::JobSpec;
+use crate::spec::{JobSpec, SpecError};
 use spindle_obs::json::Json;
 use spindle_obs::jsonl::{self, AppendLog};
 use std::path::Path;
@@ -158,7 +161,8 @@ impl Journal {
 /// # Errors
 ///
 /// Fails on a missing/invalid header, on damage before the final line,
-/// and on events referencing unknown job ids.
+/// on a submission whose spec this version rejects, and on events
+/// referencing unknown job ids.
 pub fn load(path: &Path) -> Result<Vec<LoadedJob>, String> {
     let log = jsonl::read(path, "journal", JOURNAL_SCHEMA, parse_event)?;
     let mut jobs: Vec<LoadedJob> = Vec::new();
@@ -177,6 +181,14 @@ pub fn load(path: &Path) -> Result<Vec<LoadedJob>, String> {
                     attempts: 0,
                     finished: None,
                 });
+            }
+            Event::Rejected(id, e) => {
+                return Err(format!(
+                    "journal `{}` line {line_no}: job `{id}` has a spec this version \
+                     rejects ({e}); resume with the version that wrote it, or start \
+                     a fresh --dir",
+                    path.display()
+                ));
             }
             Event::Attempt(id, attempt) => {
                 let Some(job) = jobs.iter_mut().find(|j| j.id == id) else {
@@ -204,6 +216,8 @@ pub fn load(path: &Path) -> Result<Vec<LoadedJob>, String> {
 
 enum Event {
     Submitted(String, Box<JobSpec>),
+    /// A well-formed submission whose spec fails validation.
+    Rejected(String, SpecError),
     Attempt(String, u32),
     Finished(String, Finished),
 }
@@ -211,10 +225,10 @@ enum Event {
 fn parse_event(doc: &Json) -> Option<Event> {
     let id = doc.get("id")?.as_str()?.to_owned();
     match doc.get("event")?.as_str()? {
-        "submitted" => {
-            let spec = JobSpec::from_json(doc.get("spec")?).ok()?;
-            Some(Event::Submitted(id, Box::new(spec)))
-        }
+        "submitted" => Some(match JobSpec::from_json(doc.get("spec")?) {
+            Ok(spec) => Event::Submitted(id, Box::new(spec)),
+            Err(e) => Event::Rejected(id, e),
+        }),
         "attempt" => {
             let attempt = u32::try_from(doc.get("attempt")?.as_u64()?).ok()?;
             Some(Event::Attempt(id, attempt))
@@ -353,6 +367,32 @@ mod tests {
         bad.attempt("job-0404", 1, "ghost", 1, 0.0).unwrap();
         drop(bad);
         assert!(load(&path).unwrap_err().contains("never submitted"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_removed_job_kind_refuses_to_load_wherever_its_line_sits() {
+        let dir = std::env::temp_dir().join(format!("serve-journal-kind-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(JOURNAL_FILE);
+        let header = format!("{{\"schema\":\"{JOURNAL_SCHEMA}\"}}\n");
+        let good = "{\"event\":\"submitted\",\"id\":\"job-0001\",\
+                    \"spec\":{\"kind\":\"generate\",\"env\":\"web\"}}\n";
+        let observe = "{\"event\":\"submitted\",\"id\":\"job-0002\",\
+                       \"spec\":{\"kind\":\"observe\",\"input\":\"t.bin\",\"format\":\"md\"}}\n";
+        let finished = "{\"event\":\"finished\",\"id\":\"job-0001\",\
+                        \"state\":\"done\",\"exit\":0,\"secs\":1.0}\n";
+        // The observe job as the final line, then followed by a record.
+        for body in [
+            format!("{good}{observe}"),
+            format!("{good}{observe}{finished}"),
+        ] {
+            std::fs::write(&path, format!("{header}{body}")).unwrap();
+            let err = load(&path).unwrap_err();
+            assert!(err.contains("line 3: job `job-0002`"), "{err}");
+            assert!(err.contains("unknown kind `observe`"), "{err}");
+            assert!(!err.contains("damaged"), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

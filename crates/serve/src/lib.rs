@@ -3,7 +3,7 @@
 //! `spindle serve` promotes the read-only pulse telemetry endpoint
 //! into a long-lived job service: clients `POST /jobs` a JSON spec
 //! naming one of the existing CLI verbs (simulate / analyze /
-//! generate / observe / matrix), the daemon validates it, admits it
+//! generate / matrix), the daemon validates it, admits it
 //! into a bounded FIFO queue (HTTP 429 + `Retry-After` when full),
 //! and executes it with a configurable job-level parallelism cap.
 //!
@@ -942,6 +942,31 @@ mod tests {
         let health = request(&addr, "GET", "/healthz", None).unwrap();
         assert_eq!(health.status, 200, "server survived the hostility");
         handle.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_refuses_a_journal_holding_a_removed_job_kind() {
+        let dir =
+            std::env::temp_dir().join(format!("spindle-serve-oldkind-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(dir.join("data")).unwrap();
+        std::fs::write(
+            dir.join("data").join(JOURNAL_FILE),
+            format!(
+                "{{\"schema\":\"{}\"}}\n{{\"event\":\"submitted\",\"id\":\"job-0001\",\
+                 \"spec\":{{\"kind\":\"observe\",\"input\":\"t.bin\"}}}}\n",
+                journal::JOURNAL_SCHEMA
+            ),
+        )
+        .unwrap();
+        let mut config = ServeConfig::new("127.0.0.1:0", dir.join("data"));
+        config.spindle_bin = fake_bin(&dir);
+        config.resume = true;
+        let registry: &'static MetricsRegistry = Box::leak(Box::default());
+        let err = serve_with_registry(config, registry).expect_err("old kind refused");
+        assert!(err.contains("job `job-0001`"), "{err}");
+        assert!(err.contains("unknown kind `observe`"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

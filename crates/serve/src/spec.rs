@@ -1,7 +1,7 @@
 //! Job specifications: the JSON body of `POST /jobs`.
 //!
 //! A spec names one of the existing CLI verbs (`simulate`, `analyze`,
-//! `generate`, `observe`, `matrix`) plus its parameters, and the
+//! `generate`, `matrix`) plus its parameters, and the
 //! server turns an accepted spec into the exact argv the `spindle` (or
 //! `experiments`) binary would receive on the command line. The
 //! mapping is deterministic — the same spec always produces the same
@@ -70,8 +70,6 @@ pub enum JobKind {
     Analyze,
     /// `spindle generate --env ENV ...` (trace to stdout)
     Generate,
-    /// `spindle observe --in FILE ...` (report to stdout)
-    Observe,
     /// the `experiments` matrix binary
     Matrix,
 }
@@ -84,7 +82,6 @@ impl JobKind {
             JobKind::Simulate => "simulate",
             JobKind::Analyze => "analyze",
             JobKind::Generate => "generate",
-            JobKind::Observe => "observe",
             JobKind::Matrix => "matrix",
         }
     }
@@ -94,7 +91,6 @@ impl JobKind {
             "simulate" => Some(JobKind::Simulate),
             "analyze" => Some(JobKind::Analyze),
             "generate" => Some(JobKind::Generate),
-            "observe" => Some(JobKind::Observe),
             "matrix" => Some(JobKind::Matrix),
             _ => None,
         }
@@ -112,15 +108,13 @@ pub struct JobSpec {
     pub span: Option<u64>,
     /// `generate`: RNG seed.
     pub seed: Option<u64>,
-    /// `simulate`/`analyze`/`observe`: input trace path (on the
-    /// server's filesystem).
+    /// `simulate`/`analyze`: input trace path (on the server's
+    /// filesystem).
     pub input: Option<String>,
     /// Drive profile name, passed through to the verb.
     pub profile: Option<String>,
     /// Scheduler policy, passed through to the verb.
     pub scheduler: Option<String>,
-    /// `observe`: report format (`html`/`md`).
-    pub format: Option<String>,
     /// `simulate`: disable the write-back cache.
     pub no_write_back: bool,
     /// `matrix`: experiment ids to run (empty = the full matrix).
@@ -148,15 +142,12 @@ pub struct JobSpec {
 
 /// Which kinds a field applies to, for the applicability check.
 fn applicable(kind: JobKind, field: &str) -> bool {
-    use JobKind::{Analyze, Generate, Matrix, Observe, Simulate};
+    use JobKind::{Analyze, Generate, Matrix, Simulate};
     match field {
         "env" | "span" | "seed" => kind == Generate,
-        "input" | "profile" => matches!(kind, Simulate | Analyze | Observe),
-        "scheduler" => matches!(kind, Simulate | Observe),
-        "format" => kind == Observe,
-        "no_write_back" => kind == Simulate,
+        "input" | "profile" | "lenient" => matches!(kind, Simulate | Analyze),
+        "scheduler" | "no_write_back" => kind == Simulate,
         "ids" | "quick" | "timescales" => kind == Matrix,
-        "lenient" => matches!(kind, Simulate | Analyze | Observe),
         _ => true, // kind, jobs, faults, metrics, trace, deadline_secs
     }
 }
@@ -213,14 +204,14 @@ impl JobSpec {
         let kind_value = field("kind").ok_or_else(|| {
             SpecError::new(
                 "kind",
-                "required; one of simulate, analyze, generate, observe, matrix",
+                "required; one of simulate, analyze, generate, matrix",
             )
         })?;
         let kind_str = expect_str("kind", kind_value)?;
         let kind = JobKind::parse(&kind_str).ok_or_else(|| {
             SpecError::new(
                 "kind",
-                format!("unknown kind `{kind_str}`; one of simulate, analyze, generate, observe, matrix"),
+                format!("unknown kind `{kind_str}`; one of simulate, analyze, generate, matrix"),
             )
         })?;
 
@@ -232,7 +223,6 @@ impl JobSpec {
             "input",
             "profile",
             "scheduler",
-            "format",
             "no_write_back",
             "ids",
             "quick",
@@ -264,7 +254,6 @@ impl JobSpec {
             input: None,
             profile: None,
             scheduler: None,
-            format: None,
             no_write_back: false,
             ids: Vec::new(),
             quick: false,
@@ -312,13 +301,6 @@ impl JobSpec {
         }
         if let Some(v) = field("scheduler") {
             spec.scheduler = Some(expect_str("scheduler", v)?);
-        }
-        if let Some(v) = field("format") {
-            let format = expect_str("format", v)?;
-            if !matches!(format.as_str(), "html" | "md") {
-                return Err(SpecError::new("format", "expected `html` or `md`"));
-            }
-            spec.format = Some(format);
         }
         if let Some(v) = field("no_write_back") {
             spec.no_write_back = expect_bool("no_write_back", v)?;
@@ -390,7 +372,7 @@ impl JobSpec {
                     return Err(SpecError::new("env", "required for kind `generate`"));
                 }
             }
-            JobKind::Simulate | JobKind::Analyze | JobKind::Observe => {
+            JobKind::Simulate | JobKind::Analyze => {
                 if spec.input.is_none() {
                     return Err(SpecError::new(
                         "input",
@@ -431,7 +413,7 @@ impl JobSpec {
                     args.push(seed.to_string());
                 }
             }
-            JobKind::Simulate | JobKind::Analyze | JobKind::Observe => {
+            JobKind::Simulate | JobKind::Analyze => {
                 args.push(self.kind.as_str().to_owned());
                 args.push("--in".to_owned());
                 args.push(self.input.clone().expect("validated"));
@@ -442,10 +424,6 @@ impl JobSpec {
                 if let Some(s) = &self.scheduler {
                     args.push("--scheduler".to_owned());
                     args.push(s.clone());
-                }
-                if let Some(f) = &self.format {
-                    args.push("--format".to_owned());
-                    args.push(f.clone());
                 }
                 if self.no_write_back {
                     args.push("--no-write-back".to_owned());
@@ -507,7 +485,6 @@ impl JobSpec {
         push_str("input", &self.input);
         push_str("profile", &self.profile);
         push_str("scheduler", &self.scheduler);
-        push_str("format", &self.format);
         push_str("faults", &self.faults);
         if let Some(span) = self.span {
             members.push(("span".to_owned(), Json::Uint(span)));
@@ -692,7 +669,8 @@ mod tests {
             (r#"{"kind":"simulate","input":"t.bin","jobs":0}"#, "jobs"),
             (r#"{"kind":"simulate","input":"t.bin","jobs":513}"#, "jobs"),
             (r#"{"kind":"simulate","input":"t.bin","jobs":2.5}"#, "jobs"),
-            (r#"{"kind":"observe","input":"t","format":"pdf"}"#, "format"),
+            (r#"{"kind":"observe","input":"t"}"#, "kind"),
+            (r#"{"kind":"simulate","input":"t","format":"md"}"#, "format"),
             (r#"{"kind":"matrix","ids":"t2"}"#, "ids"),
             (r#"{"kind":"matrix","ids":["../etc"]}"#, "ids"),
             (r#"{"kind":"matrix","ids":[""]}"#, "ids"),
@@ -716,7 +694,6 @@ mod tests {
                 r#"{"kind":"analyze","input":"t","scheduler":"look"}"#,
                 "scheduler",
             ),
-            (r#"{"kind":"simulate","input":"t","format":"md"}"#, "format"),
             (
                 r#"{"kind":"simulate","input":"t","timescales":true}"#,
                 "timescales",

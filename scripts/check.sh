@@ -58,10 +58,9 @@ run $TEST_LIMIT cargo test $OFFLINE -q -p spindle-bench --test checkpoint_resume
 # results with two workers.
 run env SPINDLE_JOBS=2 $TEST_LIMIT cargo test $OFFLINE --workspace --no-fail-fast -q
 
-# Observability smoke: the flight recorder, run report, observatory
-# report, and timescale rollups must actually come out of the shipped
-# binaries, end to end. Artifacts land in artifacts/ so CI can upload
-# them.
+# Observability smoke: the flight recorder, run report and timescale
+# rollups must actually come out of the shipped binaries, end to end.
+# Artifacts land in artifacts/ so CI can upload them.
 run cargo build $OFFLINE --release -p spindle-cli -p spindle-bench
 SPINDLE=target/release/spindle
 SMOKE=artifacts/smoke-trace.bin
@@ -73,14 +72,21 @@ run "$SPINDLE" simulate --in "$SMOKE" --faults media@3,timeout@5 \
     --trace-out artifacts/trace.json --quiet
 run "$SPINDLE" trace check artifacts/trace.json
 run "$SPINDLE" report --in "$SMOKE" --out artifacts/report.html --quiet
-run "$SPINDLE" observe --in "$SMOKE" --out artifacts/observatory.html --quiet
+# The one multi-time-scale view: the attribution table and a row for
+# each of the four time-scales.
+for needle in '<caption>tail latency attribution' '<td>100 ms</td>' '<td>1 s</td>' \
+        '<td>10 s</td>' '<td>60 s</td>'; do
+    if ! grep -qF "$needle" artifacts/report.html; then
+        echo "FAILED: artifacts/report.html lacks $needle" >&2
+        fail=1
+    fi
+done
 run target/release/experiments --quick --timescales-out artifacts/timescales.json --quiet t1
 if ! grep -q '"resolutions"' artifacts/timescales.json; then
     echo "FAILED: timescales export carries no resolutions" >&2
     fail=1
 fi
-for artifact in artifacts/trace.json artifacts/report.html artifacts/observatory.html \
-        artifacts/timescales.json; do
+for artifact in artifacts/trace.json artifacts/report.html artifacts/timescales.json; do
     if [ ! -s "$artifact" ]; then
         echo "FAILED: smoke artifact $artifact missing or empty" >&2
         fail=1
