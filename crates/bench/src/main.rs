@@ -5,7 +5,8 @@
 //!
 //! ```text
 //! experiments [--quick] [--jobs N] [--metrics[=json|text]]
-//!             [--trace-out FILE] [--timescales-out FILE] [--faults SPEC]
+//!             [--metrics-out FILE] [--trace-out FILE]
+//!             [--timescales-out FILE] [--faults SPEC]
 //!             [--resume FILE] [--serve [ADDR]] [--live] [--verbose|--quiet]
 //!             [ids...]
 //! experiments --quick t2 f5        # just T2 and F5, reduced scale
@@ -59,7 +60,7 @@ const EXPERIMENTS_ONLY: &[(&str, Arity)] = &[
 
 fn usage() -> String {
     format!
-        ("usage: experiments [--quick] [--jobs N] [--metrics[=json|text]] [--trace-out FILE] [--timescales-out FILE] [--faults SPEC] [--resume FILE] [--serve [ADDR]] [--live] [--verbose|--quiet] [{}]",
+        ("usage: experiments [--quick] [--jobs N] [--metrics[=json|text]] [--metrics-out FILE] [--trace-out FILE] [--timescales-out FILE] [--faults SPEC] [--resume FILE] [--serve [ADDR]] [--live] [--verbose|--quiet] [{}]",
         matrix::id_ranges()
     )
 }

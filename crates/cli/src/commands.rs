@@ -144,7 +144,7 @@ Options accept both `--key value` and `--key=value`.
 ";
 
 /// The global options only `spindle` accepts.
-const SPINDLE_ONLY: &[(&str, Arity)] = &[("metrics-out", Arity::Value), ("lenient", Arity::Flag)];
+const SPINDLE_ONLY: &[(&str, Arity)] = &[("lenient", Arity::Flag)];
 
 /// Peels the global options off `argv` and resolves them.
 fn globals(argv: &[String]) -> Result<(Invocation, Vec<String>), String> {

@@ -3,22 +3,19 @@
 //! A job child and the daemon that spawned it speak a compact,
 //! versioned, length-prefixed binary protocol over a local byte
 //! stream (the serve runner hands the child a `127.0.0.1` sink
-//! address via `SPINDLE_TELEMETRY_SINK`). Four payload families cover
-//! the telemetry plane:
+//! address via `SPINDLE_TELEMETRY_SINK`). The stream carries only what
+//! the daemon cannot learn from the run's own artifacts: liveness,
+//! progress and the child's wall spans. A run's registry numbers live
+//! in the `metrics.json` and `timescales.json` it writes itself, and
+//! its sim-time tracks in its `trace.json`; none of them cross the
+//! wire.
 //!
-//! * [`Frame::Snapshot`] — a full registry snapshot stamped with
-//!   nanoseconds since the child's export epoch. The receiver computes
-//!   deltas against the previous snapshot ([`rollup::snapshot_delta`])
-//!   and banks them into a per-job [`RollupSet`] plus a fleet-wide
-//!   wheel, so cross-process rollups use exactly the in-process merge
-//!   arithmetic.
-//! * [`Frame::Progress`] — phase name plus completed/total work units.
-//! * [`Frame::Log`] — one exporter-side log-tail line.
+//! * [`Frame::Progress`] — phase name plus completed/total work units,
+//!   sent on every export tick: it is both the progress report and the
+//!   heartbeat the daemon's stall watchdog reads.
 //! * [`Frame::Span`] — a [`SpanBatch`]: the child's flight-recorder
 //!   wall-clock spans on its monotonic clock, shipped at shutdown so
-//!   the daemon can assemble a causal cross-process trace. Sim-time
-//!   tracks never cross the wire; their one home is the `trace.json`
-//!   a `--trace-out` run writes.
+//!   the daemon can assemble a causal cross-process trace.
 //!
 //! [`Frame::Hello`] opens every stream (protocol version, child pid,
 //! label, and the sender's monotonic-epoch reading, which lets the
@@ -26,7 +23,8 @@
 //! its own timeline) and [`Frame::Bye`] closes it cleanly; a stream
 //! that ends without `Bye` is a torn tail (child killed mid-stream).
 //! Both ends are the same build (the daemon spawns its own binaries),
-//! so the decoder accepts exactly [`PROTOCOL_VERSION`].
+//! so the decoder accepts exactly [`PROTOCOL_VERSION`] and knows every
+//! kind byte a sender can write.
 //!
 //! # Wire format
 //!
@@ -36,33 +34,25 @@
 //! [u32 le: body length]  [u32 le: FNV-1a of body]  [body: kind byte + fields]
 //! ```
 //!
-//! Integers are little-endian; strings are `u16` length + UTF-8 bytes;
-//! map-like payloads are emitted in sorted key order so encoding a
-//! given frame is byte-deterministic. The decoder is incremental and
-//! hostile-input safe: truncated prefixes simply wait for more bytes,
-//! bit flips fail the checksum, an unknown version is a typed error,
-//! and no declared count is trusted for allocation — a decode error
-//! poisons the stream (length-prefixed framing cannot resync) but
-//! never panics. The one forward-compat carve-out: a checksum-valid
-//! frame whose *kind byte* is unknown is skipped and counted
-//! ([`FrameDecoder::skipped`]) rather than poisoning, because the
-//! length prefix already delimits it exactly.
-//!
-//! [`RollupSet`]: crate::rollup::RollupSet
-//! [`rollup::snapshot_delta`]: crate::rollup::snapshot_delta
+//! Integers are little-endian and strings are `u16` length + UTF-8
+//! bytes, so encoding a given frame is byte-deterministic. The decoder
+//! is incremental and hostile-input safe: truncated prefixes simply
+//! wait for more bytes, bit flips fail the checksum, an unknown version
+//! or kind is a typed error, and no declared count is trusted for
+//! allocation. A decode error poisons the stream (length-prefixed
+//! framing cannot resync) but never panics.
 
 use crate::hash::fnv1a32;
 use crate::json::Json;
-use crate::registry::{HistogramSnapshot, Snapshot};
 use std::fmt;
 
 /// Protocol version carried in every [`Frame::Hello`]. The decoder
 /// accepts only this version: any other is [`FrameError::Version`]
 /// rather than a guess at an unknown layout.
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on one frame's body, rejecting hostile length prefixes
-/// before any allocation. Real snapshots are a few KiB.
+/// before any allocation. Real span batches are tens of KiB.
 pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
 
 /// Env var naming the telemetry sink address (`HOST:PORT`) a child
@@ -71,12 +61,11 @@ pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
 /// exporter and the serve runner both read it from this constant.
 pub const SINK_ENV: &str = "SPINDLE_TELEMETRY_SINK";
 
+// Kinds 2, 3 and 5 carried registry snapshots, rollup windows and log
+// lines in earlier versions; they stay retired so an old frame is a
+// decode error, never misread.
 const KIND_HELLO: u8 = 1;
-const KIND_SNAPSHOT: u8 = 2;
-// Kind 3 carried version 2's rollup windows; it stays retired so an
-// old frame is skipped, never misread.
 const KIND_PROGRESS: u8 = 4;
-const KIND_LOG: u8 = 5;
 const KIND_BYE: u8 = 6;
 const KIND_SPAN: u8 = 7;
 
@@ -102,14 +91,6 @@ pub enum Frame {
         /// onto the receiver's timeline.
         epoch_ns: u64,
     },
-    /// A full registry snapshot at `t_ns` since the export epoch.
-    /// Spans are not carried — window accumulators do not bank them.
-    Snapshot {
-        /// Nanoseconds since the sender's export epoch.
-        t_ns: u64,
-        /// The registry snapshot (spans always empty on decode).
-        snapshot: Snapshot,
-    },
     /// Phase plus completed/total work units at `t_ns`.
     Progress {
         /// Nanoseconds since the sender's export epoch.
@@ -120,13 +101,6 @@ pub enum Frame {
         total: u64,
         /// Current phase name.
         phase: String,
-    },
-    /// One log-tail line at `t_ns`.
-    Log {
-        /// Nanoseconds since the sender's export epoch.
-        t_ns: u64,
-        /// The line (truncated to 64 KiB on encode).
-        line: String,
     },
     /// Clean end of stream.
     Bye {
@@ -180,12 +154,9 @@ pub fn render_args(args: &[(String, Json)]) -> String {
     }
 }
 
-/// Why a frame could not be decoded. Every error except
-/// [`FrameError::UnknownKind`] poisons the stream: length-prefixed
-/// framing has no resync point, so the receiver stops reading (and
-/// counts the error) instead of guessing. An unknown kind on a
-/// checksum-valid frame is skipped instead — the length prefix
-/// delimits it exactly, so the stream stays decodable.
+/// Why a frame could not be decoded. Every error poisons the stream:
+/// length-prefixed framing has no resync point, so the receiver stops
+/// reading (and counts the error) instead of guessing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
     /// A checksum-valid frame body ended before its declared fields.
@@ -255,12 +226,8 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Strings carry a `u16` length; longer inputs are truncated at a char
-/// boundary (log lines are the only field that can plausibly hit this).
+/// boundary (span args are the only field that can plausibly hit this).
 fn put_str(out: &mut Vec<u8>, s: &str) {
     let mut end = s.len().min(usize::from(u16::MAX));
     while !s.is_char_boundary(end) {
@@ -270,24 +237,9 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&s.as_bytes()[..end]);
 }
 
-fn put_hist(out: &mut Vec<u8>, h: &HistogramSnapshot) {
-    put_u32(out, h.bounds.len() as u32);
-    for b in &h.bounds {
-        put_u64(out, *b);
-    }
-    // Buckets are always bounds+1 long (overflow last); the count is
-    // implied and not re-encoded.
-    for b in &h.buckets {
-        put_u64(out, *b);
-    }
-    put_u64(out, h.count);
-    put_u64(out, h.sum);
-}
-
 impl Frame {
-    /// Encodes the frame as one self-delimiting wire unit. Map-like
-    /// payloads come out in sorted key order, so equal frames encode
-    /// to identical bytes.
+    /// Encodes the frame as one self-delimiting wire unit; equal frames
+    /// encode to identical bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
         let mut body = Vec::with_capacity(64);
@@ -304,25 +256,6 @@ impl Frame {
                 put_str(&mut body, label);
                 put_u64(&mut body, *epoch_ns);
             }
-            Frame::Snapshot { t_ns, snapshot } => {
-                body.push(KIND_SNAPSHOT);
-                put_u64(&mut body, *t_ns);
-                put_u32(&mut body, snapshot.counters.len() as u32);
-                for (name, v) in &snapshot.counters {
-                    put_str(&mut body, name);
-                    put_u64(&mut body, *v);
-                }
-                put_u32(&mut body, snapshot.gauges.len() as u32);
-                for (name, v) in &snapshot.gauges {
-                    put_str(&mut body, name);
-                    put_i64(&mut body, *v);
-                }
-                put_u32(&mut body, snapshot.histograms.len() as u32);
-                for (name, h) in &snapshot.histograms {
-                    put_str(&mut body, name);
-                    put_hist(&mut body, h);
-                }
-            }
             Frame::Progress {
                 t_ns,
                 completed,
@@ -334,11 +267,6 @@ impl Frame {
                 put_u64(&mut body, *completed);
                 put_u64(&mut body, *total);
                 put_str(&mut body, phase);
-            }
-            Frame::Log { t_ns, line } => {
-                body.push(KIND_LOG);
-                put_u64(&mut body, *t_ns);
-                put_str(&mut body, line);
             }
             Frame::Bye { t_ns, frames_sent } => {
                 body.push(KIND_BYE);
@@ -409,13 +337,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(raw))
     }
 
-    fn i64(&mut self) -> Result<i64, FrameError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(i64::from_le_bytes(raw))
-    }
-
     fn str(&mut self) -> Result<String, FrameError> {
         let len = usize::from(self.u16()?);
         let bytes = self.take(len)?;
@@ -429,29 +350,6 @@ impl<'a> Reader<'a> {
             Err(FrameError::Corrupt("trailing bytes after frame body"))
         }
     }
-}
-
-/// Declared element counts are never trusted for allocation — vectors
-/// grow as elements actually decode, so a hostile count fails with
-/// [`FrameError::Truncated`] before any large reservation.
-fn read_hist(r: &mut Reader<'_>) -> Result<HistogramSnapshot, FrameError> {
-    let n_bounds = r.u32()? as usize;
-    let mut bounds = Vec::new();
-    for _ in 0..n_bounds {
-        bounds.push(r.u64()?);
-    }
-    let mut buckets = Vec::new();
-    for _ in 0..=n_bounds {
-        buckets.push(r.u64()?);
-    }
-    let count = r.u64()?;
-    let sum = r.u64()?;
-    Ok(HistogramSnapshot {
-        bounds,
-        buckets,
-        count,
-        sum,
-    })
 }
 
 fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
@@ -473,36 +371,6 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
                 epoch_ns,
             }
         }
-        KIND_SNAPSHOT => {
-            let t_ns = r.u64()?;
-            let mut counters = Vec::new();
-            let n = r.u32()?;
-            for _ in 0..n {
-                let name = r.str()?;
-                counters.push((name, r.u64()?));
-            }
-            let mut gauges = Vec::new();
-            let n = r.u32()?;
-            for _ in 0..n {
-                let name = r.str()?;
-                gauges.push((name, r.i64()?));
-            }
-            let mut histograms = Vec::new();
-            let n = r.u32()?;
-            for _ in 0..n {
-                let name = r.str()?;
-                histograms.push((name, read_hist(&mut r)?));
-            }
-            Frame::Snapshot {
-                t_ns,
-                snapshot: Snapshot {
-                    counters,
-                    gauges,
-                    histograms,
-                    spans: Vec::new(),
-                },
-            }
-        }
         KIND_PROGRESS => {
             let t_ns = r.u64()?;
             let completed = r.u64()?;
@@ -515,11 +383,6 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
                 phase,
             }
         }
-        KIND_LOG => {
-            let t_ns = r.u64()?;
-            let line = r.str()?;
-            Frame::Log { t_ns, line }
-        }
         KIND_BYE => {
             let t_ns = r.u64()?;
             let frames_sent = r.u64()?;
@@ -528,6 +391,9 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
         KIND_SPAN => {
             let t_ns = r.u64()?;
             let dropped = r.u64()?;
+            // Declared counts are never trusted for allocation: the
+            // vector grows as spans actually decode, so a hostile count
+            // fails with `Truncated` before any large reservation.
             let n = r.u32()?;
             let mut spans = Vec::new();
             for _ in 0..n {
@@ -569,15 +435,11 @@ fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
 /// Feed arbitrary chunks via [`FrameDecoder::push`]; drain complete
 /// frames via [`FrameDecoder::next_frame`]. `Ok(None)` means "waiting
 /// for more bytes"; any `Err` poisons the decoder permanently (the
-/// stream has no resync point) and repeats on later calls. The one
-/// exception is an unknown *kind* on a checksum-valid frame: the
-/// length prefix delimits it exactly, so the decoder skips it, bumps
-/// [`FrameDecoder::skipped`], and keeps decoding.
+/// stream has no resync point) and repeats on later calls.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buf: Vec<u8>,
     consumed: usize,
-    skipped: u64,
     poisoned: Option<FrameError>,
 }
 
@@ -602,13 +464,6 @@ impl FrameDecoder {
         self.buf.len() - self.consumed
     }
 
-    /// Checksum-valid frames skipped because their kind byte named no
-    /// frame type this decoder knows (a newer sender's extra kinds).
-    #[must_use]
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
     fn poison(&mut self, err: FrameError) -> Result<Option<Frame>, FrameError> {
         self.poisoned = Some(err.clone());
         Err(err)
@@ -624,43 +479,33 @@ impl FrameDecoder {
         if let Some(err) = &self.poisoned {
             return Err(err.clone());
         }
-        loop {
-            let avail = &self.buf[self.consumed..];
-            if avail.len() < 8 {
-                return Ok(None);
+        let avail = &self.buf[self.consumed..];
+        if avail.len() < 8 {
+            return Ok(None);
+        }
+        let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]);
+        if len == 0 {
+            return self.poison(FrameError::Corrupt("zero-length frame"));
+        }
+        if len > MAX_FRAME_LEN {
+            return self.poison(FrameError::Oversize { len });
+        }
+        let total = 8 + len as usize;
+        if avail.len() < total {
+            return Ok(None);
+        }
+        let expected = u32::from_le_bytes([avail[4], avail[5], avail[6], avail[7]]);
+        let body = &avail[8..total];
+        let got = fnv1a32(body);
+        if got != expected {
+            return self.poison(FrameError::Checksum { expected, got });
+        }
+        match decode_body(body) {
+            Ok(frame) => {
+                self.advance(total);
+                Ok(Some(frame))
             }
-            let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]);
-            if len == 0 {
-                return self.poison(FrameError::Corrupt("zero-length frame"));
-            }
-            if len > MAX_FRAME_LEN {
-                return self.poison(FrameError::Oversize { len });
-            }
-            let total = 8 + len as usize;
-            if avail.len() < total {
-                return Ok(None);
-            }
-            let expected = u32::from_le_bytes([avail[4], avail[5], avail[6], avail[7]]);
-            let body = &avail[8..total];
-            let got = fnv1a32(body);
-            if got != expected {
-                return self.poison(FrameError::Checksum { expected, got });
-            }
-            let frame = match decode_body(body) {
-                Ok(f) => f,
-                // The checksum already vouched for the bytes and the
-                // length prefix delimits them, so an unrecognized kind
-                // is safe to step over: count it and try the next
-                // frame rather than killing the stream.
-                Err(FrameError::UnknownKind(_)) => {
-                    self.skipped += 1;
-                    self.advance(total);
-                    continue;
-                }
-                Err(e) => return self.poison(e),
-            };
-            self.advance(total);
-            return Ok(Some(frame));
+            Err(e) => self.poison(e),
         }
     }
 
@@ -678,22 +523,8 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
-
-    fn sample_snapshot() -> Snapshot {
-        let reg = MetricsRegistry::new();
-        reg.counter("disk.reads").add(41);
-        reg.counter("disk.writes").add(7);
-        reg.gauge("queue.depth").set(-3);
-        let h = reg.histogram("disk.response_us");
-        for v in [10, 200, 3000, 45] {
-            h.record(v);
-        }
-        reg.snapshot()
-    }
 
     fn all_kinds() -> Vec<Frame> {
-        let snap = sample_snapshot();
         vec![
             Frame::Hello {
                 version: PROTOCOL_VERSION,
@@ -701,26 +532,15 @@ mod tests {
                 label: "job-0001".to_owned(),
                 epoch_ns: 123_456_789,
             },
-            Frame::Snapshot {
-                t_ns: 1_500_000_000,
-                snapshot: Snapshot {
-                    spans: Vec::new(),
-                    ..snap
-                },
-            },
             Frame::Progress {
                 t_ns: 2_000_000_000,
                 completed: 17,
                 total: 32,
                 phase: "running".to_owned(),
             },
-            Frame::Log {
-                t_ns: 2_100_000_000,
-                line: "phase: exporting".to_owned(),
-            },
             Frame::Bye {
                 t_ns: 3_000_000_000,
-                frames_sent: 5,
+                frames_sent: 3,
             },
             Frame::Span(SpanBatch {
                 t_ns: 2_900_000_000,
@@ -798,7 +618,7 @@ mod tests {
         // checksum over the cut body: framing accepts it, field
         // decoding must fail cleanly.
         let body = {
-            let full = all_kinds()[2].encode();
+            let full = all_kinds()[1].encode();
             full[8..full.len() - 4].to_vec()
         };
         let mut wire = Vec::new();
@@ -813,7 +633,7 @@ mod tests {
     #[test]
     fn every_single_bit_flip_is_caught_or_deferred() {
         let frames = all_kinds();
-        let original = &frames[2];
+        let original = &frames[1];
         let wire = original.encode();
         for bit in 0..wire.len() * 8 {
             let mut flipped = wire.clone();
@@ -846,9 +666,9 @@ mod tests {
 
     #[test]
     fn older_protocol_hellos_are_version_errors() {
-        // A version-1 Hello had no epoch field; hand-encode one. Both
-        // it and a version-2 Hello are refused: the daemon only speaks
-        // to its own build.
+        // A version-1 Hello had no epoch field; hand-encode one. It and
+        // version-2 and version-3 Hellos are refused: the daemon only
+        // speaks to its own build.
         let mut body = vec![KIND_HELLO];
         body.extend_from_slice(&1u16.to_le_bytes());
         body.extend_from_slice(&77u32.to_le_bytes());
@@ -861,40 +681,43 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
         assert_eq!(dec.next_frame(), Err(FrameError::Version { got: 1 }));
-        let v2 = Frame::Hello {
-            version: 2,
-            pid: 77,
-            label: "old".to_owned(),
-            epoch_ns: 5,
-        };
-        let mut dec = FrameDecoder::new();
-        dec.push(&v2.encode());
-        assert_eq!(dec.next_frame(), Err(FrameError::Version { got: 2 }));
+        for version in [2, 3] {
+            let old = Frame::Hello {
+                version,
+                pid: 77,
+                label: "old".to_owned(),
+                epoch_ns: 5,
+            };
+            let mut dec = FrameDecoder::new();
+            dec.push(&old.encode());
+            assert_eq!(dec.next_frame(), Err(FrameError::Version { got: version }));
+        }
     }
 
     #[test]
-    fn unknown_kinds_are_skipped_and_counted_not_poisonous() {
-        // Checksum-valid frames of unknown kinds (3 is the retired
-        // window kind), followed by a perfectly ordinary frame: the
-        // decoder must step over the strangers and keep going,
-        // counting what it skipped.
-        let mut wire = Vec::new();
-        for kind in [3u8, 200u8] {
+    fn unknown_kinds_poison_the_stream() {
+        // A checksum-valid frame of a retired kind (2 was the registry
+        // snapshot, 3 the rollup windows, 5 the log line) or of a kind
+        // no version ever wrote is a typed error that poisons the
+        // stream: a perfectly ordinary frame behind it is never
+        // decoded.
+        for kind in [2u8, 3, 5, 200] {
             let body = vec![kind, 1, 2, 3];
+            let mut wire = Vec::new();
             wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
             wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
             wire.extend_from_slice(&body);
+            wire.extend_from_slice(&all_kinds()[1].encode());
+            let mut dec = FrameDecoder::new();
+            dec.push(&wire);
+            assert_eq!(dec.next_frame(), Err(FrameError::UnknownKind(kind)));
+            assert_eq!(
+                dec.next_frame(),
+                Err(FrameError::UnknownKind(kind)),
+                "the error repeats; the survivor stays unread"
+            );
         }
-        let survivor = all_kinds()[2].clone();
-        wire.extend_from_slice(&survivor.encode());
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire);
-        assert_eq!(dec.next_frame().expect("skip, then decode"), Some(survivor));
-        assert_eq!(dec.skipped(), 2, "both strangers counted");
-        assert_eq!(dec.next_frame().expect("stream still healthy"), None);
-        assert_eq!(dec.buffered(), 0);
-        // A corrupt *body* of an unknown kind still fails the checksum
-        // path first; only checksum-valid strangers are skipped.
+        // A corrupt body of an unknown kind fails the checksum first.
         let mut flipped = vec![99u8, 0, 0];
         let mut bad = Vec::new();
         bad.extend_from_slice(&(flipped.len() as u32).to_le_bytes());
@@ -921,7 +744,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_in_body_are_corrupt() {
-        let mut body = all_kinds()[4].encode()[8..].to_vec();
+        let mut body = all_kinds()[2].encode()[8..].to_vec();
         body.push(0xEE);
         let mut wire = Vec::new();
         wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
@@ -934,7 +757,7 @@ mod tests {
 
     #[test]
     fn hostile_span_frames_fail_typed_never_panic() {
-        let batch = all_kinds()[5].clone();
+        let batch = all_kinds()[3].clone();
         let wire = batch.encode();
         // Checksum-valid truncation mid-span: re-frame a cut body.
         let body = wire[8..wire.len() - 6].to_vec();
@@ -1018,18 +841,20 @@ mod tests {
     }
 
     #[test]
-    fn long_log_lines_truncate_at_char_boundary() {
-        let line = "é".repeat(40_000); // 80 KB of UTF-8
-        let frame = Frame::Log {
+    fn long_phase_names_truncate_at_char_boundary() {
+        let phase = "é".repeat(40_000); // 80 KB of UTF-8
+        let frame = Frame::Progress {
             t_ns: 1,
-            line: line.clone(),
+            completed: 0,
+            total: 0,
+            phase: phase.clone(),
         };
         let mut dec = FrameDecoder::new();
         dec.push(&frame.encode());
-        let Some(Frame::Log { line: decoded, .. }) = dec.next_frame().expect("valid") else {
-            panic!("expected a log frame");
+        let Some(Frame::Progress { phase: decoded, .. }) = dec.next_frame().expect("valid") else {
+            panic!("expected a progress frame");
         };
         assert!(decoded.len() <= usize::from(u16::MAX));
-        assert!(line.starts_with(&decoded));
+        assert!(phase.starts_with(&decoded));
     }
 }

@@ -23,10 +23,9 @@
 //!   ids and flight-recorder slices.
 //! * [`frame`] — the cross-process telemetry frame protocol: a
 //!   compact, versioned, length-prefixed and checksummed binary codec
-//!   (registry snapshots, progress/phase events, log-tail events,
-//!   flight-recorder wall-span batches) with an incremental,
-//!   hostile-input-safe decoder, spoken between job children and the
-//!   `spindle serve` daemon.
+//!   (progress heartbeats and flight-recorder wall-span batches) with
+//!   an incremental, hostile-input-safe decoder, spoken between job
+//!   children and the `spindle serve` daemon.
 //! * [`hash`] — FNV-1a, the one hash behind frame checksums, trace
 //!   ids and breaker fingerprints.
 //! * [`jsonl`] — durable JSON-lines logs: the fsync'd append handle and

@@ -123,12 +123,8 @@ impl WindowAccum {
 /// The per-metric delta from `prev` (`None` means "everything is new",
 /// so the snapshot counts in full) to `snap`, as a mergeable
 /// accumulator: counter increments, latest gauge values, and histogram
-/// bucket deltas. This is exactly the arithmetic [`RollupSet::ingest_snapshot`]
-/// banks per tick, exposed so a cross-process ingester can compute the
-/// delta once and feed both a per-stream wheel and a fleet-wide wheel
-/// ([`RollupSet::ingest_accum`]) from the same numbers.
-#[must_use]
-pub fn snapshot_delta(prev: Option<&Snapshot>, snap: &Snapshot) -> WindowAccum {
+/// bucket deltas — what [`RollupSet::ingest_snapshot`] banks per tick.
+fn snapshot_delta(prev: Option<&Snapshot>, snap: &Snapshot) -> WindowAccum {
     let mut out = WindowAccum::default();
     for (name, v) in &snap.counters {
         let before = prev.and_then(|p| p.counter(name)).unwrap_or(0);
@@ -302,19 +298,6 @@ impl RollupSet {
             wheel.window_for(t_ns).merge_from(&delta);
         }
         state.prev = Some(snap.clone());
-    }
-
-    /// Banks a pre-computed delta accumulator at `t_ns` — the
-    /// cross-process merge path. A daemon reassembling per-job
-    /// telemetry streams computes each job's snapshot delta once (via
-    /// [`snapshot_delta`]) and feeds it here to maintain a fleet-wide
-    /// wheel: counters and histogram buckets add exactly, gauges keep
-    /// the newest value, so the fleet's lifetime totals equal the sum
-    /// of the per-job lifetime totals bucket for bucket.
-    pub fn ingest_accum(&self, t_ns: u64, delta: &WindowAccum) {
-        for wheel in self.lock().at(t_ns) {
-            wheel.window_for(t_ns).merge_from(delta);
-        }
     }
 
     /// Banks one histogram observation (default power-of-two buckets)

@@ -4,20 +4,20 @@
 //! in its environment — the `spindle serve` runner injects it for
 //! every job child, and a plain CLI run can set it by hand — an
 //! [`Exporter`] connects to the named `127.0.0.1` address and streams
-//! [`Frame`]s: a `Hello`, then registry snapshots on a fixed cadence
-//! interleaved with progress/phase events and log-tail lines, then a
-//! final flush (snapshot, progress, the installed flight recorder's
-//! wall spans) and a `Bye`.
+//! [`Frame`]s: a `Hello`, then one progress frame per tick on a fixed
+//! cadence (the daemon's liveness heartbeat, sent whether or not the
+//! progress moved), then a final flush (progress, the installed flight
+//! recorder's wall spans) and a `Bye`.
 //!
 //! Only wall spans cross the wire, even from a recorder that also
 //! holds sim-time tracks: those belong to the run's own `--trace-out`
-//! document. A run that streams to a sink without `--trace-out`
-//! installs a wall-only recorder, so its simulator records nothing per
-//! event.
+//! document, as its registry numbers belong to its `--metrics` dump.
+//! A run that streams to a sink without `--trace-out` installs a
+//! wall-only recorder, so its simulator records nothing per event.
 //!
 //! The exporter follows the same read-only discipline as the rest of
-//! the pulse crate: it never writes to stdout, never registers metrics
-//! of its own (so `--metrics`/`--timescales-out` artifacts stay
+//! the pulse crate: it never writes to stdout, never reads or
+//! registers metrics (so `--metrics`/`--timescales-out` artifacts stay
 //! byte-identical with the exporter on or off), and never fails the
 //! run — an unreachable sink is a one-line stderr warning, and a sink
 //! that stalls longer than the write timeout or disappears mid-run is
@@ -26,7 +26,7 @@
 
 use crate::status::RunStatus;
 use spindle_obs::frame::{render_args, Frame, SpanBatch, SpanRec, PROTOCOL_VERSION, SINK_ENV};
-use spindle_obs::{FlightRecorder, MetricsRegistry};
+use spindle_obs::FlightRecorder;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,9 +34,9 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the exporter ships a registry snapshot (and checks for
-/// progress changes). Finer than the sampler's 250 ms so short jobs
-/// still produce a handful of frames.
+/// How often the exporter ships a progress frame. Finer than the
+/// sampler's 250 ms so the daemon's stall watchdog hears a heartbeat
+/// well inside any timeout.
 pub const EXPORT_CADENCE: Duration = Duration::from_millis(100);
 
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
@@ -53,7 +53,6 @@ const SPAN_BATCH_RECS: usize = 512;
 
 #[derive(Debug)]
 struct Shared {
-    registry: &'static MetricsRegistry,
     status: Arc<RunStatus>,
     stream: Mutex<Option<TcpStream>>,
     epoch: Instant,
@@ -61,8 +60,6 @@ struct Shared {
     frames_sent: AtomicU64,
     ticks: AtomicU64,
     silenced: AtomicBool,
-    logs: Mutex<Vec<String>>,
-    last_progress: Mutex<(String, u64, u64)>,
 }
 
 impl Shared {
@@ -86,8 +83,7 @@ impl Shared {
         }
     }
 
-    /// One export tick: snapshot, any phase/progress change, queued
-    /// log lines.
+    /// One export tick: a progress frame, changed or not.
     fn tick(&self) {
         // An installed `stall@N` fault wedges the telemetry stream once
         // the tick counter reaches N: the socket stays open and the run
@@ -100,33 +96,12 @@ impl Shared {
                 return;
             }
         }
-        let t_ns = self.t_ns();
-        self.send(&Frame::Snapshot {
-            t_ns,
-            snapshot: self.registry.snapshot(),
+        self.send(&Frame::Progress {
+            t_ns: self.t_ns(),
+            completed: self.status.completed(),
+            total: self.status.total(),
+            phase: self.status.phase(),
         });
-        let (phase, completed, total) = (
-            self.status.phase(),
-            self.status.completed(),
-            self.status.total(),
-        );
-        {
-            let mut last = self.last_progress.lock().expect("exporter progress lock");
-            if *last != (phase.clone(), completed, total) {
-                *last = (phase.clone(), completed, total);
-                drop(last);
-                self.send(&Frame::Progress {
-                    t_ns,
-                    completed,
-                    total,
-                    phase,
-                });
-            }
-        }
-        let lines: Vec<String> = std::mem::take(&mut *self.logs.lock().expect("exporter log lock"));
-        for line in lines {
-            self.send(&Frame::Log { t_ns, line });
-        }
     }
 }
 
@@ -146,13 +121,9 @@ impl Exporter {
     /// A sink that cannot be reached is a stderr warning, never an
     /// error: telemetry must not fail the run.
     #[must_use]
-    pub fn from_env(
-        registry: &'static MetricsRegistry,
-        status: Arc<RunStatus>,
-        label: &str,
-    ) -> Option<Exporter> {
+    pub fn from_env(status: Arc<RunStatus>, label: &str) -> Option<Exporter> {
         let addr = std::env::var(SINK_ENV).ok().filter(|v| !v.is_empty())?;
-        match Exporter::start(&addr, registry, status, label) {
+        match Exporter::start(&addr, status, label) {
             Ok(exporter) => Some(exporter),
             Err(e) => {
                 eprintln!("# telemetry export to {addr} unavailable: {e}");
@@ -166,12 +137,7 @@ impl Exporter {
     /// # Errors
     ///
     /// Fails when the sink address does not resolve or accept.
-    pub fn start(
-        addr: &str,
-        registry: &'static MetricsRegistry,
-        status: Arc<RunStatus>,
-        label: &str,
-    ) -> std::io::Result<Exporter> {
+    pub fn start(addr: &str, status: Arc<RunStatus>, label: &str) -> std::io::Result<Exporter> {
         let resolved: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
         let target = resolved.first().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::AddrNotAvailable, "sink did not resolve")
@@ -180,7 +146,6 @@ impl Exporter {
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         stream.set_nodelay(true).ok();
         let shared = Arc::new(Shared {
-            registry,
             status,
             stream: Mutex::new(Some(stream)),
             epoch: Instant::now(),
@@ -188,8 +153,6 @@ impl Exporter {
             frames_sent: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
             silenced: AtomicBool::new(false),
-            logs: Mutex::new(Vec::new()),
-            last_progress: Mutex::new((String::new(), 0, 0)),
         });
         // The Hello's epoch field is "nanoseconds elapsed on my span
         // clock right now": the receiver subtracts it from its own
@@ -223,25 +186,9 @@ impl Exporter {
         })
     }
 
-    /// Queues one log-tail line for the next tick.
-    pub fn log(&self, line: &str) {
-        let mut logs = self.shared.logs.lock().expect("exporter log lock");
-        logs.push(line.to_owned());
-    }
-
-    /// Whether the sink is still accepting frames.
-    #[must_use]
-    pub fn is_connected(&self) -> bool {
-        self.shared
-            .stream
-            .lock()
-            .expect("exporter stream lock")
-            .is_some()
-    }
-
-    /// Stops the export thread, then flushes a final snapshot and
-    /// progress event, the installed flight recorder's wall spans when
-    /// there is one, and a `Bye`.
+    /// Stops the export thread, then flushes the final progress frame,
+    /// the installed flight recorder's wall spans when there is one,
+    /// and a `Bye`.
     pub fn finish(self) {
         self.shared.stop.store(true, Ordering::Release);
         let handle = self.handle.lock().expect("exporter handle lock").take();
@@ -308,10 +255,6 @@ mod tests {
     use std::io::Read;
     use std::net::TcpListener;
 
-    fn leaked_registry() -> &'static MetricsRegistry {
-        Box::leak(Box::default())
-    }
-
     /// The fault-plan slot is process-global, so every test that runs
     /// an exporter serializes on this lock — otherwise a concurrently
     /// installed `stall@` plan would silence an unrelated exporter.
@@ -339,22 +282,17 @@ mod tests {
     }
 
     #[test]
-    fn exports_hello_snapshots_progress_and_bye() {
+    fn exports_hello_progress_and_bye() {
         let _serial = plan_guard();
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind sink");
         let addr = listener.local_addr().expect("sink addr").to_string();
-        let registry = leaked_registry();
-        registry.counter("work.items").add(3);
         let status = Arc::new(RunStatus::new(8));
         status.set_phase("running");
-        let exporter =
-            Exporter::start(&addr, registry, Arc::clone(&status), "unit").expect("connect");
+        let exporter = Exporter::start(&addr, Arc::clone(&status), "unit").expect("connect");
         let (sock, _) = listener.accept().expect("exporter connects");
-        exporter.log("hello from the run");
         status.complete_one();
         status.complete_one();
         std::thread::sleep(Duration::from_millis(250));
-        registry.counter("work.items").add(2);
         exporter.finish();
         let frames = drain_frames(sock);
         assert!(
@@ -363,36 +301,67 @@ mod tests {
             "stream opens with hello: {:?}",
             frames.first()
         );
-        assert!(matches!(frames.last(), Some(Frame::Bye { .. })));
-        let snapshots: Vec<_> = frames
-            .iter()
-            .filter_map(|f| match f {
-                Frame::Snapshot { snapshot, .. } => Some(snapshot),
-                _ => None,
-            })
-            .collect();
-        assert!(!snapshots.is_empty());
-        assert_eq!(
-            snapshots.last().and_then(|s| s.counter("work.items")),
-            Some(5),
-            "final flush carries the registry's last state"
-        );
+        let Some(Frame::Bye { frames_sent, .. }) = frames.last() else {
+            panic!("stream closes with bye: {:?}", frames.last());
+        };
+        assert_eq!(*frames_sent, frames.len() as u64 - 1, "bye counts the rest");
         let final_progress = frames
             .iter()
             .rev()
             .find_map(|f| match f {
                 Frame::Progress {
-                    completed, total, ..
-                } => Some((*completed, *total)),
+                    completed,
+                    total,
+                    phase,
+                    ..
+                } => Some((*completed, *total, phase.as_str())),
                 _ => None,
             })
             .expect("at least one progress frame");
-        assert_eq!(final_progress, (2, 8));
+        assert_eq!(final_progress, (2, 8, "running"));
+    }
+
+    #[test]
+    fn every_tick_ships_a_progress_frame() {
+        let _serial = plan_guard();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind sink");
+        let addr = listener.local_addr().expect("sink addr").to_string();
+        // The status never moves: the progress frame is the heartbeat,
+        // so it ships on every tick all the same.
+        let status = Arc::new(RunStatus::new(4));
+        status.set_phase("steady");
+        let exporter = Exporter::start(&addr, status, "steady").expect("connect");
+        let shared = Arc::clone(&exporter.shared);
+        let (sock, _) = listener.accept().expect("exporter connects");
+        std::thread::sleep(EXPORT_CADENCE * 4);
+        exporter.finish();
+        // The final flush is a tick too. Dropping the last handle
+        // closes the socket, which ends the drain.
+        let ticks = shared.ticks.load(Ordering::Relaxed);
+        drop(shared);
+        let frames = drain_frames(sock);
+        let progress: Vec<_> = frames
+            .iter()
+            .filter_map(|f| match f {
+                Frame::Progress {
+                    completed,
+                    total,
+                    phase,
+                    ..
+                } => Some((*completed, *total, phase.as_str())),
+                _ => None,
+            })
+            .collect();
+        assert!(ticks >= 2, "the export thread ticked: {ticks}");
+        assert_eq!(progress.len() as u64, ticks, "one progress frame per tick");
         assert!(
-            frames
-                .iter()
-                .any(|f| matches!(f, Frame::Log { line, .. } if line == "hello from the run")),
-            "log-tail line shipped"
+            progress.iter().all(|p| *p == (0, 4, "steady")),
+            "{progress:?}"
+        );
+        assert_eq!(
+            frames.len(),
+            progress.len() + 2,
+            "hello, progress…, bye and nothing else: {frames:?}"
         );
     }
 
@@ -411,7 +380,7 @@ mod tests {
         recorder.sim_slice("drive.queue", "read", 1_000, 2_000, Vec::new());
         spindle_obs::recorder::install(Arc::clone(&recorder));
         let status = Arc::new(RunStatus::new(1));
-        let exporter = Exporter::start(&addr, leaked_registry(), status, "spans").expect("connect");
+        let exporter = Exporter::start(&addr, status, "spans").expect("connect");
         let (sock, _) = listener.accept().expect("exporter connects");
         exporter.finish();
         spindle_obs::recorder::uninstall();
@@ -455,14 +424,14 @@ mod tests {
             return;
         }
         let status = Arc::new(RunStatus::new(0));
-        assert!(Exporter::from_env(leaked_registry(), status, "x").is_none());
+        assert!(Exporter::from_env(status, "x").is_none());
     }
 
     #[test]
     fn unreachable_sink_is_not_an_error_path_that_panics() {
         let status = Arc::new(RunStatus::new(0));
         // Port 1 on localhost is essentially never listening.
-        assert!(Exporter::start("127.0.0.1:1", leaked_registry(), status, "x").is_err());
+        assert!(Exporter::start("127.0.0.1:1", status, "x").is_err());
     }
 
     #[test]
@@ -474,8 +443,7 @@ mod tests {
         spindle_harden::install(Arc::new(
             spindle_harden::FaultPlan::parse("stall@0").expect("valid plan"),
         ));
-        let exporter = Exporter::start(&addr, leaked_registry(), Arc::clone(&status), "wedged")
-            .expect("connect");
+        let exporter = Exporter::start(&addr, Arc::clone(&status), "wedged").expect("connect");
         let (mut sock, _) = listener.accept().expect("exporter connects");
         // Give the export thread several cadences to (not) speak.
         std::thread::sleep(Duration::from_millis(400));
@@ -507,8 +475,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind sink");
         let addr = listener.local_addr().expect("sink addr").to_string();
         let status = Arc::new(RunStatus::new(1));
-        let exporter = Exporter::start(&addr, leaked_registry(), Arc::clone(&status), "gone")
-            .expect("connect");
+        let exporter = Exporter::start(&addr, Arc::clone(&status), "gone").expect("connect");
         let (sock, _) = listener.accept().expect("exporter connects");
         drop(sock);
         drop(listener);
@@ -516,7 +483,15 @@ mod tests {
         // observed; writes go to a dead peer, which must simply drop
         // the sink.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while exporter.is_connected() && Instant::now() < deadline {
+        let connected = || {
+            exporter
+                .shared
+                .stream
+                .lock()
+                .expect("stream lock")
+                .is_some()
+        };
+        while connected() && Instant::now() < deadline {
             status.complete_one();
             std::thread::sleep(Duration::from_millis(20));
         }

@@ -51,6 +51,7 @@ pub enum Arity {
 pub const SHARED: &[(&str, Arity)] = &[
     ("jobs", Arity::Value),
     ("metrics", Arity::Attached),
+    ("metrics-out", Arity::Value),
     ("trace-out", Arity::Value),
     ("faults", Arity::Value),
     ("serve", Arity::Addr),
@@ -246,13 +247,15 @@ impl Invocation {
     /// | condition                           | `obs`            | recorder  |
     /// |-------------------------------------|------------------|-----------|
     /// | `--trace-out`                       | `metrics_only()` | full      |
-    /// | otherwise a telemetry sink in env   | `metrics_only()` | wall-only |
+    /// | otherwise `--metrics` and a sink    | `metrics_only()` | wall-only |
     /// | otherwise `--metrics`               | `metrics_only()` | none      |
+    /// | otherwise a telemetry sink in env   | `disabled()`     | wall-only |
     /// | otherwise                           | `disabled()`     | none      |
     ///
     /// The simulator reaches a recorder through its metrics observer
     /// and holds only a full one; a sink's wall-only recorder carries
-    /// the run's wall spans upstream at exporter shutdown.
+    /// the run's wall spans upstream at exporter shutdown. A sink reads
+    /// no registry numbers, so it turns no observer on.
     ///
     /// # Errors
     ///
@@ -282,19 +285,8 @@ impl Invocation {
                 .map_err(|e| format!("bad {}: {e}", spindle_harden::FAULTS_ENV)),
         }?;
         let trace_out = opts.get("trace-out").map(str::to_owned);
-        // A telemetry sink (the serve daemon sets one for its children)
-        // needs the simulator's registry counters in its snapshots.
         let sink = std::env::var(spindle_obs::frame::SINK_ENV).is_ok_and(|v| !v.is_empty());
-        let recorder = if trace_out.is_some() {
-            Some(FlightRecorder::new())
-        } else {
-            sink.then(FlightRecorder::wall_only)
-        };
-        let obs = if recorder.is_some() || metrics.is_some() {
-            ObsConfig::metrics_only()
-        } else {
-            ObsConfig::disabled()
-        };
+        let (obs, recorder) = observers(trace_out.is_some(), metrics.is_some(), sink);
         let level = opts.given.iter().rev().find_map(|(k, _)| match k.as_str() {
             "verbose" => Some(LogLevel::Verbose),
             "quiet" => Some(LogLevel::Quiet),
@@ -396,10 +388,10 @@ impl Invocation {
             },
             |s| Arc::clone(&s.status),
         );
-        let exporter = Exporter::from_env(registry, Arc::clone(&status), label);
+        let exporter = Exporter::from_env(Arc::clone(&status), label);
         let run = Run {
             status,
-            watched: self.metrics.is_some() || session.is_some() || exporter.is_some(),
+            watched: self.metrics.is_some() || session.is_some(),
         };
         let value = command(&run);
         let rollups = session.map(|s| {
@@ -446,13 +438,30 @@ impl Invocation {
     }
 }
 
+/// The observer config and flight recorder of [`Invocation::resolve`]'s
+/// table, from whether the run writes a trace, dumps metrics, and
+/// streams to a telemetry sink.
+fn observers(trace: bool, metrics: bool, sink: bool) -> (ObsConfig, Option<FlightRecorder>) {
+    let obs = if trace || metrics {
+        ObsConfig::metrics_only()
+    } else {
+        ObsConfig::disabled()
+    };
+    let recorder = if trace {
+        Some(FlightRecorder::new())
+    } else {
+        sink.then(FlightRecorder::wall_only)
+    };
+    (obs, recorder)
+}
+
 /// The live side of a run, as the command sees it.
 #[derive(Debug)]
 pub struct Run {
     /// Progress shared with `/status`, the dashboard and the exporter.
     pub status: Arc<RunStatus>,
     /// Whether anything reads the registry during or after the run: a
-    /// metrics dump, a live session, or a frame exporter.
+    /// metrics dump or a live session.
     pub watched: bool,
 }
 
@@ -592,6 +601,14 @@ mod tests {
         let traced = resolve(&["--trace-out", "t.json"]);
         assert_eq!(traced.obs, ObsConfig::metrics_only());
         assert!(traced.recorder.as_ref().is_some_and(|r| r.records_sim()));
+        // A sink alone reads no registry numbers: the observer stays
+        // off, and a wall-only recorder carries the spans upstream.
+        let (obs, recorder) = observers(false, false, true);
+        assert_eq!(obs, ObsConfig::disabled());
+        assert!(recorder.is_some_and(|r| !r.records_sim()));
+        let (obs, recorder) = observers(false, true, true);
+        assert_eq!(obs, ObsConfig::metrics_only());
+        assert!(recorder.is_some_and(|r| !r.records_sim()));
     }
 
     #[test]

@@ -226,10 +226,11 @@ pub(crate) struct Shared {
     pub status: Arc<RunStatus>,
     pub sampler: Arc<Sampler>,
     pub rollups: Arc<spindle_obs::RollupSet>,
-    /// Per-job telemetry: rebuilt rollup wheels, event rings, progress.
+    /// Per-job telemetry: event rings, progress, liveness, spans.
     pub telemetry: telemetry::TelemetryMap,
-    /// The daemon-wide merged wheel every job's deltas bank into.
-    pub fleet: Arc<telemetry::Fleet>,
+    /// The daemon-wide timeline origin `/trace` aligns every job's
+    /// telemetry epoch against.
+    pub epoch: std::time::Instant,
     /// Live `GET /jobs/ID/events` streams (bounded; excess gets 503).
     pub event_streams: AtomicUsize,
     /// EWMA of completed-job wall time in milliseconds (drives
@@ -685,7 +686,7 @@ pub fn serve_with_registry(
         sampler,
         rollups,
         telemetry: telemetry::TelemetryMap::default(),
-        fleet: Arc::new(telemetry::Fleet::new()),
+        epoch: std::time::Instant::now(),
         event_streams: AtomicUsize::new(0),
         ewma_ms: AtomicU64::new(ewma_seed),
         supervisor: supervise::Supervisor::new(),
@@ -1211,7 +1212,7 @@ mod tests {
     }
 
     #[test]
-    fn timescale_endpoints_serve_job_and_fleet_documents() {
+    fn timescale_endpoints_serve_job_stream_and_daemon_documents() {
         let (handle, addr, dir) = test_daemon("timescales", 4, 1);
         let r = submit(
             &addr,
@@ -1231,16 +1232,20 @@ mod tests {
         assert_eq!(doc.get("id").and_then(Json::as_str), Some(id.as_str()));
         assert_eq!(doc.get("state").and_then(Json::as_str), Some("done"));
         // The fake job binary never speaks the frame protocol: zero
-        // frames, no torn stream, an empty (but well-formed) wheel.
+        // frames and bytes, no decode error, no torn stream. The job's
+        // registry numbers live in its artifacts, not here.
         assert_eq!(doc.get("frames").and_then(Json::as_u64), Some(0));
+        assert_eq!(doc.get("bytes").and_then(Json::as_u64), Some(0));
+        assert_eq!(doc.get("decode_errors").and_then(Json::as_u64), Some(0));
         assert_eq!(doc.get("torn"), Some(&Json::Bool(false)));
-        let rollups = doc.get("rollups").expect("rollups document");
-        assert_eq!(rollups.get("axis").and_then(Json::as_str), Some("wall"));
+        assert!(doc.get("rollups").is_none(), "{}", r.body);
 
         let r = request(&addr, "GET", "/timescales", None).unwrap();
         let doc = spindle_obs::json::parse(r.body.trim()).unwrap();
-        let fleet = doc.get("fleet").expect("fleet document");
-        assert_eq!(fleet.get("axis").and_then(Json::as_str), Some("wall"));
+        let rollups = doc.get("rollups").expect("the daemon's own wheel");
+        assert_eq!(rollups.get("axis").and_then(Json::as_str), Some("wall"));
+        assert!(doc.get("exemplars").is_some(), "{}", r.body);
+        assert!(doc.get("fleet").is_none(), "{}", r.body);
 
         let missing = request(&addr, "GET", "/jobs/job-9999/timescales", None).unwrap();
         assert_eq!(missing.status, 404);

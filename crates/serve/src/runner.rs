@@ -186,14 +186,8 @@ fn run_job(shared: &Shared, id: &str) {
         vec![("attempt".to_owned(), Json::Uint(u64::from(attempt_no)))],
     );
     let child_done = Arc::new(AtomicBool::new(false));
-    let ingest = sink.map(|s| {
-        s.spawn_ingest(
-            Arc::clone(&tel),
-            Arc::clone(&shared.fleet),
-            shared.registry,
-            Arc::clone(&child_done),
-        )
-    });
+    let ingest =
+        sink.map(|s| s.spawn_ingest(Arc::clone(&tel), shared.registry, Arc::clone(&child_done)));
 
     let heartbeat = Duration::from_millis(shared.config.heartbeat_ms.max(1));
     let mut last_beat = Instant::now();

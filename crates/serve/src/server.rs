@@ -17,15 +17,16 @@
 //! * `DELETE /jobs/ID` — cancel (queued → cancelled immediately,
 //!   running → cooperative kill, terminal → 409).
 //! * `GET /jobs/ID/events` — live Server-Sent Events: the job's
-//!   lifecycle, heartbeat, progress, and log-tail events as they
-//!   happen, ending with `event: end` once the job is terminal. Runs
-//!   on a dedicated thread (bounded count, 503 beyond it) so slow
-//!   watchers cannot starve the handler pool; a watcher that falls
-//!   behind the bounded ring gets `event: dropped` with the exact
-//!   count of what it missed.
-//! * `GET /jobs/ID/timescales` — the job's multi-resolution rollup
-//!   document rebuilt from its telemetry stream, with the stream's
-//!   frame, byte, decode-error and torn counters.
+//!   lifecycle, heartbeat and progress events as they happen, ending
+//!   with `event: end` once the job is terminal. Runs on a dedicated
+//!   thread (bounded count, 503 beyond it) so slow watchers cannot
+//!   starve the handler pool; a watcher that falls behind the bounded
+//!   ring gets `event: dropped` with the exact count of what it missed.
+//! * `GET /jobs/ID/timescales` — the job's telemetry stream: frame,
+//!   byte and decode-error counts and whether it tore. The path is
+//!   kept because perfbench reads it; the job's own multi-resolution
+//!   rollups are its `timescales.json` artifact (a matrix spec with
+//!   `"timescales": true`).
 //! * `GET /jobs/ID/trace` — the job's causal trace as a self-contained
 //!   Chrome trace-event document on the wall clock: daemon lifecycle
 //!   spans and the child's offset-aligned wall spans, with flow arrows
@@ -36,8 +37,7 @@
 //!   onto one timeline, tracks prefixed by job id.
 //! * `GET /metrics`, `/healthz`, `/status`, `/timescales` — the same
 //!   telemetry surface the pulse endpoint serves, for the daemon
-//!   itself — plus per-active-job labeled series on `/metrics` and
-//!   the merged fleet wheel on `/timescales`.
+//!   itself — plus per-active-job labeled series on `/metrics`.
 //!
 //! Every request is observed per endpoint: `serve.http.<route>.micros`
 //! latency histograms plus request and status-class counters, with
@@ -260,9 +260,6 @@ fn route(
         ("GET", "/timescales") => {
             let doc = Json::Obj(vec![
                 ("rollups".to_owned(), shared.rollups.to_json()),
-                // The merged fleet wheel: every job's lifetime totals,
-                // summed bucket-for-bucket.
-                ("fleet".to_owned(), shared.fleet.rollups.to_json()),
                 (
                     "exemplars".to_owned(),
                     shared.registry.exemplars().to_json(),
@@ -609,8 +606,8 @@ fn job_trace(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'
 }
 
 /// `GET /trace`: every job's spans merged onto the daemon timeline,
-/// each job shifted by its telemetry epoch's distance from the fleet
-/// epoch, tracks prefixed with the job id.
+/// each job shifted by its telemetry epoch's distance from the
+/// daemon's epoch, tracks prefixed with the job id.
 fn daemon_trace(stream: &mut TcpStream, shared: &Shared) -> io::Result<&'static str> {
     let mut jobs = Vec::new();
     for job in shared.table.snapshot() {
@@ -623,7 +620,7 @@ fn daemon_trace(stream: &mut TcpStream, shared: &Shared) -> io::Result<&'static 
         }
         let shift_ns = tel
             .epoch()
-            .checked_duration_since(shared.fleet.epoch())
+            .checked_duration_since(shared.epoch)
             .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
         jobs.push((collected, shift_ns));
     }
@@ -631,6 +628,7 @@ fn daemon_trace(stream: &mut TcpStream, shared: &Shared) -> io::Result<&'static 
     json_response(stream, "200 OK", &doc)
 }
 
+/// `GET /jobs/ID/timescales`: the job's telemetry stream counters.
 fn job_timescales(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'static str> {
     let Some(job) = shared.table.get(id) else {
         return error_response(stream, "404 Not Found", &format!("no such job `{id}`"));
@@ -655,7 +653,6 @@ fn job_timescales(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Resu
             "torn".to_owned(),
             Json::Bool(tel.torn.load(Ordering::Relaxed)),
         ),
-        ("rollups".to_owned(), tel.rollups_json()),
     ]);
     json_response(stream, "200 OK", &doc)
 }

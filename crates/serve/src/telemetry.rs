@@ -3,18 +3,17 @@
 //! Every job child the runner spawns gets a private loopback sink
 //! address in [`SINK_ENV`](spindle_obs::frame::SINK_ENV); a child
 //! built on `spindle-pulse` connects back and streams
-//! [`Frame`](spindle_obs::frame::Frame)s — registry snapshots,
-//! progress, log-tail lines, and a final flush of its wall spans. This
-//! module owns everything the daemon keeps per job:
+//! [`Frame`](spindle_obs::frame::Frame)s — a progress heartbeat every
+//! export tick and a final flush of its wall spans. The job's registry
+//! numbers are not on the stream: their one home is the `metrics.json`
+//! and `timescales.json` artifacts the run writes itself. This module
+//! owns everything the daemon keeps per job:
 //!
-//! * [`JobTelemetry`] — a wall-axis [`RollupSet`] rebuilt from the
-//!   child's snapshots, a bounded [`EventRing`] feeding
-//!   `GET /jobs/ID/events`, progress state driving the job ETA, and
-//!   the bounded trace-span store behind `GET /jobs/ID/trace`.
-//! * [`Fleet`] — the daemon-wide merged wheel: every per-job snapshot
-//!   delta is banked into it as well, so the fleet's lifetime totals
-//!   equal the sum of the per-job totals bucket-for-bucket (the same
-//!   exact-merge invariant the in-process wheel keeps on eviction).
+//! * [`JobTelemetry`] — a bounded [`EventRing`] feeding
+//!   `GET /jobs/ID/events`, progress state driving the job ETA, the
+//!   liveness clock the stall watchdog reads, the stream's frame and
+//!   byte counters, and the bounded trace-span store behind
+//!   `GET /jobs/ID/trace`.
 //! * [`Sink`] — the per-job listener plus the ingest thread that
 //!   decodes the stream. Hostile bytes can never hurt the daemon: a
 //!   decode error is counted, noted on the event stream, and ends
@@ -30,8 +29,7 @@
 use crate::trace::{SpanOrigin, TraceSpan};
 use spindle_obs::frame::{render_args, Frame, FrameDecoder};
 use spindle_obs::json::Json;
-use spindle_obs::rollup::{snapshot_delta, WindowAccum};
-use spindle_obs::{MetricsRegistry, RollupSet, Snapshot};
+use spindle_obs::MetricsRegistry;
 use spindle_pulse::sampler::SampleWindow;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
@@ -187,19 +185,16 @@ struct ProgressState {
     phase: String,
     completed: u64,
     total: u64,
-    /// `completed` sampled at each progress frame, stamped with daemon
-    /// milliseconds since the telemetry epoch.
+    /// `completed` sampled at each progress change, stamped with
+    /// daemon milliseconds since the telemetry epoch.
     samples: SampleWindow,
 }
 
 /// Everything the daemon holds for one job's telemetry.
 pub(crate) struct JobTelemetry {
     epoch: Instant,
-    /// The job's wall-axis wheel, rebuilt from the child's snapshots.
-    rollups: RollupSet,
     events: Mutex<EventRing>,
     progress: Mutex<ProgressState>,
-    prev: Mutex<Option<Snapshot>>,
     pub(crate) frames: AtomicU64,
     pub(crate) bytes: AtomicU64,
     pub(crate) decode_errors: AtomicU64,
@@ -225,7 +220,6 @@ impl JobTelemetry {
     pub(crate) fn new(ring_cap: usize) -> JobTelemetry {
         JobTelemetry {
             epoch: Instant::now(),
-            rollups: RollupSet::wall(),
             events: Mutex::new(EventRing::new(ring_cap)),
             progress: Mutex::new(ProgressState {
                 phase: String::new(),
@@ -233,7 +227,6 @@ impl JobTelemetry {
                 total: 0,
                 samples: SampleWindow::new(ETA_SAMPLE_WINDOW),
             }),
-            prev: Mutex::new(None),
             frames: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
@@ -377,27 +370,9 @@ impl JobTelemetry {
         p.samples.eta_secs(p.completed, p.total)
     }
 
-    /// The rebuilt multi-resolution rollup document.
-    pub(crate) fn rollups_json(&self) -> Json {
-        self.rollups.to_json()
-    }
-
-    /// Exact lifetime totals of the rebuilt wheel (the `run`
-    /// resolution's merge) — what the fleet-sum invariant is checked
-    /// against.
-    #[cfg(test)]
-    pub(crate) fn lifetime_totals(&self) -> WindowAccum {
-        self.rollups
-            .snapshot()
-            .resolution("run")
-            .map(|r| r.merged())
-            .unwrap_or_default()
-    }
-
-    /// Applies one decoded frame: snapshots bank into the job wheel
-    /// and the fleet wheel, progress/log frames become events, span
-    /// batches land in the span store.
-    pub(crate) fn apply_frame(&self, fleet: &Fleet, frame: Frame) {
+    /// Applies one decoded frame: progress changes become events and
+    /// ETA samples, span batches land in the span store.
+    pub(crate) fn apply_frame(&self, frame: Frame) {
         match frame {
             Frame::Hello {
                 pid,
@@ -422,20 +397,6 @@ impl JobTelemetry {
                     ],
                 );
             }
-            Frame::Snapshot { t_ns, snapshot } => {
-                let delta = {
-                    let mut prev = self.prev.lock().expect("prev snapshot lock");
-                    let delta = snapshot_delta(prev.as_ref(), &snapshot);
-                    *prev = Some(snapshot);
-                    delta
-                };
-                // The same delta feeds both wheels, each on its own
-                // epoch: the job wheel keyed by the child's clock, the
-                // fleet wheel by the daemon's. Totals stay exact under
-                // window eviction on both sides.
-                self.rollups.ingest_accum(t_ns, &delta);
-                fleet.ingest(&delta);
-            }
             Frame::Span(batch) => {
                 let mut store = self.spans.lock().expect("span store lock");
                 // The child's own shed count carries through, so
@@ -459,13 +420,19 @@ impl JobTelemetry {
                 phase,
                 ..
             } => {
-                let t_ms = u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
+                // Every tick ships a progress frame as the heartbeat;
+                // only a change is news for the ETA and the watchers.
                 {
                     let mut p = self.progress.lock().expect("progress lock");
+                    if (p.phase.as_str(), p.completed, p.total)
+                        == (phase.as_str(), completed, total)
+                    {
+                        return;
+                    }
                     p.phase.clone_from(&phase);
                     p.completed = completed;
                     p.total = total;
-                    p.samples.push(t_ms, completed as f64);
+                    p.samples.push(self.t_ms(), completed as f64);
                 }
                 self.event(
                     "progress",
@@ -475,9 +442,6 @@ impl JobTelemetry {
                         ("total", Json::Uint(total)),
                     ],
                 );
-            }
-            Frame::Log { line, .. } => {
-                self.event("log", vec![("line", Json::Str(line))]);
             }
             Frame::Bye { frames_sent, .. } => {
                 self.closed.store(true, Ordering::Release);
@@ -494,42 +458,6 @@ impl std::fmt::Debug for JobTelemetry {
             .field("bytes", &self.bytes.load(Ordering::Relaxed))
             .field("decode_errors", &self.decode_errors.load(Ordering::Relaxed))
             .finish_non_exhaustive()
-    }
-}
-
-/// The daemon-wide merged wheel: one wall-axis [`RollupSet`] every
-/// job's snapshot deltas are banked into, on the daemon's own epoch.
-pub(crate) struct Fleet {
-    pub(crate) rollups: RollupSet,
-    epoch: Instant,
-}
-
-impl Fleet {
-    pub(crate) fn new() -> Fleet {
-        Fleet {
-            rollups: RollupSet::wall(),
-            epoch: Instant::now(),
-        }
-    }
-
-    fn t_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// The daemon-wide timeline origin the merged `/trace` document
-    /// aligns per-job epochs against.
-    pub(crate) fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
-    pub(crate) fn ingest(&self, delta: &WindowAccum) {
-        self.rollups.ingest_accum(self.t_ns(), delta);
-    }
-}
-
-impl std::fmt::Debug for Fleet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fleet").finish_non_exhaustive()
     }
 }
 
@@ -588,7 +516,6 @@ impl Sink {
     pub(crate) fn spawn_ingest(
         self,
         tel: Arc<JobTelemetry>,
-        fleet: Arc<Fleet>,
         registry: &'static MetricsRegistry,
         child_done: Arc<AtomicBool>,
     ) -> JoinHandle<()> {
@@ -599,7 +526,7 @@ impl Sink {
                 loop {
                     match self.listener.accept() {
                         Ok((stream, _)) => {
-                            ingest_stream(stream, &tel, &fleet, registry, &child_done);
+                            ingest_stream(stream, &tel, registry, &child_done);
                             return;
                         }
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -636,7 +563,6 @@ impl std::fmt::Debug for Sink {
 pub(crate) fn ingest_stream(
     mut stream: TcpStream,
     tel: &JobTelemetry,
-    fleet: &Fleet,
     registry: &MetricsRegistry,
     child_done: &AtomicBool,
 ) {
@@ -645,7 +571,6 @@ pub(crate) fn ingest_stream(
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
     let mut done_since: Option<Instant> = None;
-    let mut skipped_seen = 0u64;
     loop {
         match stream.read(&mut buf) {
             Ok(0) => break,
@@ -659,7 +584,7 @@ pub(crate) fn ingest_stream(
                             registry.counter("serve.telemetry.frames").inc();
                             tel.touch();
                             tel.frames.fetch_add(1, Ordering::Relaxed);
-                            tel.apply_frame(fleet, frame);
+                            tel.apply_frame(frame);
                         }
                         Ok(None) => break,
                         Err(e) => {
@@ -669,16 +594,6 @@ pub(crate) fn ingest_stream(
                             return;
                         }
                     }
-                }
-                // Unknown kinds are skipped inside the decoder (a
-                // newer child talking to an older daemon); surface the
-                // running count so forward-compat loss is visible.
-                let skipped = decoder.skipped();
-                if skipped > skipped_seen {
-                    registry
-                        .counter("serve.telemetry.frames_skipped")
-                        .add(skipped - skipped_seen);
-                    skipped_seen = skipped;
                 }
             }
             Err(e)
@@ -708,7 +623,6 @@ pub(crate) fn ingest_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spindle_obs::registry::HistogramSnapshot;
     use std::io::Write;
 
     #[test]
@@ -752,33 +666,26 @@ mod tests {
 
     #[test]
     fn eta_needs_a_steady_window_then_tracks_the_rate() {
-        let fleet = Fleet::new();
         let tel = JobTelemetry::new(64);
         // Fewer than MIN_STEADY_SAMPLES progress frames: clamped to None,
         // however fast the first burst looked.
         for (i, completed) in (0..3).enumerate() {
-            tel.apply_frame(
-                &fleet,
-                Frame::Progress {
-                    t_ns: i as u64,
-                    completed,
-                    total: 100,
-                    phase: "running".to_owned(),
-                },
-            );
+            tel.apply_frame(Frame::Progress {
+                t_ns: i as u64,
+                completed,
+                total: 100,
+                phase: "running".to_owned(),
+            });
             std::thread::sleep(Duration::from_millis(15));
         }
         assert_eq!(tel.eta_secs(), None, "steady window not yet filled");
         for completed in 3..8 {
-            tel.apply_frame(
-                &fleet,
-                Frame::Progress {
-                    t_ns: completed,
-                    completed,
-                    total: 100,
-                    phase: "running".to_owned(),
-                },
-            );
+            tel.apply_frame(Frame::Progress {
+                t_ns: completed,
+                completed,
+                total: 100,
+                phase: "running".to_owned(),
+            });
             std::thread::sleep(Duration::from_millis(15));
         }
         let eta = tel.eta_secs().expect("window filled");
@@ -786,21 +693,17 @@ mod tests {
         let (phase, completed, total) = tel.progress();
         assert_eq!((phase.as_str(), completed, total), ("running", 7, 100));
         // A finished job stops advertising an ETA.
-        tel.apply_frame(
-            &fleet,
-            Frame::Progress {
-                t_ns: 9,
-                completed: 100,
-                total: 100,
-                phase: "done".to_owned(),
-            },
-        );
+        tel.apply_frame(Frame::Progress {
+            t_ns: 9,
+            completed: 100,
+            total: 100,
+            phase: "done".to_owned(),
+        });
         assert_eq!(tel.eta_secs(), None, "complete means no ETA");
     }
 
     /// Drives raw bytes through a real socket into `ingest_stream`.
     fn ingest_bytes(bytes: &[u8], tel: &JobTelemetry, registry: &MetricsRegistry) {
-        let fleet = Fleet::new();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let payload = bytes.to_vec();
@@ -810,7 +713,7 @@ mod tests {
         });
         let (stream, _) = listener.accept().unwrap();
         let done = AtomicBool::new(true);
-        ingest_stream(stream, tel, &fleet, registry, &done);
+        ingest_stream(stream, tel, registry, &done);
         writer.join().unwrap();
     }
 
@@ -866,7 +769,6 @@ mod tests {
     #[test]
     fn span_store_stays_bounded_with_exact_drop_accounting() {
         use spindle_obs::frame::{SpanBatch, SpanRec};
-        let fleet = Fleet::new();
         let tel = JobTelemetry::new(16);
         let rec = |i: u64| SpanRec {
             track: "t".to_owned(),
@@ -883,14 +785,11 @@ mod tests {
         let mut sent = 0u64;
         while sent < total_sent {
             let n = (total_sent - sent).min(300);
-            tel.apply_frame(
-                &fleet,
-                Frame::Span(SpanBatch {
-                    t_ns: sent,
-                    dropped: if sent == 0 { child_shed } else { 0 },
-                    spans: (sent..sent + n).map(rec).collect(),
-                }),
-            );
+            tel.apply_frame(Frame::Span(SpanBatch {
+                t_ns: sent,
+                dropped: if sent == 0 { child_shed } else { 0 },
+                spans: (sent..sent + n).map(rec).collect(),
+            }));
             sent += n;
         }
         let (spans, dropped) = tel.trace_spans();
@@ -923,20 +822,16 @@ mod tests {
 
     #[test]
     fn hello_epoch_yields_a_clock_offset_for_child_wall_spans() {
-        let fleet = Fleet::new();
         let tel = JobTelemetry::new(16);
         assert_eq!(tel.child_offset_ns(), None, "no hello, no offset");
         // A child whose span clock started 5 s before its Hello: the
         // offset must place its spans ~5 s in the daemon's past.
-        tel.apply_frame(
-            &fleet,
-            Frame::Hello {
-                version: spindle_obs::frame::PROTOCOL_VERSION,
-                pid: 1,
-                label: "old-clock".to_owned(),
-                epoch_ns: 5_000_000_000,
-            },
-        );
+        tel.apply_frame(Frame::Hello {
+            version: spindle_obs::frame::PROTOCOL_VERSION,
+            pid: 1,
+            label: "old-clock".to_owned(),
+            epoch_ns: 5_000_000_000,
+        });
         let offset = tel.child_offset_ns().expect("hello landed");
         assert!(
             (-5_000_000_000..=-4_000_000_000).contains(&offset),
@@ -945,15 +840,12 @@ mod tests {
         // A child epoch ≈ 0 (clock started at Hello): offset ≈ the
         // tiny daemon elapsed, i.e. near zero but non-negative.
         let tel2 = JobTelemetry::new(16);
-        tel2.apply_frame(
-            &fleet,
-            Frame::Hello {
-                version: spindle_obs::frame::PROTOCOL_VERSION,
-                pid: 2,
-                label: "fresh".to_owned(),
-                epoch_ns: 0,
-            },
-        );
+        tel2.apply_frame(Frame::Hello {
+            version: spindle_obs::frame::PROTOCOL_VERSION,
+            pid: 2,
+            label: "fresh".to_owned(),
+            epoch_ns: 0,
+        });
         let offset2 = tel2.child_offset_ns().expect("hello landed");
         assert!(
             (0..1_000_000_000).contains(&offset2),
@@ -963,8 +855,10 @@ mod tests {
 
     #[test]
     fn unknown_frame_kinds_are_skipped_and_counted_not_fatal() {
-        // A checksum-valid frame of a future kind between two known
-        // frames: the stream survives, the skip is visible.
+        // A checksum-valid frame of an unknown kind between two known
+        // frames: the daemon and its bookkeeping survive, but the
+        // stream ends there, counted as a decode error and noted on
+        // the event feed. The frame behind it is never applied.
         let mut wire = Frame::Hello {
             version: spindle_obs::frame::PROTOCOL_VERSION,
             pid: 7,
@@ -986,11 +880,66 @@ mod tests {
         let registry = MetricsRegistry::new();
         let tel = JobTelemetry::new(16);
         ingest_bytes(&wire, &tel, &registry);
-        assert_eq!(tel.frames.load(Ordering::Relaxed), 2, "hello + bye landed");
-        assert_eq!(tel.decode_errors.load(Ordering::Relaxed), 0);
-        assert!(!tel.torn.load(Ordering::Relaxed), "clean bye, not torn");
+        assert_eq!(tel.frames.load(Ordering::Relaxed), 1, "only hello landed");
+        assert_eq!(tel.decode_errors.load(Ordering::Relaxed), 1);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter("serve.telemetry.frames_skipped"), Some(1));
+        assert_eq!(snap.counter("serve.telemetry.frame_errors"), Some(1));
+        let (_, events, _) = tel.events_since(0);
+        assert!(
+            events
+                .iter()
+                .any(|(_, e)| e.contains("telemetry-error") && e.contains("unknown frame kind 200")),
+            "{events:?}"
+        );
+        assert!(
+            !events.iter().any(|(_, e)| e.contains("\"bye\"")),
+            "the frame behind the stranger was not applied: {events:?}"
+        );
+    }
+
+    #[test]
+    fn repeated_progress_is_a_heartbeat_not_news() {
+        let progress = |completed| Frame::Progress {
+            t_ns: 0,
+            completed,
+            total: 8,
+            phase: "running".to_owned(),
+        };
+        let mut wire = Frame::Hello {
+            version: spindle_obs::frame::PROTOCOL_VERSION,
+            pid: 7,
+            label: "t".to_owned(),
+            epoch_ns: 0,
+        }
+        .encode();
+        for _ in 0..5 {
+            wire.extend_from_slice(&progress(1).encode());
+        }
+        let registry = MetricsRegistry::new();
+        let tel = JobTelemetry::new(64);
+        ingest_bytes(&wire, &tel, &registry);
+        assert_eq!(tel.frames.load(Ordering::Relaxed), 6, "every frame counted");
+        let silence = tel.frame_silence_secs().expect("spoke");
+        assert!(silence < 30.0, "each frame refreshed liveness: {silence}");
+        let (_, events, _) = tel.events_since(0);
+        let news = events
+            .iter()
+            .filter(|(_, e)| e.contains("\"type\":\"progress\""))
+            .count();
+        assert_eq!(news, 1, "one progress event for five frames: {events:?}");
+        // One ETA sample too: had each repeat banked one, two changes
+        // would fill the steady window; it takes three.
+        for completed in 2..=3 {
+            std::thread::sleep(Duration::from_millis(5));
+            tel.apply_frame(progress(completed));
+        }
+        assert_eq!(tel.eta_secs(), None, "three samples, not yet steady");
+        std::thread::sleep(Duration::from_millis(5));
+        tel.apply_frame(progress(4));
+        assert!(
+            tel.eta_secs().is_some(),
+            "the fourth change fills the window"
+        );
     }
 
     #[test]
@@ -1067,76 +1016,6 @@ mod tests {
         assert_eq!(
             registry.snapshot().counter("serve.telemetry.torn_streams"),
             None
-        );
-    }
-
-    fn snapshot_frame(t_ns: u64, counters: &[(&str, u64)], hist: &[(&str, u64, u64)]) -> Frame {
-        let snapshot = Snapshot {
-            counters: counters
-                .iter()
-                .map(|(n, v)| ((*n).to_owned(), *v))
-                .collect(),
-            gauges: Vec::new(),
-            histograms: hist
-                .iter()
-                .map(|(n, count, value)| {
-                    let mut h = HistogramSnapshot::empty_with_bounds(vec![10, 100, 1000]);
-                    for _ in 0..*count {
-                        h.record(*value);
-                    }
-                    ((*n).to_owned(), h)
-                })
-                .collect(),
-            spans: Vec::new(),
-        };
-        Frame::Snapshot { t_ns, snapshot }
-    }
-
-    #[test]
-    fn fleet_totals_equal_the_sum_of_per_job_totals() {
-        let fleet = Fleet::new();
-        let jobs: Vec<JobTelemetry> = (0..3).map(|_| JobTelemetry::new(16)).collect();
-        // Each job ships cumulative snapshots; counters overlap across
-        // jobs and grow at different rates.
-        for (j, tel) in jobs.iter().enumerate() {
-            let j = j as u64 + 1;
-            for step in 1..=4u64 {
-                tel.apply_frame(
-                    &fleet,
-                    snapshot_frame(
-                        step * 1_000_000_000,
-                        &[
-                            ("disk.requests_completed", step * j * 10),
-                            ("disk.bytes_read", step * 512),
-                        ],
-                        &[("disk.response_us", step * j, 50)],
-                    ),
-                );
-            }
-        }
-        let fleet_total = fleet
-            .rollups
-            .snapshot()
-            .resolution("run")
-            .expect("run resolution")
-            .merged();
-        let mut summed = WindowAccum::default();
-        for tel in &jobs {
-            summed.merge_from(&tel.lifetime_totals());
-        }
-        assert_eq!(
-            fleet_total.counters, summed.counters,
-            "fleet counters are the exact sum of per-job counters"
-        );
-        let fleet_hist = &fleet_total.histograms["disk.response_us"];
-        let summed_hist = &summed.histograms["disk.response_us"];
-        assert_eq!(fleet_hist.count, summed_hist.count);
-        assert_eq!(fleet_hist.sum, summed_hist.sum);
-        assert_eq!(fleet_hist.buckets, summed_hist.buckets, "bucket-for-bucket");
-        // Sanity: the totals are what the arithmetic says.
-        assert_eq!(
-            fleet_total.counters["disk.requests_completed"],
-            4 * 10 + 4 * 20 + 4 * 30
         );
     }
 }

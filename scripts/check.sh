@@ -321,10 +321,11 @@ else
         # 5. Telemetry plane: submit a matrix job, stream its SSE event
         #    feed while it runs, and check the feed carried at least one
         #    progress frame plus a terminal event that agrees with the
-        #    job's result document.
+        #    job's result document. Its telemetry stream must be whole,
+        #    and its rollups live in the timescales.json it writes.
         echo "==> telemetry plane smoke (/jobs/ID/events mid-run)"
         MATRIX_ID=$(curl -s -X POST "http://$ADDR/jobs" \
-            -d '{"kind":"matrix","quick":true,"ids":["t2"],"jobs":2}' \
+            -d '{"kind":"matrix","quick":true,"ids":["t2"],"jobs":2,"timescales":true}' \
             | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
         if [ -z "$MATRIX_ID" ]; then
             echo "FAILED: matrix job submission returned no id" >&2
@@ -350,8 +351,15 @@ else
             fi
             run curl -sf "http://$ADDR/jobs/$MATRIX_ID/timescales" \
                 -o artifacts/job-timescales.json
-            if ! grep -q '"resolutions"' artifacts/job-timescales.json; then
-                echo "FAILED: per-job timescales carry no resolutions" >&2
+            if ! grep -q '"decode_errors":0' artifacts/job-timescales.json \
+                || ! grep -q '"torn":false' artifacts/job-timescales.json; then
+                echo "FAILED: per-job telemetry stream had decode errors or tore" >&2
+                fail=1
+            fi
+            run curl -sf "http://$ADDR/jobs/$MATRIX_ID/artifacts/timescales.json" \
+                -o artifacts/job-timescales-artifact.json
+            if ! grep -q '"resolutions"' artifacts/job-timescales-artifact.json; then
+                echo "FAILED: the matrix job's timescales.json carries no resolutions" >&2
                 fail=1
             fi
 

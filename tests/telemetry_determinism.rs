@@ -181,13 +181,18 @@ fn kinds(frames: &[Frame]) -> Vec<&'static str> {
         .iter()
         .map(|frame| match frame {
             Frame::Hello { .. } => "hello",
-            Frame::Snapshot { .. } => "snapshot",
             Frame::Progress { .. } => "progress",
-            Frame::Log { .. } => "log",
             Frame::Span(_) => "span",
             Frame::Bye { .. } => "bye",
         })
         .collect()
+}
+
+/// `kinds` with each run of equal neighbours collapsed to one entry.
+fn runs(kinds: &[&'static str]) -> Vec<&'static str> {
+    let mut out = kinds.to_vec();
+    out.dedup();
+    out
 }
 
 /// The span records a sink received, checked to be the run's wall
@@ -252,14 +257,16 @@ fn frame_exporter_changes_no_bytes_at_any_jobs_count() {
             !stderr.contains("telemetry export"),
             "exporter failed to reach the sink:\n{stderr}"
         );
-        // The protocol actually ran: session open, at least one
-        // metrics snapshot, the wall spans (a full recorder ships no
+        // The protocol actually ran: session open, progress
+        // heartbeats, the wall spans (a full recorder ships no
         // sim-time record), and a clean goodbye.
         let frames = sink.join().expect("sink thread");
-        let kinds = kinds(&frames);
-        assert_eq!(kinds.first(), Some(&"hello"), "{kinds:?}");
-        assert_eq!(kinds.last(), Some(&"bye"), "{kinds:?}");
-        assert!(kinds.contains(&"snapshot"), "{kinds:?}");
+        assert_eq!(
+            runs(&kinds(&frames)),
+            ["hello", "progress", "span", "bye"],
+            "{:?}",
+            kinds(&frames)
+        );
         shipped_wall_spans(&frames);
     }
 }
@@ -289,6 +296,13 @@ fn sink_only_run_ships_wall_spans_only() {
     );
     assert_eq!(out.stdout, plain.stdout, "the sink moved stdout bytes");
     let frames = sink.join().expect("sink thread");
+    // Nothing but liveness, progress and wall spans crosses the wire.
+    assert_eq!(
+        runs(&kinds(&frames)),
+        ["hello", "progress", "span", "bye"],
+        "{:?}",
+        kinds(&frames)
+    );
     let spans = shipped_wall_spans(&frames);
     // The pool's workers label their own rows, so the wall story
     // reaches past the main thread.
@@ -394,9 +408,9 @@ fn served_job_timescales_match_cli_rollup_totals() {
         "reference run produced no disk totals: {expected:?}"
     );
 
-    // Served: the identical spec as a daemon job; the child streams
-    // its registry over the telemetry sink and the daemon rebuilds the
-    // rollup wheel from the snapshot deltas.
+    // Served: the identical spec as a daemon job. The child writes its
+    // own rollup document as the job's `timescales.json` artifact; the
+    // telemetry stream carries only liveness, progress and wall spans.
     let dir = scratch("served-jobs");
     let mut config = spindle_serve::ServeConfig::new("127.0.0.1:0", &dir);
     config.experiments_bin = Some(PathBuf::from(bin()));
@@ -406,7 +420,9 @@ fn served_job_timescales_match_cli_rollup_totals() {
         &addr,
         "POST",
         "/jobs",
-        Some(r#"{"kind":"matrix","quick":true,"ids":["t2"],"jobs":2}"#),
+        Some(
+            r#"{"kind":"matrix","quick":true,"ids":["t2"],"jobs":2,"metrics":true,"timescales":true}"#,
+        ),
     );
     assert!(status.contains("201"), "{status}: {body}");
     let id = json::parse(&body)
@@ -448,11 +464,17 @@ fn served_job_timescales_match_cli_rollup_totals() {
         Some("false"),
         "{body}"
     );
-    let got = stable_totals(
-        run_resolution(doc.get("rollups").expect("rollups"))
-            .get("merged")
-            .expect("merged"),
+    assert_eq!(doc.get("decode_errors").and_then(Json::as_u64), Some(0));
+    assert!(doc.get("rollups").is_none(), "{body}");
+    let (status, body) = http(
+        &addr,
+        "GET",
+        &format!("/jobs/{id}/artifacts/timescales.json"),
+        None,
     );
+    assert!(status.contains("200"), "{status}: {body}");
+    let artifact = json::parse(body.trim()).expect("timescales artifact parses");
+    let got = stable_totals(run_resolution(&artifact).get("merged").expect("merged"));
     assert_eq!(
         got, expected,
         "served lifetime totals differ from the CLI rollup export"
