@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use crate::args::{parse, Options};
+use crate::args::{parse, Arity, Options};
 use spindle_core::burstiness::BurstinessAnalysis;
 use spindle_core::idle::{IdleAnalysis, AVAILABILITY_THRESHOLDS};
 use spindle_core::lifetime::{saturation_curve, FamilyAnalysis};
@@ -12,7 +12,7 @@ use spindle_disk::scheduler::SchedulerKind;
 use spindle_disk::sim::{DiskSim, SimConfig, SimResult};
 use spindle_harden::io::FaultyReader;
 use spindle_obs::{progress, ObsSpan};
-use spindle_pulse::front::{self, Arity, Invocation, SHARED};
+use spindle_pulse::front::{self, Invocation, SHARED};
 use spindle_synth::family::FamilySpec;
 use spindle_synth::hourgen::{HourSeriesSpec, WEEK_HOURS};
 use spindle_synth::presets::parse_environment;
@@ -146,6 +146,93 @@ Options accept both `--key value` and `--key=value`.
 /// The global options only `spindle` accepts.
 const SPINDLE_ONLY: &[(&str, Arity)] = &[("lenient", Arity::Flag)];
 
+/// The options of the commands that simulate a trace (`build_sim`).
+const SIM_OPTIONS: &[(&str, Arity)] = &[
+    ("in", Arity::Value),
+    ("profile", Arity::Value),
+    ("scheduler", Arity::Value),
+    ("no-write-back", Arity::Flag),
+];
+
+/// Each subcommand's own options; anything else is refused by name.
+fn command_options(cmd: &str) -> &'static [(&'static str, Arity)] {
+    use Arity::Value;
+    match cmd {
+        "generate" => &[
+            ("env", Value),
+            ("span", Value),
+            ("seed", Value),
+            ("out", Value),
+        ],
+        "simulate" | "analyze" | "power" => SIM_OPTIONS,
+        "report" => &[
+            ("in", Value),
+            ("profile", Value),
+            ("scheduler", Value),
+            ("no-write-back", Arity::Flag),
+            ("out", Value),
+        ],
+        "family" => &[("drives", Value), ("weeks", Value), ("seed", Value)],
+        "hourgen" => &[
+            ("drives", Value),
+            ("weeks", Value),
+            ("seed", Value),
+            ("hours-out", Value),
+            ("lifetimes-out", Value),
+        ],
+        "anonymize" => &[
+            ("in", Value),
+            ("out", Value),
+            ("key", Value),
+            ("extent", Value),
+        ],
+        "trace assemble" => &[("dir", Value), ("out", Value)],
+        "serve" => &[
+            ("queue-bound", Value),
+            ("parallel", Value),
+            ("dir", Value),
+            ("resume-dir", Value),
+            ("default-deadline", Value),
+            ("max-deadline", Value),
+            ("stall-timeout", Value),
+            ("max-retries", Value),
+            ("retry-base-ms", Value),
+            ("drain-timeout", Value),
+        ],
+        "chaos" => &[
+            ("seed", Value),
+            ("daemon-pid", Value),
+            ("input", Value),
+            ("out", Value),
+        ],
+        "loadtest" => &[
+            ("clients", Value),
+            ("jobs", Value),
+            ("span", Value),
+            ("out", Value),
+        ],
+        _ => &[],
+    }
+}
+
+/// `cmd`'s options from `argv`, checked against its table.
+fn options(cmd: &str, argv: &[String]) -> Result<Options, Usage> {
+    parse(cmd, argv, command_options(cmd)).map_err(Usage)
+}
+
+/// A command line the option parser refused. `spindle` exits 2 on it,
+/// as `experiments` does on a bad usage.
+#[derive(Debug)]
+pub(crate) struct Usage(String);
+
+impl std::fmt::Display for Usage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for Usage {}
+
 /// Peels the global options off `argv` and resolves them.
 fn globals(argv: &[String]) -> Result<(Invocation, Vec<String>), String> {
     // `spindle loadtest --jobs M` means total submissions, not worker
@@ -167,7 +254,7 @@ fn globals(argv: &[String]) -> Result<(Invocation, Vec<String>), String> {
 ///
 /// Returns a human-readable message for any failure.
 pub fn dispatch(argv: &[String]) -> CmdResult {
-    let (inv, argv) = globals(argv)?;
+    let (inv, argv) = globals(argv).map_err(Usage)?;
     let phase = argv.first().map_or("idle", String::as_str);
     inv.run(phase, phase, 0, |_| dispatch_command(&argv, &inv))?;
     Ok(())
@@ -178,15 +265,16 @@ fn dispatch_command(argv: &[String], inv: &Invocation) -> CmdResult {
         print!("{HELP}");
         return Ok(());
     };
+    let opts = || options(cmd, rest);
     match cmd.as_str() {
-        "generate" => generate(&parse(rest, &[])?),
-        "simulate" => simulate(&parse(rest, &["no-write-back"])?, inv),
-        "analyze" => analyze(&parse(rest, &[])?, inv),
-        "report" => crate::report::report(&parse(rest, &[])?, inv),
-        "family" => family(&parse(rest, &[])?),
-        "hourgen" => hourgen(&parse(rest, &[])?),
-        "power" => power(&parse(rest, &["no-write-back"])?, inv),
-        "anonymize" => anonymize(&parse(rest, &[])?, inv),
+        "generate" => generate(&opts()?),
+        "simulate" => simulate(&opts()?, inv),
+        "analyze" => analyze(&opts()?, inv),
+        "report" => crate::report::report(&opts()?, inv),
+        "family" => family(&opts()?),
+        "hourgen" => hourgen(&opts()?),
+        "power" => power(&opts()?, inv),
+        "anonymize" => anonymize(&opts()?, inv),
         "trace" => trace_cmd(rest),
         "serve" => serve_cmd(rest),
         "loadtest" => loadtest_cmd(rest),
@@ -217,7 +305,7 @@ fn trace_cmd(rest: &[String]) -> CmdResult {
 /// daemon persisted — the same document `GET /jobs/ID/trace` serves,
 /// available after the daemon is gone.
 fn trace_assemble(rest: &[String]) -> CmdResult {
-    let opts = parse(rest, &[])?;
+    let opts = options("trace assemble", rest)?;
     let Some(dir) = opts.get("dir") else {
         return Err("trace assemble needs --dir JOBDIR (a job's artifact directory)".into());
     };
@@ -332,7 +420,7 @@ fn serve_config(
         }
         _ => (spindle_serve::DEFAULT_ADDR.to_owned(), rest),
     };
-    let opts = parse(rest, &[])?;
+    let opts = options("serve", rest)?;
     let queue_bound: usize = opts.get_or("queue-bound", spindle_serve::DEFAULT_QUEUE_BOUND)?;
     if queue_bound == 0 {
         return Err("bad value for --queue-bound: needs at least 1".into());
@@ -384,7 +472,7 @@ fn chaos_cmd(rest: &[String]) -> CmdResult {
     if url.starts_with('-') {
         return Err(format!("chaos needs the server URL first ({USAGE})").into());
     }
-    let opts = parse(rest, &[])?;
+    let opts = options("chaos", rest)?;
     let mut config = spindle_serve::chaos::ChaosConfig::new(url);
     config.seed = opts.get_or("seed", config.seed)?;
     if let Some(pid) = opts.get("daemon-pid") {
@@ -419,7 +507,7 @@ fn loadtest_cmd(rest: &[String]) -> CmdResult {
     if url.starts_with('-') {
         return Err(format!("loadtest needs the server URL first ({USAGE})").into());
     }
-    let opts = parse(rest, &[])?;
+    let opts = options("loadtest", rest)?;
     let mut config = spindle_serve::loadtest::LoadConfig::new(url);
     config.clients = opts.get_or("clients", config.clients)?;
     config.jobs = opts.get_or("jobs", config.jobs)?;
@@ -1337,6 +1425,64 @@ mod tests {
     }
 
     #[test]
+    fn subcommands_refuse_unknown_options_by_name() {
+        for (cmd, key, line) in [
+            (
+                "generate",
+                "--sed",
+                &["generate", "--env", "mail", "--span", "1", "--sed", "7"][..],
+            ),
+            (
+                "serve",
+                "--addr",
+                &["serve", "--addr", "127.0.0.1:0", "--dir", "d"],
+            ),
+            (
+                "trace assemble",
+                "--bogus",
+                &["trace", "assemble", "--dir", "d", "--bogus=1"],
+            ),
+            (
+                "analyze",
+                "--verbos",
+                &["analyze", "--in", "t.bin", "--verbos"],
+            ),
+        ] {
+            let err = dispatch(&argv(line)).unwrap_err();
+            assert!(err.is::<Usage>(), "{line:?}: a usage error exits 2");
+            let err = err.to_string();
+            assert!(
+                err.contains(&format!("unknown option `{key}` for `{cmd}`")),
+                "{line:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn served_job_argv_parses_for_every_spindle_kind() {
+        use spindle_serve::spec::JobSpec;
+        // Every option a served spec can put on a `spindle` command
+        // line, per kind; `matrix` runs `experiments`, whose parser
+        // refuses unknown flags on its own.
+        let common = r#""jobs":2,"faults":"io@4096","metrics":true,"trace":true"#;
+        let input = r#""input":"t.bin","profile":"savvio-10k","lenient":true"#;
+        for body in [
+            format!(r#"{{"kind":"generate","env":"mail","span":5,"seed":7,{common}}}"#),
+            format!(
+                r#"{{"kind":"simulate",{input},"scheduler":"look","no_write_back":true,{common}}}"#
+            ),
+            format!(r#"{{"kind":"analyze",{input},{common}}}"#),
+        ] {
+            let spec = JobSpec::parse(&body).expect("valid spec");
+            let (inv, rest) = globals(&spec.argv(std::path::Path::new("/d"))).expect("globals");
+            assert!(inv.metrics.is_some() && inv.trace_out.is_some(), "{body}");
+            let (cmd, rest) = rest.split_first().expect("a command");
+            let opts = options(cmd, rest).unwrap_or_else(|e| panic!("{body}: {e}"));
+            assert!(opts.get("env").or(opts.get("in")).is_some(), "{body}");
+        }
+    }
+
+    #[test]
     fn chaos_usage_errors() {
         assert!(dispatch(&argv(&["chaos"])).is_err());
         assert!(dispatch(&argv(&["chaos", "--seed", "1"])).is_err());
@@ -1423,7 +1569,7 @@ mod tests {
 
     #[test]
     fn trace_assemble_rebuilds_a_job_trace_offline() {
-        use spindle_serve::trace::{SpanOrigin, TraceSpan};
+        use spindle_obs::frame::{SpanOrigin, TraceSpan};
         let dir = std::env::temp_dir().join("spindle-cli-assemble");
         let _ = std::fs::remove_dir_all(&dir);
         let job_dir = dir.join("job-0001");

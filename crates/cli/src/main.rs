@@ -25,7 +25,11 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("spindle: {e}");
-            ExitCode::FAILURE
+            if e.is::<commands::Usage>() {
+                ExitCode::from(2)
+            } else {
+                ExitCode::FAILURE
+            }
         }
     }
 }

@@ -1,59 +1,76 @@
 //! Cross-process telemetry frame protocol.
 //!
-//! A job child and the daemon that spawned it speak a compact,
-//! versioned, length-prefixed binary protocol over a local byte
-//! stream (the serve runner hands the child a `127.0.0.1` sink
-//! address via `SPINDLE_TELEMETRY_SINK`). The stream carries only what
-//! the daemon cannot learn from the run's own artifacts: liveness,
-//! progress and the child's wall spans. A run's registry numbers live
-//! in the `metrics.json` and `timescales.json` it writes itself, and
-//! its sim-time tracks in its `trace.json`; none of them cross the
-//! wire.
+//! A job child and the daemon that spawned it exchange checksummed,
+//! length-prefixed frames over a local byte stream (the serve runner
+//! hands the child a `127.0.0.1` sink address via
+//! `SPINDLE_TELEMETRY_SINK`). The stream carries only what the daemon
+//! cannot learn from the run's own artifacts: liveness, progress and
+//! the child's wall spans. A run's registry numbers live in the
+//! `metrics.json` and `timescales.json` it writes itself, and its
+//! sim-time tracks in its `trace.json`; none of them cross the wire.
 //!
 //! * [`Frame::Progress`] — phase name plus completed/total work units,
 //!   sent on every export tick: it is both the progress report and the
 //!   heartbeat the daemon's stall watchdog reads.
-//! * [`Frame::Span`] — a [`SpanBatch`]: the child's flight-recorder
-//!   wall-clock spans on its monotonic clock, shipped at shutdown so
-//!   the daemon can assemble a causal cross-process trace.
+//! * [`Frame::Span`] — one of the child's flight-recorder wall spans on
+//!   its monotonic clock, shipped at shutdown so the daemon can
+//!   assemble a causal cross-process trace. The body is a
+//!   [`TraceSpan`], the same record the daemon persists one per line in
+//!   a job's `spans.jsonl`.
 //!
 //! [`Frame::Hello`] opens every stream (protocol version, child pid,
 //! label, and the sender's monotonic-epoch reading, which lets the
 //! receiver compute a per-child clock offset and align wall spans onto
-//! its own timeline) and [`Frame::Bye`] closes it cleanly; a stream
-//! that ends without `Bye` is a torn tail (child killed mid-stream).
-//! Both ends are the same build (the daemon spawns its own binaries),
-//! so the decoder accepts exactly [`PROTOCOL_VERSION`] and knows every
-//! kind byte a sender can write.
+//! its own timeline) and [`Frame::Bye`] closes it cleanly, with the
+//! count of spans the sender shed; a stream that ends without `Bye` is
+//! a torn tail (child killed mid-stream). Both ends are the same build
+//! (the daemon spawns its own binaries), so the decoder accepts exactly
+//! [`PROTOCOL_VERSION`] and knows every kind a sender can write.
 //!
 //! # Wire format
 //!
 //! Every frame is independently delimited and checksummed:
 //!
 //! ```text
-//! [u32 le: body length]  [u32 le: FNV-1a of body]  [body: kind byte + fields]
+//! [u32 le: body length]  [u32 le: FNV-1a of body]  [body: one JSON object]
 //! ```
 //!
-//! Integers are little-endian and strings are `u16` length + UTF-8
-//! bytes, so encoding a given frame is byte-deterministic. The decoder
-//! is incremental and hostile-input safe: truncated prefixes simply
-//! wait for more bytes, bit flips fail the checksum, an unknown version
-//! or kind is a typed error, and no declared count is trusted for
-//! allocation. A decode error poisons the stream (length-prefixed
-//! framing cannot resync) but never panics.
+//! The body is one [`crate::json`] object whose `"kind"` names the
+//! frame:
+//!
+//! ```text
+//! {"kind":"hello","version":5,"pid":…,"label":…,"epoch_ns":…}
+//! {"kind":"progress","completed":…,"total":…,"phase":…}
+//! {"kind":"span","origin":"wall","track":…,"name":…,"begin_ns":…,"dur_ns":…,"args":…}
+//! {"kind":"bye","frames_sent":…,"spans_dropped":…}
+//! ```
+//!
+//! Encoding a given frame is byte-deterministic, and strings are cut
+//! at [`MAX_STR_LEN`] bytes on a char boundary, so no sender can build
+//! a frame over [`MAX_FRAME_LEN`]. The decoder is incremental and
+//! hostile-input safe: truncated prefixes simply wait for more bytes,
+//! bit flips fail the checksum, an oversize or zero length is refused
+//! before any allocation, nesting is bounded by the JSON parser, and an
+//! unknown version or kind is a typed error. A decode error poisons the
+//! stream (length-prefixed framing cannot resync) but never panics.
 
 use crate::hash::fnv1a32;
-use crate::json::Json;
+use crate::json::{self, Json};
 use std::fmt;
 
 /// Protocol version carried in every [`Frame::Hello`]. The decoder
 /// accepts only this version: any other is [`FrameError::Version`]
 /// rather than a guess at an unknown layout.
-pub const PROTOCOL_VERSION: u16 = 4;
+pub const PROTOCOL_VERSION: u64 = 5;
 
 /// Upper bound on one frame's body, rejecting hostile length prefixes
-/// before any allocation. Real span batches are tens of KiB.
+/// before any allocation. Real frames are a few hundred bytes.
 pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
+
+/// Longest string field a sender writes, in bytes; longer ones are cut
+/// at a char boundary. Span args are the only field that can plausibly
+/// reach it.
+pub const MAX_STR_LEN: usize = u16::MAX as usize;
 
 /// Env var naming the telemetry sink address (`HOST:PORT`) a child
 /// exporter should connect to. Defined here so the obs crate is the
@@ -61,25 +78,11 @@ pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
 /// exporter and the serve runner both read it from this constant.
 pub const SINK_ENV: &str = "SPINDLE_TELEMETRY_SINK";
 
-// Kinds 2, 3 and 5 carried registry snapshots, rollup windows and log
-// lines in earlier versions; they stay retired so an old frame is a
-// decode error, never misread.
-const KIND_HELLO: u8 = 1;
-const KIND_PROGRESS: u8 = 4;
-const KIND_BYE: u8 = 6;
-const KIND_SPAN: u8 = 7;
-
-/// The one span-record flag: a duration follows `begin_ns`.
-const FLAG_DUR: u8 = 2;
-
 /// One telemetry frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// Stream opener: protocol version, child pid, free-form label.
+    /// Stream opener; encodes [`PROTOCOL_VERSION`].
     Hello {
-        /// Must be [`PROTOCOL_VERSION`]; anything else is
-        /// [`FrameError::Version`].
-        version: u16,
         /// The sender's process id (0 when unknown).
         pid: u32,
         /// Free-form sender label (binary name, job id, …).
@@ -91,10 +94,8 @@ pub enum Frame {
         /// onto the receiver's timeline.
         epoch_ns: u64,
     },
-    /// Phase plus completed/total work units at `t_ns`.
+    /// Phase plus completed/total work units.
     Progress {
-        /// Nanoseconds since the sender's export epoch.
-        t_ns: u64,
         /// Work units finished so far.
         completed: u64,
         /// Total work units (0 when unknown).
@@ -102,48 +103,107 @@ pub enum Frame {
         /// Current phase name.
         phase: String,
     },
+    /// One flight-recorder wall span. Its origin is whatever the sender
+    /// claims; a receiver decides for itself what a streamed span is.
+    Span(TraceSpan),
     /// Clean end of stream.
     Bye {
-        /// Nanoseconds since the sender's export epoch.
-        t_ns: u64,
         /// Frames the sender emitted before this one.
         frames_sent: u64,
+        /// Spans the sender recorded but did not ship (its cap hit);
+        /// non-zero means the trace is truncated, visibly.
+        spans_dropped: u64,
     },
-    /// A batch of flight-recorder wall spans.
-    Span(SpanBatch),
 }
 
-/// A batch of flight-recorder wall spans shipped upstream so the
-/// receiver can assemble a cross-process trace, stamped on the
-/// sender's span clock (the same epoch the Hello's `epoch_ns` reads).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanBatch {
-    /// Nanoseconds since the sender's export epoch when the batch was
-    /// encoded.
-    pub t_ns: u64,
-    /// Spans the sender recorded but did not ship (batch cap hit);
-    /// non-zero means the trace is truncated, visibly.
-    pub dropped: u64,
-    /// The spans, in recording order.
-    pub spans: Vec<SpanRec>,
+/// Where a trace span came from, which also fixes what its `begin_ns`
+/// is relative to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpanOrigin {
+    /// Daemon lifecycle span, daemon-epoch-relative.
+    Daemon,
+    /// Child wall span, child-epoch-relative (needs the clock offset).
+    ChildWall,
 }
 
-/// One interval or instant in a [`SpanBatch`].
+impl SpanOrigin {
+    fn as_str(self) -> &'static str {
+        match self {
+            SpanOrigin::Daemon => "daemon",
+            SpanOrigin::ChildWall => "wall",
+        }
+    }
+
+    fn parse(text: &str) -> Option<SpanOrigin> {
+        match text {
+            "daemon" => Some(SpanOrigin::Daemon),
+            "wall" => Some(SpanOrigin::ChildWall),
+            _ => None,
+        }
+    }
+}
+
+/// One wall-clock span: a [`Frame::Span`] body and one line of a serve
+/// job's `spans.jsonl`, in the one JSON form of [`TraceSpan::to_json`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanRec {
-    /// Thread label of the sender's thread that recorded the span.
+pub struct TraceSpan {
+    /// Which timeline the span belongs to.
+    pub origin: SpanOrigin,
+    /// Track (thread row) the span renders on.
     pub track: String,
-    /// What the span is.
+    /// Span name.
     pub name: String,
-    /// Start in nanoseconds on the sender's span clock.
+    /// Start, relative to the origin's clock (see [`SpanOrigin`]).
     pub begin_ns: u64,
-    /// Duration in nanoseconds; `None` marks an instant event.
+    /// Duration; `None` marks an instant event.
     pub dur_ns: Option<u64>,
-    /// Pre-rendered JSON object of span detail (empty when none).
+    /// Pre-rendered JSON object of span args, empty for none.
     pub args: String,
 }
 
-/// Renders span args to the [`SpanRec::args`] form: a JSON object
+impl TraceSpan {
+    /// The span's record: `origin`, `track`, `name`, `begin_ns`, then
+    /// `dur_ns` and `args` when present.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let mut members = vec![
+            (
+                "origin".to_owned(),
+                Json::Str(self.origin.as_str().to_owned()),
+            ),
+            ("track".to_owned(), Json::Str(self.track.clone())),
+            ("name".to_owned(), Json::Str(self.name.clone())),
+            ("begin_ns".to_owned(), Json::Uint(self.begin_ns)),
+        ];
+        if let Some(dur) = self.dur_ns {
+            members.push(("dur_ns".to_owned(), Json::Uint(dur)));
+        }
+        if !self.args.is_empty() {
+            members.push(("args".to_owned(), Json::Str(self.args.clone())));
+        }
+        Json::Obj(members)
+    }
+
+    /// Reads a record written by [`TraceSpan::to_json`]; `None` when a
+    /// required field is missing or mistyped.
+    #[must_use]
+    pub fn from_json(doc: &Json) -> Option<TraceSpan> {
+        Some(TraceSpan {
+            origin: SpanOrigin::parse(doc.get("origin")?.as_str()?)?,
+            track: doc.get("track")?.as_str()?.to_owned(),
+            name: doc.get("name")?.as_str()?.to_owned(),
+            begin_ns: doc.get("begin_ns")?.as_u64()?,
+            dur_ns: doc.get("dur_ns").and_then(Json::as_u64),
+            args: doc
+                .get("args")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_owned(),
+        })
+    }
+}
+
+/// Renders span args to the [`TraceSpan::args`] form: a JSON object
 /// string, or empty when there are none.
 #[must_use]
 pub fn render_args(args: &[(String, Json)]) -> String {
@@ -159,8 +219,6 @@ pub fn render_args(args: &[(String, Json)]) -> String {
 /// reading (and counts the error) instead of guessing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {
-    /// A checksum-valid frame body ended before its declared fields.
-    Truncated,
     /// The length prefix exceeds [`MAX_FRAME_LEN`].
     Oversize {
         /// The declared body length.
@@ -173,22 +231,24 @@ pub enum FrameError {
         /// Checksum of the received body.
         got: u32,
     },
-    /// The kind byte names no known frame type.
-    UnknownKind(u8),
+    /// The `"kind"` names no known frame type.
+    UnknownKind(String),
     /// The `Hello` announced a protocol version this decoder does not
     /// speak.
     Version {
         /// The announced version.
-        got: u16,
+        got: u64,
     },
-    /// Structurally invalid body (bad UTF-8, trailing bytes, …).
+    /// A field the frame's kind requires is missing or mistyped.
+    Field(&'static str),
+    /// Structurally invalid body (empty, not UTF-8, not one JSON
+    /// object, nested too deep, …).
     Corrupt(&'static str),
 }
 
 impl fmt::Display for FrameError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FrameError::Truncated => write!(f, "frame body truncated"),
             FrameError::Oversize { len } => {
                 write!(f, "frame length {len} exceeds cap {MAX_FRAME_LEN}")
             }
@@ -198,13 +258,14 @@ impl fmt::Display for FrameError {
                     "frame checksum mismatch (wire {expected:#010x}, body {got:#010x})"
                 )
             }
-            FrameError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
+            FrameError::UnknownKind(k) => write!(f, "unknown frame kind `{k}`"),
             FrameError::Version { got } => {
                 write!(
                     f,
                     "protocol version {got} (this build speaks {PROTOCOL_VERSION})"
                 )
             }
+            FrameError::Field(name) => write!(f, "frame field `{name}` missing or mistyped"),
             FrameError::Corrupt(what) => write!(f, "corrupt frame: {what}"),
         }
     }
@@ -212,29 +273,23 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-// ---------------------------------------------------------------- encode
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Strings carry a `u16` length; longer inputs are truncated at a char
-/// boundary (span args are the only field that can plausibly hit this).
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let mut end = s.len().min(usize::from(u16::MAX));
+/// `s` cut to at most [`MAX_STR_LEN`] bytes at a char boundary.
+fn capped(s: &str) -> Json {
+    let mut end = s.len().min(MAX_STR_LEN);
     while !s.is_char_boundary(end) {
         end -= 1;
     }
-    put_u16(out, end as u16);
-    out.extend_from_slice(&s.as_bytes()[..end]);
+    Json::Str(s[..end].to_owned())
+}
+
+/// Wraps a frame body in the wire header: length, then checksum.
+#[must_use]
+pub fn seal(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(body.len() + 8);
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&fnv1a32(body).to_le_bytes());
+    out.extend_from_slice(body);
+    out
 }
 
 impl Frame {
@@ -242,192 +297,104 @@ impl Frame {
     /// encode to identical bytes.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(64);
-        match self {
+        let (kind, fields) = match self {
             Frame::Hello {
-                version,
                 pid,
                 label,
                 epoch_ns,
-            } => {
-                body.push(KIND_HELLO);
-                put_u16(&mut body, *version);
-                put_u32(&mut body, *pid);
-                put_str(&mut body, label);
-                put_u64(&mut body, *epoch_ns);
-            }
+            } => (
+                "hello",
+                vec![
+                    ("version".to_owned(), Json::Uint(PROTOCOL_VERSION)),
+                    ("pid".to_owned(), Json::Uint(u64::from(*pid))),
+                    ("label".to_owned(), capped(label)),
+                    ("epoch_ns".to_owned(), Json::Uint(*epoch_ns)),
+                ],
+            ),
             Frame::Progress {
-                t_ns,
                 completed,
                 total,
                 phase,
-            } => {
-                body.push(KIND_PROGRESS);
-                put_u64(&mut body, *t_ns);
-                put_u64(&mut body, *completed);
-                put_u64(&mut body, *total);
-                put_str(&mut body, phase);
-            }
-            Frame::Bye { t_ns, frames_sent } => {
-                body.push(KIND_BYE);
-                put_u64(&mut body, *t_ns);
-                put_u64(&mut body, *frames_sent);
-            }
-            Frame::Span(batch) => {
-                body.push(KIND_SPAN);
-                put_u64(&mut body, batch.t_ns);
-                put_u64(&mut body, batch.dropped);
-                put_u32(&mut body, batch.spans.len() as u32);
-                for s in &batch.spans {
-                    body.push(if s.dur_ns.is_some() { FLAG_DUR } else { 0 });
-                    put_str(&mut body, &s.track);
-                    put_str(&mut body, &s.name);
-                    put_u64(&mut body, s.begin_ns);
-                    if let Some(dur) = s.dur_ns {
-                        put_u64(&mut body, dur);
+            } => (
+                "progress",
+                vec![
+                    ("completed".to_owned(), Json::Uint(*completed)),
+                    ("total".to_owned(), Json::Uint(*total)),
+                    ("phase".to_owned(), capped(phase)),
+                ],
+            ),
+            Frame::Span(span) => {
+                let Json::Obj(mut fields) = span.to_json() else {
+                    unreachable!("a span record is an object");
+                };
+                for (_, value) in &mut fields {
+                    if let Json::Str(s) = value {
+                        *value = capped(s);
                     }
-                    put_str(&mut body, &s.args);
                 }
+                ("span", fields)
             }
-        }
-        let mut out = Vec::with_capacity(body.len() + 8);
-        put_u32(&mut out, body.len() as u32);
-        put_u32(&mut out, fnv1a32(&body));
-        out.extend_from_slice(&body);
-        out
-    }
-}
-
-// ---------------------------------------------------------------- decode
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], FrameError> {
-        let end = self.pos.checked_add(n).ok_or(FrameError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(FrameError::Truncated);
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_le_bytes(raw))
-    }
-
-    fn str(&mut self) -> Result<String, FrameError> {
-        let len = usize::from(self.u16()?);
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| FrameError::Corrupt("string is not UTF-8"))
-    }
-
-    fn done(&self) -> Result<(), FrameError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(FrameError::Corrupt("trailing bytes after frame body"))
-        }
+            Frame::Bye {
+                frames_sent,
+                spans_dropped,
+            } => (
+                "bye",
+                vec![
+                    ("frames_sent".to_owned(), Json::Uint(*frames_sent)),
+                    ("spans_dropped".to_owned(), Json::Uint(*spans_dropped)),
+                ],
+            ),
+        };
+        let mut members = vec![("kind".to_owned(), Json::Str(kind.to_owned()))];
+        members.extend(fields);
+        seal(Json::Obj(members).to_string().as_bytes())
     }
 }
 
 fn decode_body(body: &[u8]) -> Result<Frame, FrameError> {
-    let mut r = Reader { buf: body, pos: 0 };
-    let kind = r.u8()?;
-    let frame = match kind {
-        KIND_HELLO => {
-            let version = r.u16()?;
+    let text = std::str::from_utf8(body).map_err(|_| FrameError::Corrupt("body is not UTF-8"))?;
+    let doc = json::parse(text).map_err(|e| FrameError::Corrupt(e.reason))?;
+    let Json::Obj(_) = doc else {
+        return Err(FrameError::Corrupt("body is not a JSON object"));
+    };
+    let uint = |key: &'static str| {
+        doc.get(key)
+            .and_then(Json::as_u64)
+            .ok_or(FrameError::Field(key))
+    };
+    let string = |key: &'static str| {
+        doc.get(key)
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+            .ok_or(FrameError::Field(key))
+    };
+    match doc.get("kind").and_then(Json::as_str) {
+        Some("hello") => {
+            let version = uint("version")?;
             if version != PROTOCOL_VERSION {
                 return Err(FrameError::Version { got: version });
             }
-            let pid = r.u32()?;
-            let label = r.str()?;
-            let epoch_ns = r.u64()?;
-            Frame::Hello {
-                version,
-                pid,
-                label,
-                epoch_ns,
-            }
-        }
-        KIND_PROGRESS => {
-            let t_ns = r.u64()?;
-            let completed = r.u64()?;
-            let total = r.u64()?;
-            let phase = r.str()?;
-            Frame::Progress {
-                t_ns,
-                completed,
-                total,
-                phase,
-            }
-        }
-        KIND_BYE => {
-            let t_ns = r.u64()?;
-            let frames_sent = r.u64()?;
-            Frame::Bye { t_ns, frames_sent }
-        }
-        KIND_SPAN => {
-            let t_ns = r.u64()?;
-            let dropped = r.u64()?;
-            // Declared counts are never trusted for allocation: the
-            // vector grows as spans actually decode, so a hostile count
-            // fails with `Truncated` before any large reservation.
-            let n = r.u32()?;
-            let mut spans = Vec::new();
-            for _ in 0..n {
-                let flags = r.u8()?;
-                if flags & !FLAG_DUR != 0 {
-                    return Err(FrameError::Corrupt("unknown span flags"));
-                }
-                let track = r.str()?;
-                let name = r.str()?;
-                let begin_ns = r.u64()?;
-                let dur_ns = if flags & FLAG_DUR != 0 {
-                    Some(r.u64()?)
-                } else {
-                    None
-                };
-                let args = r.str()?;
-                spans.push(SpanRec {
-                    track,
-                    name,
-                    begin_ns,
-                    dur_ns,
-                    args,
-                });
-            }
-            Frame::Span(SpanBatch {
-                t_ns,
-                dropped,
-                spans,
+            Ok(Frame::Hello {
+                pid: u32::try_from(uint("pid")?).map_err(|_| FrameError::Field("pid"))?,
+                label: string("label")?,
+                epoch_ns: uint("epoch_ns")?,
             })
         }
-        other => return Err(FrameError::UnknownKind(other)),
-    };
-    r.done()?;
-    Ok(frame)
+        Some("progress") => Ok(Frame::Progress {
+            completed: uint("completed")?,
+            total: uint("total")?,
+            phase: string("phase")?,
+        }),
+        Some("span") => TraceSpan::from_json(&doc)
+            .map(Frame::Span)
+            .ok_or(FrameError::Field("span record")),
+        Some("bye") => Ok(Frame::Bye {
+            frames_sent: uint("frames_sent")?,
+            spans_dropped: uint("spans_dropped")?,
+        }),
+        Some(other) => Err(FrameError::UnknownKind(other.to_owned())),
+        None => Err(FrameError::Field("kind")),
+    }
 }
 
 /// Incremental frame decoder over an untrusted byte stream.
@@ -527,42 +494,43 @@ mod tests {
     fn all_kinds() -> Vec<Frame> {
         vec![
             Frame::Hello {
-                version: PROTOCOL_VERSION,
                 pid: 4242,
                 label: "job-0001".to_owned(),
                 epoch_ns: 123_456_789,
             },
             Frame::Progress {
-                t_ns: 2_000_000_000,
                 completed: 17,
                 total: 32,
                 phase: "running".to_owned(),
             },
             Frame::Bye {
-                t_ns: 3_000_000_000,
                 frames_sent: 3,
+                spans_dropped: 3,
             },
-            Frame::Span(SpanBatch {
-                t_ns: 2_900_000_000,
-                dropped: 3,
-                spans: vec![
-                    SpanRec {
-                        track: "main".to_owned(),
-                        name: "cli.simulate".to_owned(),
-                        begin_ns: 1_000,
-                        dur_ns: Some(2_000_000),
-                        args: "{\"phase\":\"run\"}".to_owned(),
-                    },
-                    SpanRec {
-                        track: "worker0".to_owned(),
-                        name: "mark".to_owned(),
-                        begin_ns: 42,
-                        dur_ns: None,
-                        args: String::new(),
-                    },
-                ],
+            Frame::Span(TraceSpan {
+                origin: SpanOrigin::ChildWall,
+                track: "main".to_owned(),
+                name: "cli.simulate".to_owned(),
+                begin_ns: 1_000,
+                dur_ns: Some(2_000_000),
+                args: "{\"phase\":\"run\"}".to_owned(),
+            }),
+            Frame::Span(TraceSpan {
+                origin: SpanOrigin::ChildWall,
+                track: "worker0".to_owned(),
+                name: "mark".to_owned(),
+                begin_ns: 42,
+                dur_ns: None,
+                args: String::new(),
             }),
         ]
+    }
+
+    /// Decodes one sealed body, as a receiver would.
+    fn decode(body: &str) -> Result<Option<Frame>, FrameError> {
+        let mut dec = FrameDecoder::new();
+        dec.push(&seal(body.as_bytes()));
+        dec.next_frame()
     }
 
     #[test]
@@ -592,6 +560,33 @@ mod tests {
     }
 
     #[test]
+    fn bodies_are_json_objects_in_the_span_file_record_form() {
+        let body = |f: &Frame| String::from_utf8(f.encode()[8..].to_vec()).expect("UTF-8");
+        let frames = all_kinds();
+        assert_eq!(
+            body(&frames[0]),
+            "{\"kind\":\"hello\",\"version\":5,\"pid\":4242,\"label\":\"job-0001\",\"epoch_ns\":123456789}"
+        );
+        assert_eq!(
+            body(&frames[1]),
+            "{\"kind\":\"progress\",\"completed\":17,\"total\":32,\"phase\":\"running\"}"
+        );
+        assert_eq!(
+            body(&frames[2]),
+            "{\"kind\":\"bye\",\"frames_sent\":3,\"spans_dropped\":3}"
+        );
+        // A span body is its span-file record behind the kind.
+        let Frame::Span(span) = &frames[3] else {
+            panic!("span frame");
+        };
+        let record = span.to_json().to_string();
+        assert_eq!(
+            body(&frames[3]),
+            format!("{{\"kind\":\"span\",{}", &record[1..])
+        );
+    }
+
+    #[test]
     fn truncated_length_prefix_waits_then_reads_as_torn_tail() {
         let wire = all_kinds()[0].encode();
         let mut dec = FrameDecoder::new();
@@ -613,117 +608,105 @@ mod tests {
     }
 
     #[test]
-    fn checksum_valid_but_short_body_is_truncated_error() {
-        // Craft a Progress body cut mid-field, with a *correct*
-        // checksum over the cut body: framing accepts it, field
-        // decoding must fail cleanly.
-        let body = {
-            let full = all_kinds()[1].encode();
-            full[8..full.len() - 4].to_vec()
-        };
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
-        wire.extend_from_slice(&body);
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire);
-        assert_eq!(dec.next_frame(), Err(FrameError::Truncated));
+    fn checksum_valid_but_short_body_is_corrupt() {
+        // A Progress body cut mid-object, with a *correct* checksum
+        // over the cut body: framing accepts it, decoding must fail
+        // cleanly.
+        let full = all_kinds()[1].encode();
+        let cut = std::str::from_utf8(&full[8..full.len() - 4]).expect("ASCII");
+        assert!(matches!(decode(cut), Err(FrameError::Corrupt(_))));
     }
 
     #[test]
     fn every_single_bit_flip_is_caught_or_deferred() {
-        let frames = all_kinds();
-        let original = &frames[1];
-        let wire = original.encode();
-        for bit in 0..wire.len() * 8 {
-            let mut flipped = wire.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            let mut dec = FrameDecoder::new();
-            dec.push(&flipped);
-            // A flip may enlarge the length prefix (decoder waits for
-            // bytes that never come) or corrupt the frame (typed
-            // error). It can never decode back to the original, and it
-            // never panics.
-            match dec.next_frame() {
-                Ok(None) | Err(_) => {}
-                Ok(Some(f)) => assert_ne!(&f, original, "flipped bit {bit} went unnoticed"),
+        for original in &all_kinds()[1..4] {
+            let wire = original.encode();
+            for bit in 0..wire.len() * 8 {
+                let mut flipped = wire.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let mut dec = FrameDecoder::new();
+                dec.push(&flipped);
+                // A flip may enlarge the length prefix (decoder waits
+                // for bytes that never come) or corrupt the frame
+                // (typed error). It can never decode back to the
+                // original, and it never panics.
+                match dec.next_frame() {
+                    Ok(None) | Err(_) => {}
+                    Ok(Some(f)) => assert_ne!(&f, original, "flipped bit {bit} went unnoticed"),
+                }
             }
         }
     }
 
+    /// A JSON Hello announcing `version`.
+    fn hello_v(version: u64) -> String {
+        format!(
+            "{{\"kind\":\"hello\",\"version\":{version},\"pid\":1,\"label\":\"x\",\"epoch_ns\":0}}"
+        )
+    }
+
     #[test]
     fn version_skew_is_a_typed_error() {
-        let skewed = Frame::Hello {
-            version: 99,
-            pid: 1,
-            label: "future".to_owned(),
-            epoch_ns: 0,
-        };
-        let mut dec = FrameDecoder::new();
-        dec.push(&skewed.encode());
-        assert_eq!(dec.next_frame(), Err(FrameError::Version { got: 99 }));
+        for version in [6, 99, u64::MAX] {
+            assert_eq!(
+                decode(&hello_v(version)),
+                Err(FrameError::Version { got: version })
+            );
+        }
     }
 
     #[test]
     fn older_protocol_hellos_are_version_errors() {
-        // A version-1 Hello had no epoch field; hand-encode one. It and
-        // version-2 and version-3 Hellos are refused: the daemon only
-        // speaks to its own build.
-        let mut body = vec![KIND_HELLO];
-        body.extend_from_slice(&1u16.to_le_bytes());
+        // The daemon only speaks to its own build: a JSON Hello of any
+        // earlier version is refused by number.
+        for version in [1, 2, 3, 4] {
+            assert_eq!(
+                decode(&hello_v(version)),
+                Err(FrameError::Version { got: version })
+            );
+        }
+        // A version-4 Hello as version 4 wrote it was binary: kind byte
+        // 1, a u16 version, a u32 pid, a u16-prefixed label and a u64
+        // epoch. It is not JSON, so it is refused before any field is
+        // read.
+        let mut body = vec![1u8];
+        body.extend_from_slice(&4u16.to_le_bytes());
         body.extend_from_slice(&77u32.to_le_bytes());
         body.extend_from_slice(&3u16.to_le_bytes());
         body.extend_from_slice(b"old");
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
-        wire.extend_from_slice(&body);
+        body.extend_from_slice(&5u64.to_le_bytes());
         let mut dec = FrameDecoder::new();
-        dec.push(&wire);
-        assert_eq!(dec.next_frame(), Err(FrameError::Version { got: 1 }));
-        for version in [2, 3] {
-            let old = Frame::Hello {
-                version,
-                pid: 77,
-                label: "old".to_owned(),
-                epoch_ns: 5,
-            };
-            let mut dec = FrameDecoder::new();
-            dec.push(&old.encode());
-            assert_eq!(dec.next_frame(), Err(FrameError::Version { got: version }));
-        }
+        dec.push(&seal(&body));
+        assert!(matches!(dec.next_frame(), Err(FrameError::Corrupt(_))));
     }
 
     #[test]
     fn unknown_kinds_poison_the_stream() {
-        // A checksum-valid frame of a retired kind (2 was the registry
-        // snapshot, 3 the rollup windows, 5 the log line) or of a kind
-        // no version ever wrote is a typed error that poisons the
-        // stream: a perfectly ordinary frame behind it is never
-        // decoded.
-        for kind in [2u8, 3, 5, 200] {
-            let body = vec![kind, 1, 2, 3];
-            let mut wire = Vec::new();
-            wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
-            wire.extend_from_slice(&body);
+        // A checksum-valid frame of a kind no version writes (the
+        // registry snapshot, rollup windows and log lines of earlier
+        // versions included) is a typed error that poisons the stream:
+        // a perfectly ordinary frame behind it is never decoded.
+        for kind in ["snapshot", "rollup", "log", "HELLO"] {
+            let mut wire = seal(format!("{{\"kind\":\"{kind}\"}}").as_bytes());
             wire.extend_from_slice(&all_kinds()[1].encode());
             let mut dec = FrameDecoder::new();
             dec.push(&wire);
-            assert_eq!(dec.next_frame(), Err(FrameError::UnknownKind(kind)));
+            let unknown = Err(FrameError::UnknownKind(kind.to_owned()));
+            assert_eq!(dec.next_frame(), unknown);
             assert_eq!(
                 dec.next_frame(),
-                Err(FrameError::UnknownKind(kind)),
+                unknown,
                 "the error repeats; the survivor stays unread"
             );
         }
+        // No kind at all, or a kind that is not a string, is a field
+        // error; a body that is not an object is corrupt.
+        assert_eq!(decode("{\"pid\":1}"), Err(FrameError::Field("kind")));
+        assert_eq!(decode("{\"kind\":7}"), Err(FrameError::Field("kind")));
+        assert!(matches!(decode("[1,2]"), Err(FrameError::Corrupt(_))));
         // A corrupt body of an unknown kind fails the checksum first.
-        let mut flipped = vec![99u8, 0, 0];
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&(flipped.len() as u32).to_le_bytes());
-        bad.extend_from_slice(&fnv1a32(&flipped).to_le_bytes());
-        flipped[1] ^= 0xFF;
-        bad.extend_from_slice(&flipped);
+        let mut bad = seal(b"{\"kind\":\"x\"}");
+        bad[10] ^= 0xFF;
         let mut dec = FrameDecoder::new();
         dec.push(&bad);
         assert!(matches!(dec.next_frame(), Err(FrameError::Checksum { .. })));
@@ -743,61 +726,64 @@ mod tests {
     }
 
     #[test]
+    fn zero_length_frames_are_refused() {
+        let mut dec = FrameDecoder::new();
+        dec.push(&seal(b""));
+        assert_eq!(
+            dec.next_frame(),
+            Err(FrameError::Corrupt("zero-length frame"))
+        );
+    }
+
+    #[test]
     fn trailing_bytes_in_body_are_corrupt() {
         let mut body = all_kinds()[2].encode()[8..].to_vec();
-        body.push(0xEE);
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
-        wire.extend_from_slice(&body);
+        body.push(b'x');
         let mut dec = FrameDecoder::new();
-        dec.push(&wire);
+        dec.push(&seal(&body));
         assert!(matches!(dec.next_frame(), Err(FrameError::Corrupt(_))));
     }
 
     #[test]
     fn hostile_span_frames_fail_typed_never_panic() {
-        let batch = all_kinds()[3].clone();
-        let wire = batch.encode();
-        // Checksum-valid truncation mid-span: re-frame a cut body.
-        let body = wire[8..wire.len() - 6].to_vec();
-        let mut cut = Vec::new();
-        cut.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        cut.extend_from_slice(&fnv1a32(&body).to_le_bytes());
-        cut.extend_from_slice(&body);
+        // Missing, mistyped and out-of-range fields are refused by name.
+        for (body, field) in [
+            ("{\"kind\":\"span\",\"origin\":\"wall\",\"track\":\"t\"}", "span record"),
+            ("{\"kind\":\"span\",\"origin\":\"moon\",\"track\":\"t\",\"name\":\"n\",\"begin_ns\":1}", "span record"),
+            ("{\"kind\":\"progress\",\"completed\":-1,\"total\":0,\"phase\":\"p\"}", "completed"),
+            ("{\"kind\":\"bye\",\"frames_sent\":1}", "spans_dropped"),
+            ("{\"kind\":\"hello\",\"version\":5,\"pid\":4294967296,\"label\":\"x\",\"epoch_ns\":0}", "pid"),
+        ] {
+            assert_eq!(decode(body), Err(FrameError::Field(field)), "{body}");
+        }
+        // Invalid UTF-8 is refused before parsing.
         let mut dec = FrameDecoder::new();
-        dec.push(&cut);
-        assert_eq!(dec.next_frame(), Err(FrameError::Truncated));
-        // A hostile span count never allocates: claim 4 billion spans
-        // with a four-byte body behind the claim.
-        let mut body = vec![KIND_SPAN];
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.extend_from_slice(&u32::MAX.to_le_bytes());
-        body.extend_from_slice(&[0, 0, 0, 0]);
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
-        wire.extend_from_slice(&body);
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire);
-        assert_eq!(dec.next_frame(), Err(FrameError::Truncated));
-        // Undefined flag bits are a structural refusal, not a guess.
-        let mut body = vec![KIND_SPAN];
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.extend_from_slice(&1u32.to_le_bytes());
-        body.push(0xF0);
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        wire.extend_from_slice(&fnv1a32(&body).to_le_bytes());
-        wire.extend_from_slice(&body);
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire);
+        dec.push(&seal(b"{\"kind\":\"\xff\"}"));
         assert_eq!(
             dec.next_frame(),
-            Err(FrameError::Corrupt("unknown span flags"))
+            Err(FrameError::Corrupt("body is not UTF-8"))
         );
+    }
+
+    #[test]
+    fn deeply_nested_bodies_poison_the_decoder() {
+        // A checksum-valid megabyte of nesting inside the length cap is
+        // refused by the parser's depth limit, not by the stack.
+        let depth = 1 << 20;
+        let body = format!(
+            "{{\"kind\":\"span\",\"x\":{}{}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let mut wire = seal(body.as_bytes());
+        wire.extend_from_slice(&all_kinds()[1].encode());
+        let mut dec = FrameDecoder::new();
+        dec.push(&wire);
+        let Err(FrameError::Corrupt(reason)) = dec.next_frame() else {
+            panic!("nesting must be a typed error");
+        };
+        assert!(reason.contains("nesting"), "{reason}");
+        assert!(dec.next_frame().is_err(), "the stream stays poisoned");
     }
 
     #[test]
@@ -817,7 +803,9 @@ mod tests {
     fn hostile_random_streams_never_panic() {
         // Deterministic xorshift fuzz, mirroring the HTTP reader's
         // hostile-input test: random bytes in random chunk sizes must
-        // only ever produce Ok(None), frames, or typed errors.
+        // only ever produce Ok(None), frames, or typed errors. Half the
+        // streams are sealed JSON-ish bodies, so the checksum passes
+        // and the body decoder sees the garbage.
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -825,9 +813,16 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..64 {
+        const ALPHABET: &[u8] = b"{}[]\":,0123456789-.eEkindspaho \\u\xff";
+        for round in 0..128 {
             let len = (next() % 512) as usize;
-            let bytes: Vec<u8> = (0..len).map(|_| (next() & 0xFF) as u8).collect();
+            let mut bytes: Vec<u8> = (0..len).map(|_| (next() & 0xFF) as u8).collect();
+            if round % 2 == 1 && !bytes.is_empty() {
+                for b in &mut bytes {
+                    *b = ALPHABET[usize::from(*b) % ALPHABET.len()];
+                }
+                bytes = seal(&bytes);
+            }
             let mut dec = FrameDecoder::new();
             let mut pos = 0;
             while pos < bytes.len() {
@@ -842,19 +837,34 @@ mod tests {
 
     #[test]
     fn long_phase_names_truncate_at_char_boundary() {
-        let phase = "é".repeat(40_000); // 80 KB of UTF-8
-        let frame = Frame::Progress {
-            t_ns: 1,
-            completed: 0,
-            total: 0,
-            phase: phase.clone(),
-        };
-        let mut dec = FrameDecoder::new();
-        dec.push(&frame.encode());
-        let Some(Frame::Progress { phase: decoded, .. }) = dec.next_frame().expect("valid") else {
-            panic!("expected a progress frame");
-        };
-        assert!(decoded.len() <= usize::from(u16::MAX));
-        assert!(phase.starts_with(&decoded));
+        let long = "é".repeat(40_000); // 80 KB of UTF-8
+        let frames = [
+            Frame::Progress {
+                completed: 0,
+                total: 0,
+                phase: long.clone(),
+            },
+            Frame::Span(TraceSpan {
+                origin: SpanOrigin::ChildWall,
+                track: long.clone(),
+                name: long.clone(),
+                begin_ns: 0,
+                dur_ns: None,
+                args: long.clone(),
+            }),
+        ];
+        for frame in frames {
+            let mut dec = FrameDecoder::new();
+            dec.push(&frame.encode());
+            let decoded = match dec.next_frame().expect("valid") {
+                Some(Frame::Progress { phase, .. }) => vec![phase],
+                Some(Frame::Span(s)) => vec![s.track, s.name, s.args],
+                other => panic!("unexpected {other:?}"),
+            };
+            for s in decoded {
+                assert!(s.len() <= MAX_STR_LEN && s.len() > MAX_STR_LEN - 4);
+                assert!(long.starts_with(&s));
+            }
+        }
     }
 }

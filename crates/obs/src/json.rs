@@ -158,15 +158,22 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a hostile document of a few
+/// hundred thousand `[` bytes overflows the thread's stack; every
+/// document the workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
-/// Returns [`JsonParseError`] for malformed input or trailing garbage.
+/// Returns [`JsonParseError`] for malformed input, trailing garbage,
+/// or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Json, JsonParseError> {
     let bytes = s.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, MAX_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(JsonParseError {
@@ -192,8 +199,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8, reason: &'static str) -> Result<(), 
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
+/// Parses one value; `depth` is how many more levels of nesting it may
+/// open.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonParseError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == 0 {
+        return Err(JsonParseError {
+            at: *pos,
+            reason: "nesting deeper than the parser's limit",
+        });
+    }
     match b.get(*pos) {
         None => Err(JsonParseError {
             at: *pos,
@@ -212,7 +227,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth - 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -242,7 +257,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonParseError> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':', "expected `:` after object key")?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth - 1)?;
                 members.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -530,6 +545,20 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_limit() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok(), "{MAX_DEPTH} levels parse");
+        let over = format!("{{\"a\":{at_limit}}}");
+        let err = parse(&over).unwrap_err();
+        assert_eq!(err.at, 5 + MAX_DEPTH - 1, "{err}");
+        assert!(err.reason.contains("nesting"), "{err}");
+        // A megabyte of `[` is refused at the limit, not by the stack.
+        let hostile = "[".repeat(1 << 20);
+        let err = parse(&hostile).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //! * [`exemplar`] — deterministic per-bucket histogram exemplars
 //!   ([`ExemplarStore`]) linking tail buckets back to concrete request
 //!   ids and flight-recorder slices.
-//! * [`frame`] — the cross-process telemetry frame protocol: a
-//!   compact, versioned, length-prefixed and checksummed binary codec
-//!   (progress heartbeats and flight-recorder wall-span batches) with
-//!   an incremental, hostile-input-safe decoder, spoken between job
-//!   children and the `spindle serve` daemon.
+//! * [`frame`] — the cross-process telemetry frame protocol: versioned,
+//!   length-prefixed and checksummed frames whose bodies are JSON
+//!   objects (progress heartbeats and flight-recorder wall spans in the
+//!   one [`TraceSpan`] record form), with an incremental,
+//!   hostile-input-safe decoder, spoken between job children and the
+//!   `spindle serve` daemon.
 //! * [`hash`] — FNV-1a, the one hash behind frame checksums, trace
 //!   ids and breaker fingerprints.
 //! * [`jsonl`] — durable JSON-lines logs: the fsync'd append handle and
@@ -101,7 +102,7 @@ pub mod trace_event;
 
 pub use config::ObsConfig;
 pub use exemplar::{Exemplar, ExemplarHandle, ExemplarStore};
-pub use frame::{Frame, FrameDecoder, FrameError, SpanBatch, SpanRec};
+pub use frame::{Frame, FrameDecoder, FrameError, SpanOrigin, TraceSpan};
 pub use logger::LogLevel;
 pub use prom::PromSink;
 pub use recorder::{FlightRecorder, SimSlice, WallSlice};

@@ -6,8 +6,9 @@
 //! [`Exporter`] connects to the named `127.0.0.1` address and streams
 //! [`Frame`]s: a `Hello`, then one progress frame per tick on a fixed
 //! cadence (the daemon's liveness heartbeat, sent whether or not the
-//! progress moved), then a final flush (progress, the installed flight
-//! recorder's wall spans) and a `Bye`.
+//! progress moved), then a final flush (progress, one span frame per
+//! wall span of the installed flight recorder, written in one go) and a
+//! `Bye` carrying the count of spans the cap shed.
 //!
 //! Only wall spans cross the wire, even from a recorder that also
 //! holds sim-time tracks: those belong to the run's own `--trace-out`
@@ -25,14 +26,14 @@
 //! blocks": the daemon is responsible for draining its end promptly.
 
 use crate::status::RunStatus;
-use spindle_obs::frame::{render_args, Frame, SpanBatch, SpanRec, PROTOCOL_VERSION, SINK_ENV};
+use spindle_obs::frame::{render_args, Frame, SpanOrigin, TraceSpan, SINK_ENV};
 use spindle_obs::FlightRecorder;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How often the exporter ships a progress frame. Finer than the
 /// sampler's 250 ms so the daemon's stall watchdog hears a heartbeat
@@ -42,20 +43,16 @@ pub const EXPORT_CADENCE: Duration = Duration::from_millis(100);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Hard cap on span records shipped in the final flush; a pathological
+/// Hard cap on spans shipped in the final flush; a pathological
 /// recorder (a pool churning through many tiny tasks) must not turn
-/// shutdown into a multi-second network stall. Excess is counted, not
-/// silently lost.
-const MAX_SPAN_RECS: usize = 8192;
-/// Records per `Span` frame; keeps every frame well under
-/// `MAX_FRAME_LEN` even with long track names and args.
-const SPAN_BATCH_RECS: usize = 512;
+/// shutdown into a multi-second network stall. Excess is counted in the
+/// `Bye`, not silently lost.
+const MAX_SPANS: usize = 8192;
 
 #[derive(Debug)]
 struct Shared {
     status: Arc<RunStatus>,
     stream: Mutex<Option<TcpStream>>,
-    epoch: Instant,
     stop: AtomicBool,
     frames_sent: AtomicU64,
     ticks: AtomicU64,
@@ -63,20 +60,18 @@ struct Shared {
 }
 
 impl Shared {
-    fn t_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Writes one frame; a failed or timed-out write drops the sink
-    /// for good (the child never blocks on a slow daemon).
-    fn send(&self, frame: &Frame) {
+    /// Writes frames in one write; a failed or timed-out write drops
+    /// the sink for good (the child never blocks on a slow daemon).
+    fn send(&self, frames: &[Frame]) {
         if self.silenced.load(Ordering::Acquire) {
             return;
         }
         let mut guard = self.stream.lock().expect("exporter stream lock");
         if let Some(stream) = guard.as_mut() {
-            if stream.write_all(&frame.encode()).is_ok() {
-                self.frames_sent.fetch_add(1, Ordering::Relaxed);
+            let wire: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+            if stream.write_all(&wire).is_ok() {
+                self.frames_sent
+                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
             } else {
                 *guard = None;
             }
@@ -96,12 +91,11 @@ impl Shared {
                 return;
             }
         }
-        self.send(&Frame::Progress {
-            t_ns: self.t_ns(),
+        self.send(&[Frame::Progress {
             completed: self.status.completed(),
             total: self.status.total(),
             phase: self.status.phase(),
-        });
+        }]);
     }
 }
 
@@ -148,7 +142,6 @@ impl Exporter {
         let shared = Arc::new(Shared {
             status,
             stream: Mutex::new(Some(stream)),
-            epoch: Instant::now(),
             stop: AtomicBool::new(false),
             frames_sent: AtomicU64::new(0),
             ticks: AtomicU64::new(0),
@@ -158,15 +151,16 @@ impl Exporter {
         // clock right now": the receiver subtracts it from its own
         // clock to place this child's wall spans on the daemon
         // timeline. When a flight recorder is installed its epoch is
-        // the span clock; otherwise the exporter's own epoch stands in
-        // (elapsed ≈ 0, so the offset degrades to "Hello arrival").
-        let span_epoch = spindle_obs::recorder::installed().map_or(shared.epoch, |r| r.epoch());
-        shared.send(&Frame::Hello {
-            version: PROTOCOL_VERSION,
+        // the span clock; otherwise the clock starts now (elapsed 0, so
+        // the offset degrades to "Hello arrival").
+        let epoch_ns = spindle_obs::recorder::installed().map_or(0, |r| {
+            u64::try_from(r.epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
+        });
+        shared.send(&[Frame::Hello {
             pid: std::process::id(),
             label: label.to_owned(),
-            epoch_ns: u64::try_from(span_epoch.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        });
+            epoch_ns,
+        }]);
         let worker = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("pulse-export".to_owned())
@@ -197,54 +191,36 @@ impl Exporter {
             let _ = h.join();
         }
         self.shared.tick();
-        let t_ns = self.shared.t_ns();
-        if let Some(recorder) = spindle_obs::recorder::installed() {
-            for frame in span_frames(&recorder, t_ns) {
-                self.shared.send(&frame);
-            }
-        }
-        self.shared.send(&Frame::Bye {
-            t_ns,
+        let (spans, spans_dropped) =
+            spindle_obs::recorder::installed().map_or((Vec::new(), 0), |r| span_frames(&r));
+        self.shared.send(&spans);
+        self.shared.send(&[Frame::Bye {
             frames_sent: self.shared.frames_sent.load(Ordering::Relaxed),
-        });
+            spans_dropped,
+        }]);
     }
 }
 
-/// Batches the recorder's wall slices into `Span` frames. When the
-/// [`MAX_SPAN_RECS`] cap bites, the shortfall lands in the last batch's
-/// `dropped` count.
-fn span_frames(recorder: &FlightRecorder, t_ns: u64) -> Vec<Frame> {
-    let mut recs: Vec<SpanRec> = recorder
-        .wall_slices()
+/// The recorder's wall slices as `Span` frames, up to [`MAX_SPANS`],
+/// with the count of those the cap shed.
+fn span_frames(recorder: &FlightRecorder) -> (Vec<Frame>, u64) {
+    let slices = recorder.wall_slices();
+    let dropped = u64::try_from(slices.len().saturating_sub(MAX_SPANS)).unwrap_or(u64::MAX);
+    let frames = slices
         .into_iter()
-        .map(|w| SpanRec {
-            track: w.thread,
-            name: w.name,
-            begin_ns: w.begin_ns,
-            dur_ns: Some(w.dur_ns),
-            args: render_args(&w.args),
+        .take(MAX_SPANS)
+        .map(|w| {
+            Frame::Span(TraceSpan {
+                origin: SpanOrigin::ChildWall,
+                track: w.thread,
+                name: w.name,
+                begin_ns: w.begin_ns,
+                dur_ns: Some(w.dur_ns),
+                args: render_args(&w.args),
+            })
         })
         .collect();
-    let dropped = u64::try_from(recs.len().saturating_sub(MAX_SPAN_RECS)).unwrap_or(u64::MAX);
-    recs.truncate(MAX_SPAN_RECS);
-    if recs.is_empty() && dropped == 0 {
-        return Vec::new();
-    }
-    let mut frames = Vec::new();
-    let mut iter = recs.into_iter().peekable();
-    loop {
-        let chunk: Vec<SpanRec> = iter.by_ref().take(SPAN_BATCH_RECS).collect();
-        let last = iter.peek().is_none();
-        frames.push(Frame::Span(SpanBatch {
-            t_ns,
-            dropped: if last { dropped } else { 0 },
-            spans: chunk,
-        }));
-        if last {
-            break;
-        }
-    }
-    frames
+    (frames, dropped)
 }
 
 #[cfg(test)]
@@ -254,6 +230,7 @@ mod tests {
     use spindle_obs::FrameDecoder;
     use std::io::Read;
     use std::net::TcpListener;
+    use std::time::Instant;
 
     /// The fault-plan slot is process-global, so every test that runs
     /// an exporter serializes on this lock — otherwise a concurrently
@@ -296,15 +273,19 @@ mod tests {
         exporter.finish();
         let frames = drain_frames(sock);
         assert!(
-            matches!(&frames[0], Frame::Hello { version, label, .. }
-                if *version == PROTOCOL_VERSION && label == "unit"),
+            matches!(&frames[0], Frame::Hello { label, .. } if label == "unit"),
             "stream opens with hello: {:?}",
             frames.first()
         );
-        let Some(Frame::Bye { frames_sent, .. }) = frames.last() else {
+        let Some(Frame::Bye {
+            frames_sent,
+            spans_dropped,
+        }) = frames.last()
+        else {
             panic!("stream closes with bye: {:?}", frames.last());
         };
         assert_eq!(*frames_sent, frames.len() as u64 - 1, "bye counts the rest");
+        assert_eq!(*spans_dropped, 0);
         let final_progress = frames
             .iter()
             .rev()
@@ -393,17 +374,17 @@ mod tests {
             hello_epoch > 0,
             "hello carries the recorder's clock reading, not zero"
         );
-        let batch = frames
+        let spans: Vec<_> = frames
             .iter()
-            .find_map(|f| match f {
-                Frame::Span(b) => Some(b),
+            .filter_map(|f| match f {
+                Frame::Span(s) => Some(s),
                 _ => None,
             })
-            .expect("a span batch ships in the final flush");
-        assert_eq!(batch.dropped, 0);
+            .collect();
         // The recorder holds sim slices too; only the wall one ships.
-        assert_eq!(batch.spans.len(), 1, "{:?}", batch.spans);
-        let wall = &batch.spans[0];
+        assert_eq!(spans.len(), 1, "{spans:?}");
+        let wall = spans[0];
+        assert_eq!(wall.origin, SpanOrigin::ChildWall);
         assert_eq!(wall.name, "cli.simulate");
         assert_eq!(wall.dur_ns, Some(3_000_000));
         assert!(
@@ -412,9 +393,25 @@ mod tests {
             wall.args
         );
         assert!(
-            matches!(frames.last(), Some(Frame::Bye { .. })),
+            matches!(
+                frames.last(),
+                Some(Frame::Bye {
+                    spans_dropped: 0,
+                    ..
+                })
+            ),
             "bye still closes the stream"
         );
+    }
+
+    #[test]
+    fn span_cap_sheds_into_the_bye_count() {
+        let recorder = FlightRecorder::new();
+        for _ in 0..MAX_SPANS + 3 {
+            recorder.wall_slice("s", recorder.epoch(), Duration::from_nanos(1), Vec::new());
+        }
+        let (frames, dropped) = span_frames(&recorder);
+        assert_eq!((frames.len(), dropped), (MAX_SPANS, 3));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! here once, in three parts:
 //!
 //! * **One parser.** [`parse`] reads a subcommand's `--key value` /
-//!   `--key=value` options; [`peel`] applies the same rules to lift the
-//!   global options ([`SHARED`] plus a binary's own) out of a command
-//!   line wherever they appear, leaving every other token in order.
+//!   `--key=value` options against the subcommand's table of known
+//!   options; [`peel`] applies the same rules and the same table shape
+//!   to lift the global options ([`SHARED`] plus a binary's own) out of
+//!   a command line wherever they appear, leaving every other token in
+//!   order.
 //! * **One resolution.** [`Invocation::resolve`] turns those options and
 //!   the environment (`SPINDLE_FAULTS`, `SPINDLE_TELEMETRY_SINK`,
 //!   `SPINDLE_JOBS`) into one value: the fault plan, the observer
@@ -74,16 +76,15 @@ pub struct Options {
     given: Vec<(String, Option<String>)>,
 }
 
-/// Parses `--key value` / `--key=value` pairs and bare `--flag`s from
-/// `argv`.
-///
-/// `boolean_flags` lists the options that take no value.
+/// Parses the options of `command` from `argv`: each must be one of
+/// `known`, taking its value as its [`Arity`] says.
 ///
 /// # Errors
 ///
-/// Returns a message for unknown syntax (non-`--` tokens), a missing
-/// value, or a value attached to a boolean flag.
-pub fn parse(argv: &[String], boolean_flags: &[&str]) -> Result<Options, String> {
+/// Returns a message for unknown syntax (non-`--` tokens), an option
+/// not in `known` (naming it and `command`), a missing value, or a
+/// value attached to a flag.
+pub fn parse(command: &str, argv: &[String], known: &[(&str, Arity)]) -> Result<Options, String> {
     let mut out = Options::default();
     let mut it = argv.iter().peekable();
     while let Some(arg) = it.next() {
@@ -92,10 +93,8 @@ pub fn parse(argv: &[String], boolean_flags: &[&str]) -> Result<Options, String>
                 "unexpected argument `{arg}` (options start with --)"
             ));
         };
-        let arity = if boolean_flags.contains(&key) {
-            Arity::Flag
-        } else {
-            Arity::Value
+        let Some(&(_, arity)) = known.iter().find(|(name, _)| *name == key) else {
+            return Err(format!("unknown option `--{key}` for `{command}`"));
         };
         let value = take(key, inline, arity, &mut it)?;
         out.given.push((key.to_owned(), value));

@@ -97,7 +97,6 @@ pub struct Session {
     /// and per-unit completions into this.
     pub status: std::sync::Arc<RunStatus>,
     sampler: std::sync::Arc<Sampler>,
-    rollups: std::sync::Arc<spindle_obs::RollupSet>,
     server: Option<PulseServer>,
     dashboard: Option<LiveDashboard>,
 }
@@ -129,25 +128,18 @@ impl Session {
         let status = std::sync::Arc::new(RunStatus::new(total));
         status.set_phase(phase);
         status.set_progress_counter(registry.counter(status::PROGRESS_METRIC));
-        // Every session gets a wall-axis rollup wheel: the sampler
-        // feeds it, `/timescales` serves it, the dashboard sparkline
-        // reads it. Bounded memory, read-only over the run.
-        let rollups = std::sync::Arc::new(spindle_obs::RollupSet::wall());
-        let sampler = Sampler::start_with_rollups(
-            registry,
-            SAMPLE_CADENCE,
-            SAMPLE_CAPACITY,
-            Some(std::sync::Arc::clone(&rollups)),
-        );
+        // The sampler's wall-axis rollup wheel is the session's:
+        // `/timescales` serves it, the dashboard sparkline reads it.
+        // Bounded memory, read-only over the run.
+        let sampler = Sampler::start(registry, SAMPLE_CADENCE, SAMPLE_CAPACITY);
         let server = match serve {
             Some(explicit) => {
                 let addr = resolve_serve_addr(explicit);
-                let srv = PulseServer::start_with_rollups(
+                let srv = PulseServer::start(
                     &addr,
                     registry,
                     std::sync::Arc::clone(&status),
                     std::sync::Arc::clone(&sampler),
-                    Some(std::sync::Arc::clone(&rollups)),
                 )
                 .map_err(|e| format!("cannot serve telemetry on `{addr}`: {e}"))?;
                 eprintln!("# serving telemetry on http://{}", srv.local_addr());
@@ -156,17 +148,15 @@ impl Session {
             None => None,
         };
         let dashboard = live.then(|| {
-            LiveDashboard::start_with_rollups(
+            LiveDashboard::start(
                 registry,
                 std::sync::Arc::clone(&status),
                 std::sync::Arc::clone(&sampler),
-                Some(std::sync::Arc::clone(&rollups)),
             )
         });
         Ok(Some(Session {
             status,
             sampler,
-            rollups,
             server,
             dashboard,
         }))
@@ -182,7 +172,7 @@ impl Session {
     /// for front ends that export it at exit.
     #[must_use]
     pub fn rollups(&self) -> &std::sync::Arc<spindle_obs::RollupSet> {
-        &self.rollups
+        self.sampler.rollups()
     }
 
     /// Final frame, optional [`serve_linger`] for late scrapers, then

@@ -4,8 +4,8 @@
 //! progress to **stderr** a few times a second: a progress bar,
 //! experiments/sec and ETA from the sampler's recent-rate window (the
 //! ETA waits for the steady-rate gate, so it never whipsaws in the
-//! first seconds of a run), a throughput sparkline over the wall
-//! rollup's 1 s windows when a [`RollupSet`] is attached, per-worker
+//! first seconds of a run), a throughput sparkline over the 1 s
+//! windows of the sampler's wall rollup wheel, per-worker
 //! utilization lanes, and the top-k hottest spans by total time.
 //!
 //! On a TTY the dashboard redraws in place with ANSI cursor movement
@@ -18,7 +18,7 @@
 
 use crate::sampler::Sampler;
 use crate::status::{worker_stats, RunStatus, PROGRESS_METRIC};
-use spindle_obs::{MetricsRegistry, RollupSet, Snapshot};
+use spindle_obs::{MetricsRegistry, Snapshot};
 use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,26 +47,14 @@ pub struct LiveDashboard {
 }
 
 impl LiveDashboard {
-    /// Starts rendering `status` and `registry` to stderr. TTY
-    /// detection picks in-place redraw or plain line mode
-    /// automatically.
+    /// Starts rendering `status`, `registry` and the throughput
+    /// sparkline of `sampler`'s rollup wheel to stderr. TTY detection
+    /// picks in-place redraw or plain line mode automatically.
     #[must_use]
     pub fn start(
         registry: &'static MetricsRegistry,
         status: Arc<RunStatus>,
         sampler: Arc<Sampler>,
-    ) -> LiveDashboard {
-        LiveDashboard::start_with_rollups(registry, status, sampler, None)
-    }
-
-    /// Like [`LiveDashboard::start`], additionally rendering a
-    /// throughput sparkline from the rollup set's 1 s windows.
-    #[must_use]
-    pub fn start_with_rollups(
-        registry: &'static MetricsRegistry,
-        status: Arc<RunStatus>,
-        sampler: Arc<Sampler>,
-        rollups: Option<Arc<RollupSet>>,
     ) -> LiveDashboard {
         let tty = std::io::stderr().is_terminal();
         let stop = Arc::new(AtomicBool::new(false));
@@ -78,8 +66,7 @@ impl LiveDashboard {
                 let mut last_lines = 0usize;
                 loop {
                     let done = thread_stop.load(Ordering::Acquire);
-                    let frame =
-                        render_frame(&status, &registry.snapshot(), &sampler, rollups.as_deref());
+                    let frame = render_frame(&status, &registry.snapshot(), &sampler);
                     let mut err = std::io::stderr().lock();
                     if tty {
                         if last_lines > 0 {
@@ -190,11 +177,10 @@ fn sparkline(series: &[u64]) -> String {
         .collect()
 }
 
-/// The sparkline row driven by the rollup wheel's 1 s windows: recent
-/// completion throughput at a glance. `None` when no rollups are
-/// attached, no 1 s resolution exists, or nothing completed yet.
-fn sparkline_row(rollups: Option<&RollupSet>) -> Option<String> {
-    let snap = rollups?.snapshot();
+/// The sparkline row driven by the sampler wheel's 1 s windows: recent
+/// completion throughput at a glance. `None` until something completed.
+fn sparkline_row(sampler: &Sampler) -> Option<String> {
+    let snap = sampler.rollups().snapshot();
     let res = snap.resolution("1s")?;
     let series = res.series(PROGRESS_METRIC);
     // Show the most recent windows that fit a dashboard row.
@@ -208,12 +194,7 @@ fn sparkline_row(rollups: Option<&RollupSet>) -> Option<String> {
 }
 
 /// Renders one full dashboard frame (TTY mode).
-fn render_frame(
-    status: &RunStatus,
-    snapshot: &Snapshot,
-    sampler: &Sampler,
-    rollups: Option<&RollupSet>,
-) -> String {
+fn render_frame(status: &RunStatus, snapshot: &Snapshot, sampler: &Sampler) -> String {
     let mut out = String::new();
     let completed = status.completed();
     let total = status.total();
@@ -222,7 +203,7 @@ fn render_frame(
         progress_bar(completed, total),
         summary_line(status, sampler)
     ));
-    if let Some(row) = sparkline_row(rollups) {
+    if let Some(row) = sparkline_row(sampler) {
         out.push_str(&row);
     }
 
@@ -292,7 +273,7 @@ mod tests {
         status.set_phase("running");
         status.complete_one();
         let sampler = Sampler::start(registry, Duration::from_secs(3600), 8);
-        let frame = render_frame(&status, &registry.snapshot(), &sampler, None);
+        let frame = render_frame(&status, &registry.snapshot(), &sampler);
         assert!(frame.contains("1/8"), "{frame}");
         assert!(frame.contains("w0 ["), "{frame}");
         assert!(frame.contains("75% busy"), "{frame}");
@@ -309,7 +290,7 @@ mod tests {
         }
         let status = RunStatus::new(1);
         let sampler = Sampler::start(registry, Duration::from_secs(3600), 8);
-        let frame = render_frame(&status, &registry.snapshot(), &sampler, None);
+        let frame = render_frame(&status, &registry.snapshot(), &sampler);
         assert!(frame.contains("span b:"), "{frame}");
         assert!(frame.contains("span d:"), "{frame}");
         assert!(frame.contains("span c:"), "{frame}");
@@ -336,12 +317,15 @@ mod tests {
         let registry: &'static MetricsRegistry = Box::leak(Box::default());
         let status = RunStatus::new(8);
         let sampler = Sampler::start(registry, Duration::from_secs(3600), 8);
-        let rollups = RollupSet::wall();
+        // Nothing completed yet: no row.
+        let plain = render_frame(&status, &registry.snapshot(), &sampler);
+        assert!(!plain.contains("  1s "), "{plain}");
         // Bank completions into three 1s windows directly.
+        let rollups = sampler.rollups();
         rollups.add_counter(PROGRESS_METRIC, 100, 2);
         rollups.add_counter(PROGRESS_METRIC, 1_200_000_000, 6);
         rollups.add_counter(PROGRESS_METRIC, 2_900_000_000, 3);
-        let frame = render_frame(&status, &registry.snapshot(), &sampler, Some(&rollups));
+        let frame = render_frame(&status, &registry.snapshot(), &sampler);
         let row = frame
             .lines()
             .find(|l| l.trim_start().starts_with("1s "))
@@ -350,9 +334,6 @@ mod tests {
             row.trim_start().trim_start_matches("1s ").chars().count(),
             3
         );
-        // Without rollups the row is absent.
-        let plain = render_frame(&status, &registry.snapshot(), &sampler, None);
-        assert!(!plain.contains("  1s "), "{plain}");
         sampler.stop();
     }
 

@@ -1,8 +1,9 @@
 //! Background sampler: the progress window behind every rate and ETA.
 //!
 //! A [`Sampler`] thread snapshots a [`MetricsRegistry`] at a fixed
-//! cadence. Each snapshot feeds the attached wall-axis rollup wheel,
-//! and the progress counter ([`PROGRESS_METRIC`]) lands in one bounded
+//! cadence. Each snapshot feeds the sampler's own wall-axis rollup
+//! wheel (the source of `/timescales`, the windowed `/metrics` series
+//! and the dashboard sparkline), and the progress counter ([`PROGRESS_METRIC`]) lands in one bounded
 //! [`SampleWindow`] stamped with monotonic milliseconds since the
 //! sampler started. The window is what turns the lifetime count into a
 //! *recent* rate: the throughput and ETA in `/status` and on the
@@ -105,17 +106,16 @@ struct Shared {
     progress: Mutex<SampleWindow>,
     epoch: Instant,
     stop: AtomicBool,
-    /// Wall-axis rollup wheel fed one snapshot per tick, when attached.
-    rollups: Option<Arc<RollupSet>>,
+    /// Wall-axis rollup wheel fed one snapshot per tick.
+    rollups: Arc<RollupSet>,
 }
 
 impl Shared {
     fn sample_once(&self) {
         let t_ms = u64::try_from(self.epoch.elapsed().as_millis()).unwrap_or(u64::MAX);
         let snap = self.registry.snapshot();
-        if let Some(roll) = &self.rollups {
-            roll.ingest_snapshot(t_ms.saturating_mul(NS_PER_MS), &snap);
-        }
+        self.rollups
+            .ingest_snapshot(t_ms.saturating_mul(NS_PER_MS), &snap);
         if let Some(done) = snap.counter(PROGRESS_METRIC) {
             self.progress
                 .lock()
@@ -136,32 +136,21 @@ pub struct Sampler {
 
 impl Sampler {
     /// Starts sampling `registry` every `cadence` into a progress
-    /// window of `capacity` samples.
+    /// window of `capacity` samples and a fresh wall-axis
+    /// [`RollupSet`] (each snapshot stamped with milliseconds since the
+    /// sampler epoch, converted to nanoseconds on the wheel axis).
     #[must_use]
     pub fn start(
         registry: &'static MetricsRegistry,
         cadence: Duration,
         capacity: usize,
     ) -> Arc<Sampler> {
-        Sampler::start_with_rollups(registry, cadence, capacity, None)
-    }
-
-    /// Like [`Sampler::start`], additionally feeding every snapshot
-    /// into a wall-axis [`RollupSet`] (stamped with milliseconds since
-    /// the sampler epoch, converted to nanoseconds on the wheel axis).
-    #[must_use]
-    pub fn start_with_rollups(
-        registry: &'static MetricsRegistry,
-        cadence: Duration,
-        capacity: usize,
-        rollups: Option<Arc<RollupSet>>,
-    ) -> Arc<Sampler> {
         let shared = Arc::new(Shared {
             registry,
             progress: Mutex::new(SampleWindow::new(capacity)),
             epoch: Instant::now(),
             stop: AtomicBool::new(false),
-            rollups,
+            rollups: Arc::new(RollupSet::wall()),
         });
         // The first sample lands before `start` returns, so consumers
         // never see a completely empty window.
@@ -189,6 +178,12 @@ impl Sampler {
     /// tests and by the dashboard's final frame).
     pub fn sample_now(&self) {
         self.shared.sample_once();
+    }
+
+    /// The wall-axis rollup wheel every sample feeds.
+    #[must_use]
+    pub fn rollups(&self) -> &Arc<RollupSet> {
+        &self.shared.rollups
     }
 
     /// A copy of the progress window, so a reader's rate and ETA come
@@ -329,16 +324,10 @@ mod tests {
         let registry = leaked_registry();
         let c = registry.counter("rolled.count");
         c.add(2);
-        let rollups = Arc::new(RollupSet::wall());
-        let sampler = Sampler::start_with_rollups(
-            registry,
-            Duration::from_secs(3600),
-            8,
-            Some(Arc::clone(&rollups)),
-        );
+        let sampler = Sampler::start(registry, Duration::from_secs(3600), 8);
         c.add(3);
         sampler.sample_now();
-        let snap = rollups.snapshot();
+        let snap = sampler.rollups().snapshot();
         let run = snap.resolution("run").expect("run wheel");
         assert_eq!(run.merged().counters["rolled.count"], 5);
         sampler.stop();

@@ -1,23 +1,21 @@
 //! Embedded HTTP endpoint over `std::net::TcpListener`.
 //!
 //! [`PulseServer`] binds a listener, spawns one `pulse-serve` thread,
-//! and answers three routes:
+//! and answers the four telemetry routes of [`telemetry_route`], which
+//! the serve daemon answers through the same function:
 //!
 //! * `GET /metrics` — the full registry in Prometheus text exposition
 //!   format (via [`PromSink`](spindle_obs::PromSink)), so any scraper
-//!   or a plain `curl` can watch a run.
+//!   or a plain `curl` can watch a run, followed by the windowed-series
+//!   gauges (`spindle_window_delta` / `spindle_window_rate`) of the
+//!   sampler's rollup wheel.
 //! * `GET /healthz` — `ok`, for liveness probes.
 //! * `GET /status` — run phase, progress, ETA, and per-worker
 //!   utilization as JSON (see [`status_json`](crate::status_json)).
 //! * `GET /timescales` — the multi-resolution rollup document: per
 //!   time-scale windows, exact merges, burstiness and idle statistics
 //!   (see [`RollupSnapshot::to_json`](spindle_obs::RollupSnapshot)),
-//!   plus the registry's histogram exemplars. Served only when a
-//!   rollup set was attached; 404 otherwise.
-//!
-//! When rollups are attached, `/metrics` additionally appends the
-//! current windowed-series gauges (`spindle_window_delta` /
-//! `spindle_window_rate`) to the exposition.
+//!   plus the registry's histogram exemplars.
 //!
 //! The server is pull-based on purpose: a scrape takes a snapshot of
 //! shared atomics, so a missing, slow, or hostile client cannot slow
@@ -34,7 +32,7 @@ use crate::http::{read_request, respond, HttpError};
 use crate::sampler::Sampler;
 use crate::status::{status_json, RunStatus};
 use spindle_obs::json::Json;
-use spindle_obs::{MetricsRegistry, MetricsSink, PromSink, RollupSet};
+use spindle_obs::{MetricsRegistry, MetricsSink, PromSink};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,7 +60,8 @@ pub struct PulseServer {
 impl PulseServer {
     /// Binds `addr` (port 0 asks the OS for a free port — read the
     /// result back from [`PulseServer::local_addr`]) and starts
-    /// serving `registry`, `status`, and `sampler`.
+    /// serving `registry`, `status`, and `sampler` with its rollup
+    /// wheel.
     ///
     /// # Errors
     ///
@@ -72,23 +71,6 @@ impl PulseServer {
         registry: &'static MetricsRegistry,
         status: Arc<RunStatus>,
         sampler: Arc<Sampler>,
-    ) -> io::Result<PulseServer> {
-        PulseServer::start_with_rollups(addr, registry, status, sampler, None)
-    }
-
-    /// Like [`PulseServer::start`], additionally serving `/timescales`
-    /// from (and appending windowed series to `/metrics` from) the
-    /// given rollup set.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error if the address is unavailable.
-    pub fn start_with_rollups(
-        addr: &str,
-        registry: &'static MetricsRegistry,
-        status: Arc<RunStatus>,
-        sampler: Arc<Sampler>,
-        rollups: Option<Arc<RollupSet>>,
     ) -> io::Result<PulseServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -103,13 +85,7 @@ impl PulseServer {
                         Ok((stream, _peer)) => {
                             // One request at a time; errors on a single
                             // connection never take the server down.
-                            let _ = serve_connection(
-                                stream,
-                                registry,
-                                &status,
-                                &sampler,
-                                rollups.as_deref(),
-                            );
+                            let _ = serve_connection(stream, registry, &status, &sampler);
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             std::thread::sleep(POLL_INTERVAL);
@@ -148,6 +124,48 @@ impl Drop for PulseServer {
     }
 }
 
+/// The content type and body of one of the four telemetry routes —
+/// `/healthz`, `/metrics`, `/status` and `/timescales` — for the run
+/// `registry`, `status` and `sampler` describe; `None` for any other
+/// path. Both the pulse endpoint and the serve daemon answer these
+/// routes through this one function.
+#[must_use]
+pub fn telemetry_route(
+    path: &str,
+    registry: &MetricsRegistry,
+    status: &RunStatus,
+    sampler: &Sampler,
+) -> Option<(&'static str, String)> {
+    const JSON_TYPE: &str = "application/json; charset=utf-8";
+    Some(match path {
+        "/healthz" => ("text/plain; charset=utf-8", "ok\n".to_owned()),
+        "/metrics" => {
+            let mut body = PromSink
+                .export_string(&registry.snapshot())
+                .unwrap_or_default();
+            let mut appendix = Vec::new();
+            if spindle_obs::prom::write_windowed(&mut appendix, &sampler.rollups().snapshot())
+                .is_ok()
+            {
+                body.push_str(&String::from_utf8_lossy(&appendix));
+            }
+            (spindle_obs::prom::CONTENT_TYPE, body)
+        }
+        "/status" => {
+            let doc = status_json(status, &registry.snapshot(), sampler);
+            (JSON_TYPE, format!("{doc}\n"))
+        }
+        "/timescales" => {
+            let doc = Json::Obj(vec![
+                ("rollups".to_owned(), sampler.rollups().to_json()),
+                ("exemplars".to_owned(), registry.exemplars().to_json()),
+            ]);
+            (JSON_TYPE, format!("{doc}\n"))
+        }
+        _ => return None,
+    })
+}
+
 /// Reads one request off `stream` (via the shared [`crate::http`]
 /// parser) and writes one response.
 fn serve_connection(
@@ -155,7 +173,6 @@ fn serve_connection(
     registry: &MetricsRegistry,
     status: &RunStatus,
     sampler: &Sampler,
-    rollups: Option<&RollupSet>,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
     stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
@@ -187,58 +204,10 @@ fn serve_connection(
             "method not allowed\n",
         );
     }
-    // Ignore any query string: /status?pretty and /status are the same.
-    match request.path.as_str() {
-        "/metrics" => {
-            let mut body = PromSink
-                .export_string(&registry.snapshot())
-                .unwrap_or_default();
-            if let Some(roll) = rollups {
-                let mut appendix = Vec::new();
-                if spindle_obs::prom::write_windowed(&mut appendix, &roll.snapshot()).is_ok() {
-                    body.push_str(&String::from_utf8_lossy(&appendix));
-                }
-            }
-            respond(
-                &mut stream,
-                "200 OK",
-                spindle_obs::prom::CONTENT_TYPE,
-                &body,
-            )
-        }
-        "/healthz" => respond(&mut stream, "200 OK", "text/plain; charset=utf-8", "ok\n"),
-        "/timescales" => match rollups {
-            Some(roll) => {
-                let doc = Json::Obj(vec![
-                    ("rollups".to_owned(), roll.to_json()),
-                    ("exemplars".to_owned(), registry.exemplars().to_json()),
-                ]);
-                let body = format!("{doc}\n");
-                respond(
-                    &mut stream,
-                    "200 OK",
-                    "application/json; charset=utf-8",
-                    &body,
-                )
-            }
-            None => respond(
-                &mut stream,
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "no rollups attached\n",
-            ),
-        },
-        "/status" => {
-            let doc = status_json(status, &registry.snapshot(), sampler);
-            let body = format!("{doc}\n");
-            respond(
-                &mut stream,
-                "200 OK",
-                "application/json; charset=utf-8",
-                &body,
-            )
-        }
-        _ => respond(
+    // The parser drops any query string: /status?pretty is /status.
+    match telemetry_route(&request.path, registry, status, sampler) {
+        Some((content_type, body)) => respond(&mut stream, "200 OK", content_type, &body),
+        None => respond(
             &mut stream,
             "404 Not Found",
             "text/plain; charset=utf-8",
@@ -320,19 +289,12 @@ mod tests {
         let registry: &'static MetricsRegistry = Box::leak(Box::default());
         registry.counter("srv.requests").add(5);
         let status = Arc::new(RunStatus::new(10));
-        let rollups = Arc::new(RollupSet::wall());
-        let sampler = crate::sampler::Sampler::start_with_rollups(
-            registry,
-            Duration::from_secs(3600),
-            8,
-            Some(Arc::clone(&rollups)),
-        );
-        let server = PulseServer::start_with_rollups(
+        let sampler = Sampler::start(registry, Duration::from_secs(3600), 8);
+        let server = PulseServer::start(
             "127.0.0.1:0",
             registry,
             Arc::clone(&status),
             Arc::clone(&sampler),
-            Some(Arc::clone(&rollups)),
         )
         .expect("bind an ephemeral port");
         let addr = server.local_addr();
@@ -372,9 +334,6 @@ mod tests {
         let addr = server.local_addr();
 
         let (head, _) = fetch(addr, "/nope");
-        assert!(head.starts_with("HTTP/1.1 404"), "head: {head}");
-        // Without rollups attached, /timescales does not exist.
-        let (head, _) = fetch(addr, "/timescales");
         assert!(head.starts_with("HTTP/1.1 404"), "head: {head}");
 
         let mut stream = TcpStream::connect(addr).unwrap();

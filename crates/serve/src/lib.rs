@@ -225,7 +225,6 @@ pub(crate) struct Shared {
     pub registry: &'static MetricsRegistry,
     pub status: Arc<RunStatus>,
     pub sampler: Arc<Sampler>,
-    pub rollups: Arc<spindle_obs::RollupSet>,
     /// Per-job telemetry: event rings, progress, liveness, spans.
     pub telemetry: telemetry::TelemetryMap,
     /// The daemon-wide timeline origin `/trace` aligns every job's
@@ -664,12 +663,10 @@ pub fn serve_with_registry(
     let status = Arc::new(RunStatus::new(0));
     status.set_phase("idle");
     status.set_progress_counter(registry.counter(spindle_pulse::status::PROGRESS_METRIC));
-    let rollups = Arc::new(spindle_obs::RollupSet::wall());
-    let sampler = Sampler::start_with_rollups(
+    let sampler = Sampler::start(
         registry,
         spindle_pulse::SAMPLE_CADENCE,
         spindle_pulse::SAMPLE_CAPACITY,
-        Some(Arc::clone(&rollups)),
     );
 
     let shared = Arc::new(Shared {
@@ -684,7 +681,6 @@ pub fn serve_with_registry(
         registry,
         status,
         sampler,
-        rollups,
         telemetry: telemetry::TelemetryMap::default(),
         epoch: std::time::Instant::now(),
         event_streams: AtomicUsize::new(0),
@@ -699,8 +695,6 @@ pub fn serve_with_registry(
         shared.adopt(loaded);
     }
     shared.refresh_gauges();
-    // The admission bound stays the configured one even though the
-    // deque is larger; see `Shared::admission_bound`.
 
     let addr = shared.config.addr.clone();
     let (local, accept_threads) =
@@ -942,6 +936,22 @@ mod tests {
         assert!(detail.body.contains("synthetic-failure"), "{}", detail.body);
         let health = request(&addr, "GET", "/healthz", None).unwrap();
         assert_eq!(health.status, 200, "server survived the hostility");
+        handle.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deeply_nested_submissions_get_400_and_the_daemon_stays_up() {
+        let (handle, addr, dir) = test_daemon("nested", 4, 1);
+        // A megabyte of `[` fits the body cap; the JSON parser refuses
+        // it at its depth limit instead of recursing off the stack of
+        // the handler thread.
+        let body = "[".repeat(spindle_pulse::http::MAX_BODY_BYTES);
+        let r = submit(&addr, &body);
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("nesting"), "{}", r.body);
+        let health = request(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(health.status, 200, "the daemon survived");
         handle.stop();
         std::fs::remove_dir_all(&dir).ok();
     }

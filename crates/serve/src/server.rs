@@ -35,9 +35,10 @@
 //!   `"trace": true`.
 //! * `GET /trace` — the daemon-wide document: every job's spans merged
 //!   onto one timeline, tracks prefixed by job id.
-//! * `GET /metrics`, `/healthz`, `/status`, `/timescales` — the same
-//!   telemetry surface the pulse endpoint serves, for the daemon
-//!   itself — plus per-active-job labeled series on `/metrics`.
+//! * `GET /metrics`, `/healthz`, `/status`, `/timescales` — the pulse
+//!   endpoint's telemetry routes for the daemon itself, answered by the
+//!   same [`telemetry_route`] — plus per-active-job labeled series
+//!   appended to `/metrics`.
 //!
 //! Every request is observed per endpoint: `serve.http.<route>.micros`
 //! latency histograms plus request and status-class counters, with
@@ -47,9 +48,8 @@
 use crate::job::{CancelVerdict, JobState};
 use crate::{Admission, Shared};
 use spindle_obs::json::Json;
-use spindle_obs::MetricsSink;
 use spindle_pulse::http::{read_request, respond, respond_with_headers, HttpError, Request};
-use spindle_pulse::status_json;
+use spindle_pulse::server::telemetry_route;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -245,28 +245,20 @@ fn route(
 ) -> io::Result<&'static str> {
     let path = request.path.as_str();
     let method = request.method.as_str();
+    if method == "GET" {
+        if let Some((content_type, mut body)) =
+            telemetry_route(path, shared.registry, &shared.status, &shared.sampler)
+        {
+            if path == "/metrics" {
+                body.push_str(&job_series(shared));
+            }
+            return respond(stream, "200 OK", content_type, &body).map(|()| "200 OK");
+        }
+    }
     match (method, path) {
         ("POST", "/jobs") => return submit(stream, shared, request),
         ("GET", "/jobs") => return list_jobs(stream, shared),
-        ("GET", "/healthz") => {
-            return respond(stream, "200 OK", TEXT_TYPE, "ok\n").map(|()| "200 OK")
-        }
-        ("GET", "/metrics") => return metrics(stream, shared),
         ("GET", "/trace") => return daemon_trace(stream, shared),
-        ("GET", "/status") => {
-            let doc = status_json(&shared.status, &shared.registry.snapshot(), &shared.sampler);
-            return json_response(stream, "200 OK", &doc);
-        }
-        ("GET", "/timescales") => {
-            let doc = Json::Obj(vec![
-                ("rollups".to_owned(), shared.rollups.to_json()),
-                (
-                    "exemplars".to_owned(),
-                    shared.registry.exemplars().to_json(),
-                ),
-            ]);
-            return json_response(stream, "200 OK", &doc);
-        }
         _ => {}
     }
     // /jobs/ID[/result | /artifacts/NAME]
@@ -527,18 +519,6 @@ fn cancel(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'sta
             json_response(stream, "202 Accepted", &doc)
         }
     }
-}
-
-fn metrics(stream: &mut TcpStream, shared: &Shared) -> io::Result<&'static str> {
-    let mut body = spindle_obs::PromSink
-        .export_string(&shared.registry.snapshot())
-        .unwrap_or_default();
-    let mut appendix = Vec::new();
-    if spindle_obs::prom::write_windowed(&mut appendix, &shared.rollups.snapshot()).is_ok() {
-        body.push_str(&String::from_utf8_lossy(&appendix));
-    }
-    body.push_str(&job_series(shared));
-    respond(stream, "200 OK", spindle_obs::prom::CONTENT_TYPE, &body).map(|()| "200 OK")
 }
 
 /// Per-job labeled series, *active jobs only*: cardinality is bounded

@@ -4,7 +4,10 @@
 //! address in [`SINK_ENV`](spindle_obs::frame::SINK_ENV); a child
 //! built on `spindle-pulse` connects back and streams
 //! [`Frame`](spindle_obs::frame::Frame)s — a progress heartbeat every
-//! export tick and a final flush of its wall spans. The job's registry
+//! export tick, then one span frame per wall span and a `Bye` at exit.
+//! Every streamed span is stored as a child wall span, whatever origin
+//! its frame claims, so a child can never write onto the daemon's
+//! timeline or into the span slots held back for it. The job's registry
 //! numbers are not on the stream: their one home is the `metrics.json`
 //! and `timescales.json` artifacts the run writes itself. This module
 //! owns everything the daemon keeps per job:
@@ -26,8 +29,7 @@
 //! `received + dropped == produced` always holds, so a watcher can
 //! tell silence from loss.
 
-use crate::trace::{SpanOrigin, TraceSpan};
-use spindle_obs::frame::{render_args, Frame, FrameDecoder};
+use spindle_obs::frame::{render_args, Frame, FrameDecoder, SpanOrigin, TraceSpan};
 use spindle_obs::json::Json;
 use spindle_obs::MetricsRegistry;
 use spindle_pulse::sampler::SampleWindow;
@@ -371,14 +373,13 @@ impl JobTelemetry {
     }
 
     /// Applies one decoded frame: progress changes become events and
-    /// ETA samples, span batches land in the span store.
+    /// ETA samples, spans land in the span store as child wall spans.
     pub(crate) fn apply_frame(&self, frame: Frame) {
         match frame {
             Frame::Hello {
                 pid,
                 label,
                 epoch_ns,
-                ..
             } => {
                 // Both clocks are read "now" (encode races decode by
                 // one loopback hop): daemon elapsed minus child
@@ -397,28 +398,14 @@ impl JobTelemetry {
                     ],
                 );
             }
-            Frame::Span(batch) => {
-                let mut store = self.spans.lock().expect("span store lock");
-                // The child's own shed count carries through, so
-                // end-to-end `retained + dropped == produced` holds
-                // across the process boundary.
-                store.dropped = store.dropped.saturating_add(batch.dropped);
-                for rec in batch.spans {
-                    store.push(TraceSpan {
-                        origin: SpanOrigin::ChildWall,
-                        track: rec.track,
-                        name: rec.name,
-                        begin_ns: rec.begin_ns,
-                        dur_ns: rec.dur_ns,
-                        args: rec.args,
-                    });
-                }
-            }
+            Frame::Span(span) => self.push_span(TraceSpan {
+                origin: SpanOrigin::ChildWall,
+                ..span
+            }),
             Frame::Progress {
                 completed,
                 total,
                 phase,
-                ..
             } => {
                 // Every tick ships a progress frame as the heartbeat;
                 // only a change is news for the ETA and the watchers.
@@ -443,7 +430,16 @@ impl JobTelemetry {
                     ],
                 );
             }
-            Frame::Bye { frames_sent, .. } => {
+            Frame::Bye {
+                frames_sent,
+                spans_dropped,
+            } => {
+                // The child's own shed count carries through, so
+                // end-to-end `retained + dropped == produced` holds
+                // across the process boundary.
+                let mut store = self.spans.lock().expect("span store lock");
+                store.dropped = store.dropped.saturating_add(spans_dropped);
+                drop(store);
                 self.closed.store(true, Ordering::Release);
                 self.event("bye", vec![("frames", Json::Uint(frames_sent))]);
             }
@@ -669,9 +665,8 @@ mod tests {
         let tel = JobTelemetry::new(64);
         // Fewer than MIN_STEADY_SAMPLES progress frames: clamped to None,
         // however fast the first burst looked.
-        for (i, completed) in (0..3).enumerate() {
+        for completed in 0..3 {
             tel.apply_frame(Frame::Progress {
-                t_ns: i as u64,
                 completed,
                 total: 100,
                 phase: "running".to_owned(),
@@ -681,7 +676,6 @@ mod tests {
         assert_eq!(tel.eta_secs(), None, "steady window not yet filled");
         for completed in 3..8 {
             tel.apply_frame(Frame::Progress {
-                t_ns: completed,
                 completed,
                 total: 100,
                 phase: "running".to_owned(),
@@ -694,7 +688,6 @@ mod tests {
         assert_eq!((phase.as_str(), completed, total), ("running", 7, 100));
         // A finished job stops advertising an ETA.
         tel.apply_frame(Frame::Progress {
-            t_ns: 9,
             completed: 100,
             total: 100,
             phase: "done".to_owned(),
@@ -717,15 +710,19 @@ mod tests {
         writer.join().unwrap();
     }
 
-    #[test]
-    fn hostile_streams_never_panic_and_are_counted() {
-        let hello = Frame::Hello {
-            version: spindle_obs::frame::PROTOCOL_VERSION,
+    /// A Hello frame from pid 7, encoded.
+    fn hello() -> Vec<u8> {
+        Frame::Hello {
             pid: 7,
             label: "t".to_owned(),
             epoch_ns: 0,
         }
-        .encode();
+        .encode()
+    }
+
+    #[test]
+    fn hostile_streams_never_panic_and_are_counted() {
+        let hello = hello();
 
         // Pure garbage: huge bogus length prefix -> one typed error.
         let registry = MetricsRegistry::new();
@@ -750,51 +747,61 @@ mod tests {
         // Version skew: typed error, counted, stream over.
         let registry = MetricsRegistry::new();
         let tel = JobTelemetry::new(16);
-        let future = Frame::Hello {
-            version: 99,
-            pid: 7,
-            label: "t".to_owned(),
-            epoch_ns: 0,
-        }
-        .encode();
+        let future = spindle_obs::frame::seal(
+            b"{\"kind\":\"hello\",\"version\":6,\"pid\":7,\"label\":\"t\",\"epoch_ns\":0}",
+        );
         ingest_bytes(&future, &tel, &registry);
         assert_eq!(tel.decode_errors.load(Ordering::Relaxed), 1);
         let (_, events, _) = tel.events_since(0);
         assert!(
-            events.iter().any(|(_, e)| e.contains("telemetry-error")),
+            events
+                .iter()
+                .any(|(_, e)| e.contains("telemetry-error") && e.contains("protocol version 6")),
             "{events:?}"
         );
+
+        // A megabyte of nesting inside a checksum-valid frame: the
+        // parser's depth limit refuses it, the daemon lives on.
+        let registry = MetricsRegistry::new();
+        let tel = JobTelemetry::new(16);
+        let nested = format!("{{\"kind\":\"bye\",\"x\":{}}}", "[".repeat(1 << 20));
+        let mut wire = hello.clone();
+        wire.extend_from_slice(&spindle_obs::frame::seal(nested.as_bytes()));
+        ingest_bytes(&wire, &tel, &registry);
+        assert_eq!(tel.frames.load(Ordering::Relaxed), 1, "only hello landed");
+        assert_eq!(tel.decode_errors.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn span_store_stays_bounded_with_exact_drop_accounting() {
-        use spindle_obs::frame::{SpanBatch, SpanRec};
         let tel = JobTelemetry::new(16);
-        let rec = |i: u64| SpanRec {
-            track: "t".to_owned(),
-            name: format!("s{i}"),
-            begin_ns: i,
-            dur_ns: Some(1),
-            args: String::new(),
-        };
         // A slow consumer never reads; the producer ships far more
-        // spans than the store holds, including a batch that already
-        // shed spans child-side.
+        // spans than the store holds, and its Bye reports spans it
+        // already shed child-side. Every span claims the daemon's
+        // timeline: the claim is ignored, so none reaches the reserve.
         let total_sent = TRACE_SPAN_CAP as u64 + 500;
         let child_shed = 7u64;
-        let mut sent = 0u64;
-        while sent < total_sent {
-            let n = (total_sent - sent).min(300);
-            tel.apply_frame(Frame::Span(SpanBatch {
-                t_ns: sent,
-                dropped: if sent == 0 { child_shed } else { 0 },
-                spans: (sent..sent + n).map(rec).collect(),
+        for i in 0..total_sent {
+            tel.apply_frame(Frame::Span(TraceSpan {
+                origin: SpanOrigin::Daemon,
+                track: "t".to_owned(),
+                name: format!("s{i}"),
+                begin_ns: i,
+                dur_ns: Some(1),
+                args: String::new(),
             }));
-            sent += n;
         }
+        tel.apply_frame(Frame::Bye {
+            frames_sent: total_sent,
+            spans_dropped: child_shed,
+        });
         let (spans, dropped) = tel.trace_spans();
         let bulk_cap = TRACE_SPAN_CAP - DAEMON_SPAN_RESERVE;
         assert_eq!(spans.len(), bulk_cap, "bulk retention is bounded");
+        assert!(
+            spans.iter().all(|s| s.origin == SpanOrigin::ChildWall),
+            "streamed spans are child wall spans whatever they claim"
+        );
         assert_eq!(
             spans.len() as u64 + dropped,
             total_sent + child_shed,
@@ -827,7 +834,6 @@ mod tests {
         // A child whose span clock started 5 s before its Hello: the
         // offset must place its spans ~5 s in the daemon's past.
         tel.apply_frame(Frame::Hello {
-            version: spindle_obs::frame::PROTOCOL_VERSION,
             pid: 1,
             label: "old-clock".to_owned(),
             epoch_ns: 5_000_000_000,
@@ -841,7 +847,6 @@ mod tests {
         // tiny daemon elapsed, i.e. near zero but non-negative.
         let tel2 = JobTelemetry::new(16);
         tel2.apply_frame(Frame::Hello {
-            version: spindle_obs::frame::PROTOCOL_VERSION,
             pid: 2,
             label: "fresh".to_owned(),
             epoch_ns: 0,
@@ -859,21 +864,12 @@ mod tests {
         // frames: the daemon and its bookkeeping survive, but the
         // stream ends there, counted as a decode error and noted on
         // the event feed. The frame behind it is never applied.
-        let mut wire = Frame::Hello {
-            version: spindle_obs::frame::PROTOCOL_VERSION,
-            pid: 7,
-            label: "t".to_owned(),
-            epoch_ns: 0,
-        }
-        .encode();
-        let body = [200u8, 1, 2, 3];
-        wire.extend_from_slice(&u32::try_from(body.len()).unwrap().to_le_bytes());
-        wire.extend_from_slice(&spindle_obs::hash::fnv1a32(&body).to_le_bytes());
-        wire.extend_from_slice(&body);
+        let mut wire = hello();
+        wire.extend_from_slice(&spindle_obs::frame::seal(b"{\"kind\":\"gossip\"}"));
         wire.extend_from_slice(
             &Frame::Bye {
-                t_ns: 9,
                 frames_sent: 1,
+                spans_dropped: 0,
             }
             .encode(),
         );
@@ -888,7 +884,8 @@ mod tests {
         assert!(
             events
                 .iter()
-                .any(|(_, e)| e.contains("telemetry-error") && e.contains("unknown frame kind 200")),
+                .any(|(_, e)| e.contains("telemetry-error")
+                    && e.contains("unknown frame kind `gossip`")),
             "{events:?}"
         );
         assert!(
@@ -900,18 +897,11 @@ mod tests {
     #[test]
     fn repeated_progress_is_a_heartbeat_not_news() {
         let progress = |completed| Frame::Progress {
-            t_ns: 0,
             completed,
             total: 8,
             phase: "running".to_owned(),
         };
-        let mut wire = Frame::Hello {
-            version: spindle_obs::frame::PROTOCOL_VERSION,
-            pid: 7,
-            label: "t".to_owned(),
-            epoch_ns: 0,
-        }
-        .encode();
+        let mut wire = hello();
         for _ in 0..5 {
             wire.extend_from_slice(&progress(1).encode());
         }
@@ -951,14 +941,7 @@ mod tests {
             None,
             "a child that never speaks frames cannot stall"
         );
-        let hello = Frame::Hello {
-            version: spindle_obs::frame::PROTOCOL_VERSION,
-            pid: 7,
-            label: "t".to_owned(),
-            epoch_ns: 0,
-        }
-        .encode();
-        ingest_bytes(&hello, &tel, &registry);
+        ingest_bytes(&hello(), &tel, &registry);
         let silence = tel.frame_silence_secs().expect("spoke once");
         assert!(silence < 30.0, "fresh frame, tiny silence: {silence}");
         std::thread::sleep(Duration::from_millis(30));
@@ -970,22 +953,14 @@ mod tests {
     fn mid_stream_kill_is_torn_but_harmless() {
         let registry = MetricsRegistry::new();
         let tel = JobTelemetry::new(16);
-        let hello = Frame::Hello {
-            version: spindle_obs::frame::PROTOCOL_VERSION,
-            pid: 7,
-            label: "t".to_owned(),
-            epoch_ns: 0,
-        }
-        .encode();
         let progress = Frame::Progress {
-            t_ns: 1,
             completed: 1,
             total: 4,
             phase: "running".to_owned(),
         }
         .encode();
         // Hello, one progress frame, then the process dies mid-frame.
-        let mut wire = hello;
+        let mut wire = hello();
         wire.extend_from_slice(&progress);
         wire.extend_from_slice(&progress[..progress.len() / 2]);
         ingest_bytes(&wire, &tel, &registry);
@@ -997,17 +972,11 @@ mod tests {
         // A clean stream (Bye, no tail) is not torn.
         let registry = MetricsRegistry::new();
         let tel = JobTelemetry::new(16);
-        let mut wire = Frame::Hello {
-            version: spindle_obs::frame::PROTOCOL_VERSION,
-            pid: 7,
-            label: "t".to_owned(),
-            epoch_ns: 0,
-        }
-        .encode();
+        let mut wire = hello();
         wire.extend_from_slice(
             &Frame::Bye {
-                t_ns: 2,
                 frames_sent: 1,
+                spans_dropped: 0,
             }
             .encode(),
         );

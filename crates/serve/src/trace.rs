@@ -4,9 +4,12 @@
 //! The daemon records its own lifecycle spans (admission, queue wait,
 //! spawn, each supervision attempt, retry backoff, finalization) into
 //! the per-job telemetry record, and children ship their
-//! flight-recorder wall spans upstream over the frame protocol. This
-//! module turns that combined span set into a self-contained Chrome
-//! trace-event JSON document of the job's wall-clock story:
+//! flight-recorder wall spans upstream over the frame protocol, one
+//! span frame each. Both kinds are one record type,
+//! [`spindle_obs::frame::TraceSpan`], with one JSON form: the body of a
+//! span frame and a line of `spans.jsonl` alike. This module turns the
+//! combined span set into a self-contained Chrome trace-event JSON
+//! document of the job's wall-clock story:
 //!
 //! * pid 1 — the daemon timeline: lifecycle spans, on the daemon's
 //!   monotonic clock (per-job telemetry epoch).
@@ -28,6 +31,7 @@
 //! --dir JOBDIR` rebuilds the identical document offline after the
 //! daemon is gone.
 
+use spindle_obs::frame::{SpanOrigin, TraceSpan};
 use spindle_obs::hash::fnv1a64;
 use spindle_obs::json::{parse, Json};
 use spindle_obs::jsonl;
@@ -58,86 +62,6 @@ fn mint(job_id: &str, attempt: u32) -> (u64, u64) {
         fnv1a64(job_id.as_bytes()),
         fnv1a64(format!("{job_id}#{attempt}").as_bytes()),
     )
-}
-
-/// Where a trace span came from, which also fixes what its `begin_ns`
-/// is relative to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanOrigin {
-    /// Daemon lifecycle span, daemon-epoch-relative.
-    Daemon,
-    /// Child wall span, child-epoch-relative (needs the clock offset).
-    ChildWall,
-}
-
-impl SpanOrigin {
-    fn as_str(self) -> &'static str {
-        match self {
-            SpanOrigin::Daemon => "daemon",
-            SpanOrigin::ChildWall => "wall",
-        }
-    }
-
-    fn parse(text: &str) -> Option<SpanOrigin> {
-        match text {
-            "daemon" => Some(SpanOrigin::Daemon),
-            "wall" => Some(SpanOrigin::ChildWall),
-            _ => None,
-        }
-    }
-}
-
-/// One span retained for trace assembly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSpan {
-    /// Which timeline the span belongs to.
-    pub origin: SpanOrigin,
-    /// Track (thread row) the span renders on.
-    pub track: String,
-    /// Span name.
-    pub name: String,
-    /// Start, relative to the origin's clock (see [`SpanOrigin`]).
-    pub begin_ns: u64,
-    /// Duration; `None` marks an instant event.
-    pub dur_ns: Option<u64>,
-    /// Pre-rendered JSON object of span args, empty for none.
-    pub args: String,
-}
-
-impl TraceSpan {
-    fn to_json(&self) -> Json {
-        let mut members = vec![
-            (
-                "origin".to_owned(),
-                Json::Str(self.origin.as_str().to_owned()),
-            ),
-            ("track".to_owned(), Json::Str(self.track.clone())),
-            ("name".to_owned(), Json::Str(self.name.clone())),
-            ("begin_ns".to_owned(), Json::Uint(self.begin_ns)),
-        ];
-        if let Some(dur) = self.dur_ns {
-            members.push(("dur_ns".to_owned(), Json::Uint(dur)));
-        }
-        if !self.args.is_empty() {
-            members.push(("args".to_owned(), Json::Str(self.args.clone())));
-        }
-        Json::Obj(members)
-    }
-
-    fn from_json(doc: &Json) -> Option<TraceSpan> {
-        Some(TraceSpan {
-            origin: SpanOrigin::parse(doc.get("origin")?.as_str()?)?,
-            track: doc.get("track")?.as_str()?.to_owned(),
-            name: doc.get("name")?.as_str()?.to_owned(),
-            begin_ns: doc.get("begin_ns")?.as_u64()?,
-            dur_ns: doc.get("dur_ns").and_then(Json::as_u64),
-            args: doc
-                .get("args")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_owned(),
-        })
-    }
 }
 
 /// One job's full span set, ready for assembly or persistence.

@@ -322,7 +322,8 @@ else
         #    feed while it runs, and check the feed carried at least one
         #    progress frame plus a terminal event that agrees with the
         #    job's result document. Its telemetry stream must be whole,
-        #    and its rollups live in the timescales.json it writes.
+        #    its rollups live in the timescales.json it writes, and a
+        #    deeply nested job body is a 400, not a dead daemon.
         echo "==> telemetry plane smoke (/jobs/ID/events mid-run)"
         MATRIX_ID=$(curl -s -X POST "http://$ADDR/jobs" \
             -d '{"kind":"matrix","quick":true,"ids":["t2"],"jobs":2,"timescales":true}' \
@@ -360,6 +361,22 @@ else
                 -o artifacts/job-timescales-artifact.json
             if ! grep -q '"resolutions"' artifacts/job-timescales-artifact.json; then
                 echo "FAILED: the matrix job's timescales.json carries no resolutions" >&2
+                fail=1
+            fi
+
+            # Hostile nesting: a megabyte of `[` fits the request-body
+            # cap, and the JSON parser's depth limit must answer it with
+            # a 400 while the daemon stays up.
+            head -c 1048576 /dev/zero | tr '\0' '[' > artifacts/nested-body.json
+            NESTED_STATUS=$(curl -s -o /dev/null -w '%{http_code}' -H 'Expect:' \
+                -X POST "http://$ADDR/jobs" --data-binary @artifacts/nested-body.json)
+            rm -f artifacts/nested-body.json
+            if [ "$NESTED_STATUS" != "400" ]; then
+                echo "FAILED: a 1 MiB nested job body got HTTP $NESTED_STATUS, not 400" >&2
+                fail=1
+            fi
+            if [ "$(curl -s "http://$ADDR/healthz")" != "ok" ]; then
+                echo "FAILED: the daemon stopped answering /healthz after a nested body" >&2
                 fail=1
             fi
 

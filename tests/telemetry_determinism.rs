@@ -12,7 +12,7 @@
 //! exact-merge invariant means every resolution's merged histogram
 //! totals equal the registry's final histograms.
 
-use spindle_obs::frame::{Frame, FrameDecoder, SpanRec, SINK_ENV};
+use spindle_obs::frame::{Frame, FrameDecoder, SpanOrigin, TraceSpan, SINK_ENV};
 use spindle_obs::json::{self, Json};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -197,12 +197,18 @@ fn runs(kinds: &[&'static str]) -> Vec<&'static str> {
 
 /// The span records a sink received, checked to be the run's wall
 /// spans, whole: no sim-time track (`drive.*`) and nothing dropped.
-fn shipped_wall_spans(frames: &[Frame]) -> Vec<&SpanRec> {
+fn shipped_wall_spans(frames: &[Frame]) -> Vec<&TraceSpan> {
     let mut spans = Vec::new();
     for frame in frames {
-        if let Frame::Span(batch) = frame {
-            assert_eq!(batch.dropped, 0, "the exporter shed spans");
-            spans.extend(&batch.spans);
+        match frame {
+            Frame::Span(span) => {
+                assert_eq!(span.origin, SpanOrigin::ChildWall, "{span:?}");
+                spans.push(span);
+            }
+            Frame::Bye { spans_dropped, .. } => {
+                assert_eq!(*spans_dropped, 0, "the exporter shed spans");
+            }
+            _ => {}
         }
     }
     assert!(
