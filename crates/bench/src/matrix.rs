@@ -11,7 +11,7 @@
 
 use crate::plan::{self, Experiment, Pending};
 use crate::{figures, tables, ExpConfig, Result};
-use spindle_engine::{Pool, Reduce, RunOutcome, ShardFailure};
+use spindle_engine::Pool;
 
 /// Every experiment in presentation order.
 pub const EXPERIMENTS: &[(&str, Experiment)] = &[
@@ -92,6 +92,22 @@ pub fn run_matrix(ids: &[String], cfg: &ExpConfig, pool: &Pool) -> Vec<MatrixRes
     pool.map(plan::prepare(ids, cfg, pool), |_, p| finish(p, cfg))
 }
 
+/// One quarantined experiment: its task panicked and its result was
+/// discarded while the rest of the matrix completed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardFailure {
+    /// The failed experiment's position in the `ids` the matrix ran.
+    pub ordinal: usize,
+    /// The panic payload, rendered to a string.
+    pub payload: String,
+}
+
+impl std::fmt::Display for ShardFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "shard {} panicked: {}", self.ordinal, self.payload)
+    }
+}
+
 /// The result of a panic-isolated matrix run: every surviving
 /// experiment in request order, plus one [`ShardFailure`] per
 /// quarantined (panicked) experiment. A failure's `ordinal` indexes
@@ -102,27 +118,6 @@ pub struct MatrixOutcome {
     pub results: Vec<MatrixResult>,
     /// Experiments whose task panicked, in ordinal order.
     pub failures: Vec<ShardFailure>,
-}
-
-/// Reducer that hands each surviving result to a callback the moment
-/// the ordered drain reaches it, then keeps it for the outcome.
-struct NotifyCollect<F: FnMut(&MatrixResult)> {
-    out: Vec<MatrixResult>,
-    on_done: F,
-}
-
-impl<F: FnMut(&MatrixResult)> Reduce for NotifyCollect<F> {
-    type Item = MatrixResult;
-    type Output = Vec<MatrixResult>;
-
-    fn push(&mut self, _ordinal: usize, item: MatrixResult) {
-        (self.on_done)(&item);
-        self.out.push(item);
-    }
-
-    fn finish(self) -> Vec<MatrixResult> {
-        self.out
-    }
 }
 
 /// Panic-isolated [`run_matrix`]: a panicking experiment (whether its
@@ -140,25 +135,28 @@ pub fn run_matrix_isolated(
     ids: &[String],
     cfg: &ExpConfig,
     pool: &Pool,
-    on_done: impl FnMut(&MatrixResult),
+    mut on_done: impl FnMut(&MatrixResult),
 ) -> MatrixOutcome {
-    let reducer = NotifyCollect {
-        out: Vec::with_capacity(ids.len()),
-        on_done,
+    let mut outcome = MatrixOutcome {
+        results: Vec::with_capacity(ids.len()),
+        failures: Vec::new(),
     };
-    let RunOutcome { output, failures } = pool.try_map_reduce(
+    pool.run(
         plan::prepare(ids, cfg, pool),
         |ordinal, pending| {
             spindle_harden::maybe_task_panic(ordinal);
             spindle_harden::maybe_task_hang(ordinal);
             finish(pending, cfg)
         },
-        reducer,
+        |ordinal, res| match res {
+            Ok(result) => {
+                on_done(&result);
+                outcome.results.push(result);
+            }
+            Err(payload) => outcome.failures.push(ShardFailure { ordinal, payload }),
+        },
     );
-    MatrixOutcome {
-        results: output,
-        failures,
-    }
+    outcome
 }
 
 /// Renders the id list by collapsing consecutive runs sharing an
@@ -226,6 +224,15 @@ mod tests {
         // The surviving output is identical to a fault-free run.
         let clean = run_one("t1", &cfg).unwrap();
         assert_eq!(outcome.results[0].output.as_ref().unwrap(), &clean);
+    }
+
+    #[test]
+    fn shard_failure_display_names_the_site() {
+        let fail = ShardFailure {
+            ordinal: 4,
+            payload: "boom".to_owned(),
+        };
+        assert_eq!(fail.to_string(), "shard 4 panicked: boom");
     }
 
     #[test]

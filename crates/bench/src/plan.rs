@@ -410,9 +410,12 @@ fn build_inputs(mut pending: Vec<Pending>, cfg: &ExpConfig, pool: &Pool) -> Vec<
     if groups.is_empty() {
         return pending;
     }
-    // Heaviest groups first: tasks are dealt round-robin, so the two
-    // nine-simulation ablation groups start at once instead of last.
-    groups.sort_by_key(|g| std::cmp::Reverse(g.inputs.len()));
+    // Heaviest groups first, for longest-first list scheduling: workers
+    // take tasks in order from one queue, so the two nine-simulation
+    // ablation groups start at once instead of last. Among one-input
+    // groups the family (every drive's weeks of hours) goes before a
+    // single environment run, which costs less.
+    groups.sort_by_key(|g| (std::cmp::Reverse(g.inputs.len()), g.env.is_some()));
     for deliveries in pool.map(groups, |_, group| group.build(cfg)) {
         for (consumer, made, secs) in deliveries {
             let p = &mut pending[consumer.ordinal];
@@ -484,15 +487,18 @@ mod tests {
             secs: 0.0,
         });
         let pending = build_inputs(requested.into(), &cfg, &Pool::new(2));
-        let outcome = Pool::new(2).try_map(pending, |_, p| p.render(&cfg).0.unwrap().to_string());
-        assert_eq!(outcome.failures.len(), 1);
-        assert_eq!(outcome.failures[0].ordinal, 0);
-        assert_eq!(outcome.failures[0].payload, "boom");
+        let mut seen = Vec::new();
+        Pool::new(2).run(
+            pending,
+            |_, p| p.render(&cfg).0.unwrap().to_string(),
+            |ordinal, res| seen.push((ordinal, res)),
+        );
+        assert_eq!(seen.len(), 2);
+        assert_eq!(seen[0], (0, Err("boom".to_owned())));
         // The experiment sharing the runs renders as on its own.
-        assert_eq!(outcome.output.len(), 1);
         assert_eq!(
-            outcome.output[0].1,
-            crate::matrix::run_one("t2", &cfg).unwrap()
+            seen[1],
+            (1, Ok(crate::matrix::run_one("t2", &cfg).unwrap()))
         );
     }
 }

@@ -112,9 +112,9 @@ next --resume-dir restart.
 
 `spindle trace assemble` rebuilds a serve job's causal trace offline:
 point --dir at a job's artifact directory (holding the spans.jsonl
-the daemon persisted) and get the same self-contained Chrome
-trace-event document GET /jobs/ID/trace serves — daemon lifecycle
-spans, the child's clock-aligned wall spans, and its sim-time tracks.
+the daemon persisted) to get the document GET /jobs/ID/trace serves:
+daemon lifecycle spans and the child's clock-aligned wall spans. The
+sim-time tracks are in the job's trace.json, if its spec has \"trace\": true.
 `spindle trace check` structurally validates any trace-event JSON
 file and exits non-zero on the first violation.
 

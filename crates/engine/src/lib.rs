@@ -4,35 +4,34 @@
 //! alone (`std::thread` scoped threads, `Mutex`/`Condvar`, atomics — no
 //! external runtime):
 //!
-//! * [`pool::Pool`] — a scoped work-stealing thread pool. Tasks are
-//!   dealt round-robin into per-worker injector queues; an idle worker
-//!   steals from the back of the deepest peer queue. Results flow back
-//!   over a bounded channel and are merged **in ordinal order**, so the
-//!   output of [`Pool::map`] is bit-identical to the sequential path
-//!   regardless of worker count or scheduling.
+//! * [`pool::Pool`] — a scoped thread pool. [`Pool::run`] is its one
+//!   primitive: workers take tasks from one shared FIFO queue in
+//!   ordinal order, and each `(ordinal, result)` reaches the caller in
+//!   strictly increasing ordinal order, a panicking task as an `Err`.
+//!   [`Pool::map`] is `run` plus a collect, so its output is
+//!   bit-identical to the sequential path regardless of worker count
+//!   or scheduling.
 //! * [`channel`] — bounded MPSC channels with blocking backpressure,
 //!   used both inside the pool and for streaming trace replay at fixed
 //!   memory (SPSC is the one-producer special case).
-//! * [`shard`] — the [`ShardPlan`]/[`Reduce`] abstraction: each shard
-//!   owns an RNG stream derived from `(seed, shard_id)` via
-//!   [`shard_seed`], and reducers consume results keyed by a stable
-//!   ordinal, never by completion order.
+//! * [`shard_seed`] — the RNG seed a piece of split work derives from
+//!   `(seed, ordinal)`.
 //!
 //! # Determinism contract
 //!
 //! A computation run through the engine must be a pure function of its
-//! `(ordinal, input)` pair — in particular each shard seeds its own RNG
-//! from [`shard_seed`] and never touches shared mutable state. Under
-//! that contract the engine guarantees the reduced output is identical
-//! for every `--jobs` value, because reduction order is defined by
-//! ordinals, not by thread timing.
+//! `(ordinal, input)` pair — in particular a task that draws random
+//! numbers seeds its own RNG from [`shard_seed`] and never touches
+//! shared mutable state. Under that contract the engine guarantees the
+//! output is identical for every `--jobs` value, because results are
+//! delivered in ordinal order, not in the order threads finish.
 
 pub mod channel;
 pub mod pool;
 pub mod shard;
 
 pub use pool::{panic_text, Pool, PoolMetrics};
-pub use shard::{shard_seed, PairCollect, Reduce, RunOutcome, ShardFailure, ShardPlan, VecCollect};
+pub use shard::shard_seed;
 
 /// Environment variable consulted by [`default_jobs`] before falling
 /// back to the machine's available parallelism. CI sets this to force a

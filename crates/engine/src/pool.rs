@@ -1,49 +1,50 @@
-//! Scoped work-stealing thread pool with ordinal-ordered reduction.
+//! Scoped thread pool with ordinal-ordered delivery.
 //!
-//! Tasks are dealt round-robin into per-worker injector queues before
-//! any worker starts; a worker pops from the front of its own queue and,
-//! when that runs dry, steals from the back of the deepest peer queue.
-//! Results travel over a bounded [`channel`](crate::channel) back to the
-//! caller thread, which buffers out-of-order arrivals and feeds the
-//! [`Reduce`] strictly in ordinal order. With `jobs == 1` no threads or
-//! channels are created at all — the tasks run inline, in order, on the
-//! caller thread, which is exactly the pre-engine sequential path.
+//! [`Pool::run`] is the one way the engine runs tasks. Workers take the
+//! next `(ordinal, item)` from one shared FIFO queue, so tasks start in
+//! ordinal order and a caller that lists its heaviest tasks first gets
+//! longest-first list scheduling. Results travel over a bounded
+//! [`channel`] back to the calling thread, which buffers
+//! out-of-order arrivals and delivers every `(ordinal, result)` in
+//! strictly increasing ordinal order. [`Pool::map`] is `run` plus a
+//! collect. With one worker (or at most one item) no thread or channel
+//! is created: the tasks run inline, in order, on the calling thread.
 //!
 //! # Panic isolation
 //!
 //! Every task body runs under [`std::panic::catch_unwind`]. Through
-//! [`Pool::map`]/[`Pool::map_reduce`] a task panic still propagates to
-//! the caller (with its payload preserved), exactly as before. The
-//! `try_` variants — [`Pool::try_map`], [`Pool::try_map_reduce`],
-//! [`Pool::try_run_shards`] — instead *quarantine* the panicking shard:
-//! the remaining shards complete, surviving results reach the reducer
-//! keyed by their original ordinals (so surviving output is
-//! byte-identical to a fault-free run at any worker count), and the
-//! returned [`RunOutcome`] carries one [`ShardFailure`] per quarantined
-//! shard. Queue mutexes recover from poisoning
-//! ([`PoisonError::into_inner`]) so one panicking worker cannot wedge
-//! queue access for the rest of the pool.
+//! [`Pool::run`] a panic reaches the caller as `Err(payload)` at the
+//! task's ordinal while every other task completes, so surviving
+//! output is byte-identical to a fault-free run at any worker count.
+//! [`Pool::map`] re-raises the payload instead; tasks not yet started
+//! are abandoned.
 //!
-//! When a [`FlightRecorder`] is installed (see
-//! [`spindle_obs::recorder::install`]), each worker additionally records
-//! its activity — `run`, `steal`, `idle`, and `fault` intervals — on
-//! the wall-clock timeline under a `worker<n>` thread label, so a trace
-//! export shows exactly how the pool spent its time, including where a
-//! shard was quarantined. Without an installed recorder the per-task
-//! cost is one relaxed atomic load.
+//! # Observability
+//!
+//! With [`PoolMetrics`] attached, every task publishes
+//! `engine.worker.<n>.tasks_executed` and `.busy_us` (and the pool-wide
+//! `engine.tasks_executed`, plus `harden.shard_failures` for a caught
+//! panic) the moment it finishes, so a live scraper sees utilization
+//! evolve mid-call. A worker never waits while the queue holds work;
+//! its `.idle_us` is its wait at the end of a call, from the moment it
+//! finds the queue empty to the call's last delivery. When a
+//! [`FlightRecorder`] is installed (see
+//! [`spindle_obs::recorder::install`]), each worker records the same
+//! story as `run`, `fault` and `idle` wall slices under a `worker<n>`
+//! thread label. Without an installed recorder the per-task cost is one
+//! relaxed atomic load.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use spindle_obs::json::Json;
-use spindle_obs::registry::{Counter, Gauge};
+use spindle_obs::registry::Counter;
 use spindle_obs::{FlightRecorder, MetricsRegistry};
 
 use crate::channel;
-use crate::shard::{PairCollect, Reduce, RunOutcome, ShardFailure, ShardPlan, VecCollect};
 
 /// Attaches a metrics registry to a [`Pool`]; per-worker counters are
 /// published under `engine.worker.<n>.*` plus pool-wide totals.
@@ -64,78 +65,26 @@ impl PoolMetrics {
             executed: self
                 .registry
                 .counter(&format!("engine.worker.{w}.tasks_executed")),
-            stolen: self
-                .registry
-                .counter(&format!("engine.worker.{w}.tasks_stolen")),
             busy_us: self.registry.counter(&format!("engine.worker.{w}.busy_us")),
             idle_us: self.registry.counter(&format!("engine.worker.{w}.idle_us")),
-            depth: self
-                .registry
-                .gauge(&format!("engine.worker.{w}.queue_depth")),
             total_executed: self.registry.counter("engine.tasks_executed"),
-            total_stolen: self.registry.counter("engine.tasks_stolen"),
             failures: self.registry.counter("harden.shard_failures"),
         }
-    }
-
-    fn set_pool_width(&self, jobs: usize) {
-        self.registry
-            .gauge("engine.pool.workers")
-            .set(i64::try_from(jobs).unwrap_or(i64::MAX));
     }
 }
 
 /// Cloned counter handles one worker updates as it drains tasks.
-///
-/// Every update is *incremental* — published the moment a task
-/// finishes or an idle interval closes — so a live scraper
-/// (`spindle-pulse`'s `/status`, the `--live` dashboard) sees
-/// utilization evolve mid-run instead of a burst of totals when the
-/// map call returns.
 struct WorkerMetrics {
     executed: Counter,
-    stolen: Counter,
     busy_us: Counter,
     idle_us: Counter,
-    depth: Gauge,
     total_executed: Counter,
-    total_stolen: Counter,
-    /// Pool-wide quarantine count (`harden.shard_failures`); bumped
-    /// immediately on a caught task panic, not batched at settle time.
+    /// Pool-wide quarantine count (`harden.shard_failures`).
     failures: Counter,
 }
 
-impl WorkerMetrics {
-    /// Publishes one finished task.
-    fn task_done(&self, was_steal: bool, busy: Duration) {
-        self.executed.add(1);
-        self.total_executed.add(1);
-        if was_steal {
-            self.stolen.add(1);
-            self.total_stolen.add(1);
-        }
-        self.busy_us
-            .add(u64::try_from(busy.as_micros()).unwrap_or(u64::MAX));
-    }
-
-    /// Publishes one closed idle interval.
-    fn idle_for(&self, idle: Duration) {
-        self.idle_us
-            .add(u64::try_from(idle.as_micros()).unwrap_or(u64::MAX));
-    }
-
-    /// Worker exit: the queue is drained.
-    fn settle(&self) {
-        self.depth.set(0);
-    }
-}
-
-/// Locks a worker queue, recovering from poison: a queue mutex is only
-/// ever held around `VecDeque` operations that cannot leave the deque
-/// in a torn state, so the data is valid even after a panicking thread
-/// held the guard.
-fn lock_queue<'a, I>(q: &'a Mutex<VecDeque<(usize, I)>>) -> MutexGuard<'a, VecDeque<(usize, I)>> {
-    q.lock().unwrap_or_else(PoisonError::into_inner)
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
 }
 
 /// Renders a caught panic payload to a string: the message of a
@@ -151,19 +100,43 @@ pub fn panic_text(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Runs one task under `catch_unwind`, rendering any panic payload to
-/// a string.
-fn run_task<I, T, F>(f: &F, ord: usize, item: I) -> Result<T, String>
+/// Runs one task under `catch_unwind` and accounts for it: a `run` or
+/// `fault` wall slice on the installed recorder, and the worker's
+/// counters.
+fn execute<I, T, F>(
+    f: &F,
+    ord: usize,
+    item: I,
+    flight: Option<&FlightRecorder>,
+    metrics: Option<&WorkerMetrics>,
+) -> Result<T, String>
 where
     F: Fn(usize, I) -> T + Sync,
 {
-    std::panic::catch_unwind(AssertUnwindSafe(|| f(ord, item))).map_err(|p| panic_text(&*p))
+    let t0 = Instant::now();
+    let out =
+        std::panic::catch_unwind(AssertUnwindSafe(|| f(ord, item))).map_err(|p| panic_text(&*p));
+    let dur = t0.elapsed();
+    if let Some(rec) = flight {
+        let name = if out.is_err() { "fault" } else { "run" };
+        let args = vec![("ordinal".to_owned(), Json::Uint(ord as u64))];
+        rec.wall_slice(name, t0, dur, args);
+    }
+    if let Some(m) = metrics {
+        if out.is_err() {
+            m.failures.add(1);
+        }
+        m.executed.add(1);
+        m.total_executed.add(1);
+        m.busy_us.add(micros(dur));
+    }
+    out
 }
 
 /// A fixed-width pool of scoped workers.
 ///
 /// The pool itself is cheap to construct; threads exist only for the
-/// duration of each [`Pool::map_reduce`] call (scoped threads, so task
+/// duration of each [`Pool::run`] call (scoped threads, so task
 /// closures may borrow from the caller's stack).
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
@@ -208,127 +181,34 @@ impl Pool {
         self
     }
 
-    /// Worker count.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
     /// Applies `f` to every `(ordinal, item)` and returns the results
     /// in ordinal order — identical output for any worker count.
     ///
-    /// A task panic propagates to the caller; use [`Pool::try_map`] to
-    /// quarantine failing tasks instead.
+    /// A task panic propagates to the caller with its payload
+    /// preserved (rendered to a string); use [`Pool::run`] to keep the
+    /// other results instead.
     pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
         T: Send,
         F: Fn(usize, I) -> T + Sync,
     {
-        let n = items.len();
-        self.map_reduce(items, f, VecCollect::with_capacity(n))
-    }
-
-    /// Runs every shard of `plan` through `f(ordinal, shard_seed)` and
-    /// returns the results in ordinal order.
-    pub fn run_shards<T, F>(&self, plan: &ShardPlan, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, u64) -> T + Sync,
-    {
-        let seeds: Vec<u64> = plan.iter().map(|(_, s)| s).collect();
-        self.map(seeds, f)
-    }
-
-    /// Applies `f` to every `(ordinal, item)` and feeds the results to
-    /// `reducer` strictly in ordinal order, regardless of which worker
-    /// finished first.
-    ///
-    /// A task panic propagates to the caller with its payload
-    /// preserved (rendered to a string); remaining queued work is
-    /// abandoned. Use [`Pool::try_map_reduce`] to quarantine instead.
-    pub fn map_reduce<I, T, F, R>(&self, items: Vec<I>, f: F, mut reducer: R) -> R::Output
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-        R: Reduce<Item = T>,
-    {
-        self.run_ordered(items, &f, |ord, res| match res {
-            Ok(v) => reducer.push(ord, v),
+        let mut out = Vec::with_capacity(items.len());
+        self.run(items, f, |_, res| match res {
+            Ok(v) => out.push(v),
             Err(payload) => std::panic::panic_any(payload),
         });
-        reducer.finish()
+        out
     }
 
-    /// Panic-isolating [`Pool::map`]: surviving results come back as
-    /// `(original_ordinal, value)` pairs; panicking tasks are
-    /// quarantined into the outcome's failure report.
-    pub fn try_map<I, T, F>(&self, items: Vec<I>, f: F) -> RunOutcome<Vec<(usize, T)>>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-    {
-        let n = items.len();
-        self.try_map_reduce(items, f, PairCollect::with_capacity(n))
-    }
-
-    /// Panic-isolating [`Pool::run_shards`]: each failure additionally
-    /// carries the quarantined shard's RNG seed for offline replay.
-    pub fn try_run_shards<T, F>(&self, plan: &ShardPlan, f: F) -> RunOutcome<Vec<(usize, T)>>
-    where
-        T: Send,
-        F: Fn(usize, u64) -> T + Sync,
-    {
-        let seeds: Vec<u64> = plan.iter().map(|(_, s)| s).collect();
-        let mut outcome = self.try_map(seeds, f);
-        for fail in &mut outcome.failures {
-            fail.shard_seed = Some(plan.seed_of(fail.ordinal));
-        }
-        outcome
-    }
-
-    /// Panic-isolating [`Pool::map_reduce`]: a panicking task is
-    /// quarantined — converted into a [`ShardFailure`] — while every
-    /// other shard completes. Surviving results reach `reducer` keyed
-    /// by their *original* ordinals (strictly increasing, with gaps at
-    /// quarantined shards), so surviving output is byte-identical to a
-    /// fault-free run at any worker count.
-    pub fn try_map_reduce<I, T, F, R>(
+    /// Applies `f` to every `(ordinal, item)` and hands each
+    /// `(ordinal, result)` to `on_result` in strictly increasing ordinal
+    /// order, as soon as the results before it have been delivered. A
+    /// panicking task arrives as `Err(payload)` at its own ordinal.
+    pub fn run<I, T, F>(
         &self,
         items: Vec<I>,
         f: F,
-        mut reducer: R,
-    ) -> RunOutcome<R::Output>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-        R: Reduce<Item = T>,
-    {
-        let mut failures = Vec::new();
-        self.run_ordered(items, &f, |ord, res| match res {
-            Ok(v) => reducer.push(ord, v),
-            Err(payload) => failures.push(ShardFailure {
-                ordinal: ord,
-                shard_seed: None,
-                payload,
-            }),
-        });
-        RunOutcome {
-            output: reducer.finish(),
-            failures,
-        }
-    }
-
-    /// The shared execution core: runs every task (inline or across
-    /// workers) and delivers `(ordinal, Result)` to `on_result` in
-    /// strictly increasing ordinal order.
-    fn run_ordered<I, T, F>(
-        &self,
-        items: Vec<I>,
-        f: &F,
         mut on_result: impl FnMut(usize, Result<T, String>),
     ) where
         I: Send,
@@ -336,213 +216,118 @@ impl Pool {
         F: Fn(usize, I) -> T + Sync,
     {
         let span_start = Instant::now();
-        let jobs = self.jobs.min(items.len());
+        let jobs = self.jobs.min(items.len()).max(1);
         if let Some(m) = &self.metrics {
-            m.set_pool_width(jobs.max(1));
+            m.registry
+                .gauge("engine.pool.workers")
+                .set(i64::try_from(jobs).unwrap_or(i64::MAX));
         }
-        if jobs <= 1 {
-            let wm = self.metrics.as_ref().map(|m| m.worker(0));
+        if jobs == 1 {
+            let wm = self.metrics.map(|m| m.worker(0));
             let flight = spindle_obs::recorder::installed();
-            for (i, item) in items.into_iter().enumerate() {
-                let t0 = Instant::now();
-                let out = run_task(f, i, item);
-                let dur = t0.elapsed();
-                if let Some(rec) = &flight {
-                    let name = if out.is_err() { "fault" } else { "run" };
-                    record_task(rec, name, i, t0, dur);
+            for (ord, item) in items.into_iter().enumerate() {
+                on_result(ord, execute(&f, ord, item, flight.as_deref(), wm.as_ref()));
+            }
+        } else {
+            let queue = Mutex::new(items.into_iter().enumerate());
+            // Held by the draining caller until its last delivery. A
+            // worker that accounts for its time waits on it once it finds
+            // the queue empty, so its closing idle interval ends when the
+            // call does.
+            let drain = Mutex::new(());
+            std::thread::scope(|s| {
+                let draining = drain.lock().unwrap_or_else(PoisonError::into_inner);
+                // Made inside the scope so that a panicking `on_result`
+                // (`map` re-raising) drops the receiver while unwinding:
+                // workers then stop at their next send instead of
+                // blocking on a full channel the scope waits for.
+                let (tx, rx) = channel::bounded(jobs * 2);
+                for w in 0..jobs {
+                    let worker = Worker {
+                        id: w,
+                        queue: &queue,
+                        drain: &drain,
+                        tx: tx.clone(),
+                        metrics: self.metrics.map(|m| m.worker(w)),
+                    };
+                    let f = &f;
+                    s.spawn(move || worker.work(f));
                 }
-                if let Some(m) = &wm {
-                    if out.is_err() {
-                        m.failures.add(1);
-                    }
-                    m.task_done(false, dur);
-                }
-                on_result(i, out);
-            }
-            if let Some(m) = &wm {
-                m.settle();
-            }
-            if let Some(m) = &self.metrics {
-                m.registry.record_span("engine.map", span_start.elapsed());
-            }
-            return;
-        }
-
-        // Deal tasks round-robin so every worker starts with work and
-        // contiguous ordinals spread across workers.
-        let queues: Vec<Mutex<VecDeque<(usize, I)>>> =
-            (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            lock_queue(&queues[i % jobs]).push_back((i, item));
-        }
-
-        let (tx, rx) = channel::bounded::<(usize, Result<T, String>)>(jobs * 2);
-        std::thread::scope(|s| {
-            for w in 0..jobs {
-                let tx = tx.clone();
-                let queues = &queues;
-                let wm = self.metrics.as_ref().map(|m| m.worker(w));
-                s.spawn(move || worker_loop(w, queues, &tx, f, wm.as_ref()));
-            }
-            drop(tx);
-
-            // Ordered drain: buffer out-of-order arrivals, release in
-            // ordinal order. The buffer holds at most (arrived − next)
-            // items — bounded by scheduling skew, not stream length.
-            let mut pending: BTreeMap<usize, Result<T, String>> = BTreeMap::new();
-            let mut next = 0usize;
-            while let Some((ord, val)) = rx.recv() {
-                if ord == next {
-                    on_result(next, val);
-                    next += 1;
-                    while let Some(v) = pending.remove(&next) {
-                        on_result(next, v);
+                drop(tx);
+                // The buffer holds at most (arrived − delivered) results:
+                // bounded by scheduling skew, not by the item count.
+                let mut pending = BTreeMap::new();
+                let mut next = 0usize;
+                while let Some((ord, res)) = rx.recv() {
+                    pending.insert(ord, res);
+                    while let Some(res) = pending.remove(&next) {
+                        on_result(next, res);
                         next += 1;
                     }
-                } else {
-                    pending.insert(ord, val);
                 }
-            }
-            debug_assert!(pending.is_empty(), "results lost ordinals");
-        });
+                debug_assert!(pending.is_empty(), "results lost ordinals");
+                drop(draining);
+            });
+        }
         if let Some(m) = &self.metrics {
             m.registry.record_span("engine.map", span_start.elapsed());
         }
     }
 }
 
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::with_default_jobs()
-    }
+/// One worker's share of a [`Pool::run`] call.
+struct Worker<'a, I, T> {
+    id: usize,
+    queue: &'a Mutex<std::iter::Enumerate<std::vec::IntoIter<I>>>,
+    drain: &'a Mutex<()>,
+    tx: channel::Sender<(usize, Result<T, String>)>,
+    metrics: Option<WorkerMetrics>,
 }
 
-fn worker_loop<I, T, F>(
-    me: usize,
-    queues: &[Mutex<VecDeque<(usize, I)>>],
-    tx: &channel::Sender<(usize, Result<T, String>)>,
-    f: &F,
-    metrics: Option<&WorkerMetrics>,
-) where
-    F: Fn(usize, I) -> T + Sync,
-{
-    let flight = spindle_obs::recorder::installed();
-    if flight.is_some() {
-        spindle_obs::recorder::set_thread_label(format!("worker{me}"));
-    }
-    // Open idle interval: set when this worker first fails to find a
-    // task, closed (recorded to the flight recorder and published to
-    // the idle counter) when the next task arrives or the worker exits.
-    let track_idle = flight.is_some() || metrics.is_some();
-    let mut idle_since: Option<Instant> = None;
-    let close_idle = |begin: Instant| {
+impl<I, T> Worker<'_, I, T> {
+    fn work<F>(self, f: &F)
+    where
+        F: Fn(usize, I) -> T + Sync,
+    {
+        let flight = spindle_obs::recorder::installed();
+        if flight.is_some() {
+            spindle_obs::recorder::set_thread_label(format!("worker{}", self.id));
+        }
+        loop {
+            // The guard is a temporary: the lock is held for `next` only.
+            let task = self
+                .queue
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .next();
+            let Some((ord, item)) = task else { break };
+            let out = execute(f, ord, item, flight.as_deref(), self.metrics.as_ref());
+            if self.tx.send((ord, out)).is_err() {
+                break; // receiver gone: the call is being abandoned
+            }
+        }
+        let empty_at = Instant::now();
+        drop(self.tx);
+        if flight.is_none() && self.metrics.is_none() {
+            return;
+        }
+        drop(self.drain.lock());
+        let idle = empty_at.elapsed();
         if let Some(rec) = &flight {
-            rec.wall_slice("idle", begin, begin.elapsed(), Vec::new());
+            rec.wall_slice("idle", empty_at, idle, Vec::new());
         }
-        if let Some(m) = metrics {
-            m.idle_for(begin.elapsed());
-        }
-    };
-    loop {
-        let (task, was_steal) = match pop_own(queues, me, metrics) {
-            Some(t) => (Some(t), false),
-            None => (steal(queues, me), true),
-        };
-        let Some((ord, item)) = task else {
-            if all_empty(queues) {
-                break;
-            }
-            if track_idle && idle_since.is_none() {
-                idle_since = Some(Instant::now());
-            }
-            // Lost a steal race while work remains elsewhere; rescan.
-            std::thread::yield_now();
-            continue;
-        };
-        if let Some(begin) = idle_since.take() {
-            close_idle(begin);
-        }
-        let t0 = Instant::now();
-        let out = run_task(f, ord, item);
-        let dur = t0.elapsed();
-        if let Some(rec) = &flight {
-            let name = if out.is_err() {
-                "fault"
-            } else if was_steal {
-                "steal"
-            } else {
-                "run"
-            };
-            record_task(rec, name, ord, t0, dur);
-        }
-        if let Some(m) = metrics {
-            if out.is_err() {
-                m.failures.add(1);
-            }
-            m.task_done(was_steal, dur);
-        }
-        if tx.send((ord, out)).is_err() {
-            break; // receiver gone: the map call is being abandoned
+        if let Some(m) = &self.metrics {
+            m.idle_us.add(micros(idle));
         }
     }
-    if let Some(begin) = idle_since {
-        close_idle(begin);
-    }
-    if let Some(m) = metrics {
-        m.settle();
-    }
-}
-
-/// Records one executed task on the wall-clock timeline.
-fn record_task(rec: &Arc<FlightRecorder>, name: &str, ord: usize, begin: Instant, dur: Duration) {
-    rec.wall_slice(
-        name,
-        begin,
-        dur,
-        vec![("ordinal".to_owned(), Json::Uint(ord as u64))],
-    );
-}
-
-fn pop_own<I>(
-    queues: &[Mutex<VecDeque<(usize, I)>>],
-    me: usize,
-    metrics: Option<&WorkerMetrics>,
-) -> Option<(usize, I)> {
-    let (task, depth) = {
-        let mut q = lock_queue(&queues[me]);
-        let t = q.pop_front();
-        (t, q.len())
-    };
-    if let Some(m) = metrics {
-        m.depth.set(i64::try_from(depth).unwrap_or(i64::MAX));
-    }
-    task
-}
-
-/// Steals one task from the back of the deepest peer queue.
-fn steal<I>(queues: &[Mutex<VecDeque<(usize, I)>>], me: usize) -> Option<(usize, I)> {
-    let mut victim: Option<(usize, usize)> = None;
-    for (i, q) in queues.iter().enumerate() {
-        if i == me {
-            continue;
-        }
-        let len = lock_queue(q).len();
-        if len > 0 && victim.is_none_or(|(_, best)| len > best) {
-            victim = Some((i, len));
-        }
-    }
-    let (v, _) = victim?;
-    lock_queue(&queues[v]).pop_back()
-}
-
-fn all_empty<I>(queues: &[Mutex<VecDeque<(usize, I)>>]) -> bool {
-    queues.iter().all(|q| lock_queue(q).is_empty())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shard_seed;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// Serializes the tests that install the process-wide flight
     /// recorder with the tests whose tasks panic: every caught panic
@@ -555,6 +340,55 @@ mod tests {
         RECORDER_TESTS
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Every `(ordinal, result)` one `run` call delivers, in order.
+    fn run_all<T: Send>(
+        pool: &Pool,
+        n: usize,
+        f: impl Fn(usize, usize) -> T + Sync,
+    ) -> Vec<(usize, Result<T, String>)> {
+        let mut seen = Vec::new();
+        pool.run((0..n).collect(), f, |ord, res| seen.push((ord, res)));
+        seen
+    }
+
+    #[test]
+    fn run_delivers_in_ordinal_order_and_runs_every_task_once() {
+        let _serial = recorder_tests();
+        const N: usize = 24;
+        const FAULT: usize = 7;
+        for jobs in [1, 2, 8] {
+            let registry: &'static MetricsRegistry = Box::leak(Box::default());
+            let pool = Pool::new(jobs).metrics(PoolMetrics::new(registry));
+            let runs: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+            let seen = run_all(&pool, N, |ord, x| {
+                runs[ord].fetch_add(1, Ordering::Relaxed);
+                // Later ordinals finish first.
+                std::thread::sleep(Duration::from_micros(200 * (N - ord) as u64));
+                assert!(ord != FAULT, "injected fault at {FAULT}");
+                x * 10
+            });
+            let ordinals: Vec<usize> = seen.iter().map(|(ord, _)| *ord).collect();
+            assert_eq!(ordinals, (0..N).collect::<Vec<_>>(), "jobs={jobs}");
+            let ok: Vec<usize> = seen
+                .iter()
+                .filter_map(|(ord, res)| {
+                    res.as_ref().ok().map(|v| {
+                        assert_eq!(*v, ord * 10);
+                        *ord
+                    })
+                })
+                .collect();
+            let expect: Vec<usize> = (0..N).filter(|&o| o != FAULT).collect();
+            assert_eq!(ok, expect, "exactly one gap, at the fault (jobs={jobs})");
+            assert_eq!(seen[FAULT].1.as_ref().unwrap_err(), "injected fault at 7");
+            for (ord, count) in runs.iter().enumerate() {
+                assert_eq!(count.load(Ordering::Relaxed), 1, "task {ord} ran once");
+            }
+            let snap = registry.snapshot();
+            assert_eq!(snap.counter("engine.tasks_executed"), Some(N as u64));
+        }
     }
 
     #[test]
@@ -572,11 +406,12 @@ mod tests {
 
     #[test]
     fn parallel_output_matches_sequential() {
-        // A stateful per-shard computation: a small PRNG walk seeded by
-        // the shard seed. Identical across worker counts by contract.
+        // A stateful per-item computation: a small PRNG walk seeded by
+        // the item's shard seed. Identical across worker counts by
+        // contract.
         let run = |jobs: usize| -> Vec<u64> {
-            let plan = ShardPlan::new(41, 20090);
-            Pool::new(jobs).run_shards(&plan, |_ord, seed| {
+            let seeds: Vec<u64> = (0..41).map(|i| shard_seed(20090, i)).collect();
+            Pool::new(jobs).map(seeds, |_ord, seed| {
                 let mut acc = seed;
                 for i in 0..1000u64 {
                     acc = shard_seed(acc, i);
@@ -591,8 +426,8 @@ mod tests {
 
     #[test]
     fn uneven_tasks_all_complete() {
-        // Worker 0's round-robin share is pathologically slow, forcing
-        // the other workers to steal from it.
+        // Every fourth task is slow; the others keep draining the queue
+        // around it.
         let pool = Pool::new(4);
         let items: Vec<usize> = (0..32).collect();
         let out = pool.map(items, |i, x| {
@@ -662,6 +497,34 @@ mod tests {
     }
 
     #[test]
+    fn idle_is_the_wait_for_the_last_delivery() {
+        // The barrier puts the two tasks on different workers at once;
+        // the worker with the quick one then finds the queue empty and
+        // waits out the other's sleep before the call ends.
+        let registry: &'static MetricsRegistry = Box::leak(Box::default());
+        let pool = Pool::new(2).metrics(PoolMetrics::new(registry));
+        let both_started = std::sync::Barrier::new(2);
+        let _ = pool.map(vec![0u8, 1], |ord, x| {
+            both_started.wait();
+            if ord == 0 {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            x
+        });
+        let snap = registry.snapshot();
+        let idle: u64 = (0..2)
+            .map(|w| {
+                snap.counter(&format!("engine.worker.{w}.idle_us"))
+                    .unwrap_or(0)
+            })
+            .sum();
+        assert!(
+            idle >= 20_000,
+            "the early finisher waits ~50 ms, got {idle}us"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_jobs_panics() {
         let _ = Pool::new(0);
@@ -696,66 +559,62 @@ mod tests {
                 .any(|w| w.name == "run" && w.args.iter().any(|(k, _)| k == "ordinal")),
             "run slices carry the task ordinal"
         );
+        for w in 0..3 {
+            assert!(
+                wall.iter()
+                    .any(|s| s.name == "idle" && s.thread == format!("worker{w}")),
+                "worker{w} closes the call with an idle slice"
+            );
+        }
     }
 
     #[test]
     fn map_reduce_still_propagates_panics() {
         let _serial = recorder_tests();
-        let pool = Pool::sequential();
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.map(vec![0u8, 1, 2], |i, x| {
-                assert!(i != 1, "task exploded");
-                x
-            })
-        }))
-        .unwrap_err();
-        let msg = err.downcast_ref::<String>().expect("string payload");
-        assert!(msg.contains("task exploded"));
+        // Far more tasks than the result channel holds: the abandoned
+        // call must still join its workers.
+        for jobs in [1, 2] {
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                Pool::new(jobs).map((0..200u64).collect(), |i, x| {
+                    assert!(i != 1, "task exploded");
+                    std::thread::sleep(Duration::from_micros(100));
+                    x
+                })
+            }))
+            .unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("string payload");
+            assert!(msg.contains("task exploded"), "jobs={jobs}");
+        }
     }
 
     #[test]
     fn try_map_quarantines_the_panicking_shard() {
         let _serial = recorder_tests();
         for jobs in [1, 2, 8] {
-            let pool = Pool::new(jobs);
-            let outcome = pool.try_map((0..16u64).collect(), |i, x| {
+            let seen = run_all(&Pool::new(jobs), 16, |i, x| {
                 assert!(i != 5, "injected fault: task panic at ordinal 5");
                 x * 2
             });
-            assert_eq!(outcome.failures.len(), 1, "exactly one shard fails");
-            let fail = &outcome.failures[0];
-            assert_eq!(fail.ordinal, 5);
-            assert_eq!(fail.shard_seed, None);
-            assert!(fail.payload.contains("injected fault"));
+            let failed: Vec<_> = seen.iter().filter(|(_, r)| r.is_err()).collect();
+            assert_eq!(failed.len(), 1, "exactly one task fails");
+            assert_eq!(failed[0].0, 5);
+            assert!(failed[0].1.as_ref().unwrap_err().contains("injected fault"));
             // Survivors keep their original ordinals and values — the
             // fault-free subset, byte-identical at every worker count.
-            let expect: Vec<(usize, u64)> = (0..16u64)
-                .filter(|&x| x != 5)
-                .map(|x| (x as usize, x * 2))
+            let survivors: Vec<(usize, usize)> = seen
+                .into_iter()
+                .filter_map(|(ord, r)| r.ok().map(|v| (ord, v)))
                 .collect();
-            assert_eq!(outcome.output, expect, "jobs={jobs}");
-            assert!(!outcome.is_clean());
+            let expect: Vec<(usize, usize)> =
+                (0..16).filter(|&x| x != 5).map(|x| (x, x * 2)).collect();
+            assert_eq!(survivors, expect, "jobs={jobs}");
         }
     }
 
     #[test]
-    fn try_run_shards_reports_the_failed_seed() {
-        let _serial = recorder_tests();
-        let plan = ShardPlan::new(8, 20090);
-        let outcome = Pool::new(4).try_run_shards(&plan, |ord, seed| {
-            assert!(ord != 3, "shard 3 dies");
-            seed
-        });
-        assert_eq!(outcome.failures.len(), 1);
-        assert_eq!(outcome.failures[0].shard_seed, Some(plan.seed_of(3)));
-        assert_eq!(outcome.output.len(), 7);
-    }
-
-    #[test]
     fn try_map_clean_run_has_no_failures() {
-        let outcome = Pool::new(2).try_map(vec![1u8, 2, 3], |_, x| x + 1);
-        assert!(outcome.is_clean());
-        assert_eq!(outcome.output, vec![(0, 2), (1, 3), (2, 4)]);
+        let seen = run_all(&Pool::new(2), 3, |_, x| x + 1);
+        assert_eq!(seen, vec![(0, Ok(1)), (1, Ok(2)), (2, Ok(3))]);
     }
 
     #[test]
@@ -763,11 +622,11 @@ mod tests {
         let _serial = recorder_tests();
         let registry: &'static MetricsRegistry = Box::leak(Box::default());
         let pool = Pool::new(2).metrics(PoolMetrics::new(registry));
-        let outcome = pool.try_map((0..8u8).collect(), |i, x| {
+        let seen = run_all(&pool, 8, |i, x| {
             assert!(i % 4 != 1, "every fourth-plus-one task dies");
             x
         });
-        assert_eq!(outcome.failures.len(), 2);
+        assert_eq!(seen.iter().filter(|(_, r)| r.is_err()).count(), 2);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("harden.shard_failures"), Some(2));
         assert_eq!(snap.counter("engine.tasks_executed"), Some(8));
@@ -780,12 +639,12 @@ mod tests {
 
         let rec = Arc::new(FlightRecorder::new());
         recorder::install(Arc::clone(&rec));
-        let outcome = Pool::new(2).try_map((0..8u8).collect(), |i, x| {
+        let seen = run_all(&Pool::new(2), 8, |i, x| {
             assert!(i != 2, "dies for the trace");
             x
         });
         recorder::uninstall();
-        assert_eq!(outcome.failures.len(), 1);
+        assert_eq!(seen.iter().filter(|(_, r)| r.is_err()).count(), 1);
         let wall = rec.wall_slices();
         let faults: Vec<_> = wall.iter().filter(|w| w.name == "fault").collect();
         assert_eq!(faults.len(), 1, "one fault interval on the wall track");
@@ -793,18 +652,5 @@ mod tests {
             .args
             .iter()
             .any(|(k, v)| k == "ordinal" && *v == Json::Uint(2)));
-    }
-
-    #[test]
-    fn lock_queue_recovers_from_poison() {
-        let q: Mutex<VecDeque<(usize, u8)>> = Mutex::new(VecDeque::new());
-        lock_queue(&q).push_back((0, 7));
-        // Poison the mutex by panicking while holding the guard.
-        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let _guard = q.lock().unwrap();
-            panic!("poison");
-        }));
-        assert!(q.is_poisoned());
-        assert_eq!(lock_queue(&q).pop_front(), Some((0, 7)));
     }
 }

@@ -1,12 +1,11 @@
-//! Sharding and ordered reduction.
+//! Per-shard RNG seeds.
 //!
-//! A [`ShardPlan`] splits a computation into `shards` independent
-//! pieces. Every shard is identified by a stable ordinal (its position
-//! in the sequential loop the plan replaces) and owns an RNG stream
-//! seeded by [`shard_seed`]`(base_seed, ordinal)` — never by thread id
-//! or scheduling order. A [`Reduce`] implementation consumes shard
-//! results strictly in ordinal order, which is what makes engine output
-//! independent of worker count.
+//! A computation split into independent pieces seeds each piece from
+//! [`shard_seed`]`(base_seed, ordinal)`, where the ordinal is the
+//! piece's position in the sequential loop the split replaces, never a
+//! thread id or a scheduling order. Together with the pool's ordered
+//! delivery this is what makes engine output independent of worker
+//! count.
 
 /// Derives the RNG seed for one shard from `(seed, shard)`.
 ///
@@ -20,197 +19,6 @@ pub fn shard_seed(seed: u64, shard: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// A plan for splitting seeded work into independent shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
-    shards: usize,
-    seed: u64,
-}
-
-impl ShardPlan {
-    /// A plan with `shards` pieces derived from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn new(shards: usize, seed: u64) -> Self {
-        assert!(shards > 0, "a shard plan needs at least one shard");
-        ShardPlan { shards, seed }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The base seed the per-shard seeds derive from.
-    #[must_use]
-    pub fn base_seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The RNG seed owned by shard `ordinal`.
-    #[must_use]
-    pub fn seed_of(&self, ordinal: usize) -> u64 {
-        shard_seed(self.seed, ordinal as u64)
-    }
-
-    /// `(ordinal, seed)` pairs for every shard, in ordinal order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        (0..self.shards).map(|i| (i, self.seed_of(i)))
-    }
-}
-
-/// Consumes shard results in ordinal order.
-///
-/// The pool calls [`Reduce::push`] with strictly increasing ordinals
-/// regardless of the order shards completed in, then
-/// [`Reduce::finish`] exactly once. Under `map_reduce` the ordinals
-/// are consecutive from 0; under the panic-isolating `try_map_reduce`
-/// a quarantined shard leaves a gap — the surviving ordinals still
-/// arrive strictly increasing, keyed by their *original* position, so
-/// surviving output is byte-identical to the fault-free run.
-pub trait Reduce {
-    /// Per-shard result type.
-    type Item;
-    /// Final merged output.
-    type Output;
-
-    /// Accepts the result of shard `ordinal`. Ordinals arrive in
-    /// strictly increasing order (consecutive from 0 unless a shard
-    /// was quarantined by panic isolation).
-    fn push(&mut self, ordinal: usize, item: Self::Item);
-
-    /// Produces the merged output after the last shard.
-    fn finish(self) -> Self::Output;
-}
-
-/// One quarantined shard: the task at `ordinal` panicked and its
-/// result was discarded while the rest of the run completed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// The failed task's position in the submitted item list.
-    pub ordinal: usize,
-    /// The shard's RNG seed, when the run came from a [`ShardPlan`]
-    /// (`None` for plain item lists, where no seed exists).
-    pub shard_seed: Option<u64>,
-    /// The panic payload, rendered to a string.
-    pub payload: String,
-}
-
-impl std::fmt::Display for ShardFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "shard {} panicked: {}", self.ordinal, self.payload)?;
-        if let Some(seed) = self.shard_seed {
-            write!(f, " (shard_seed={seed:#018x})")?;
-        }
-        Ok(())
-    }
-}
-
-/// The outcome of a panic-isolated run: the reduced surviving results
-/// plus a report of every quarantined shard, in ordinal order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[must_use = "a RunOutcome may carry shard failures that should be reported"]
-pub struct RunOutcome<O> {
-    /// The reducer's output over the surviving shards.
-    pub output: O,
-    /// Every quarantined shard, ordered by ordinal. Empty on a clean
-    /// run.
-    pub failures: Vec<ShardFailure>,
-}
-
-impl<O> RunOutcome<O> {
-    /// True when no shard was quarantined.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// The identity reducer: collects shard results into a `Vec` indexed by
-/// ordinal.
-#[derive(Debug)]
-pub struct VecCollect<T> {
-    out: Vec<T>,
-    next_min: usize,
-}
-
-impl<T> VecCollect<T> {
-    /// An empty collector, optionally pre-sized.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        VecCollect {
-            out: Vec::with_capacity(n),
-            next_min: 0,
-        }
-    }
-}
-
-impl<T> Default for VecCollect<T> {
-    fn default() -> Self {
-        VecCollect::with_capacity(0)
-    }
-}
-
-impl<T> Reduce for VecCollect<T> {
-    type Item = T;
-    type Output = Vec<T>;
-
-    fn push(&mut self, ordinal: usize, item: T) {
-        debug_assert!(ordinal >= self.next_min, "reduce ordinals out of order");
-        self.next_min = ordinal + 1;
-        self.out.push(item);
-    }
-
-    fn finish(self) -> Vec<T> {
-        self.out
-    }
-}
-
-/// A reducer that keeps each surviving result tagged with its original
-/// ordinal — the natural collector for panic-isolated runs, where a
-/// quarantined shard leaves a gap the caller may need to see.
-#[derive(Debug)]
-pub struct PairCollect<T> {
-    out: Vec<(usize, T)>,
-}
-
-impl<T> PairCollect<T> {
-    /// An empty collector, optionally pre-sized.
-    #[must_use]
-    pub fn with_capacity(n: usize) -> Self {
-        PairCollect {
-            out: Vec::with_capacity(n),
-        }
-    }
-}
-
-impl<T> Default for PairCollect<T> {
-    fn default() -> Self {
-        PairCollect::with_capacity(0)
-    }
-}
-
-impl<T> Reduce for PairCollect<T> {
-    type Item = T;
-    type Output = Vec<(usize, T)>;
-
-    fn push(&mut self, ordinal: usize, item: T) {
-        debug_assert!(
-            self.out.last().is_none_or(|(last, _)| ordinal > *last),
-            "reduce ordinals out of order"
-        );
-        self.out.push((ordinal, item));
-    }
-
-    fn finish(self) -> Vec<(usize, T)> {
-        self.out
-    }
 }
 
 #[cfg(test)]
@@ -227,62 +35,5 @@ mod tests {
         // Stability: the exact values are part of the reproducibility
         // contract — artifacts depend on them.
         assert_eq!(a, shard_seed(20090, 0));
-    }
-
-    #[test]
-    fn plan_enumerates_all_shards_in_order() {
-        let plan = ShardPlan::new(4, 7);
-        let pairs: Vec<(usize, u64)> = plan.iter().collect();
-        assert_eq!(pairs.len(), 4);
-        for (i, (ord, seed)) in pairs.iter().enumerate() {
-            assert_eq!(*ord, i);
-            assert_eq!(*seed, shard_seed(7, i as u64));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = ShardPlan::new(0, 1);
-    }
-
-    #[test]
-    fn vec_collect_preserves_ordinal_order() {
-        let mut r = VecCollect::with_capacity(3);
-        r.push(0, "a");
-        r.push(1, "b");
-        r.push(2, "c");
-        assert_eq!(r.finish(), vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn vec_collect_tolerates_quarantine_gaps() {
-        let mut r = VecCollect::with_capacity(3);
-        r.push(0, "a");
-        r.push(2, "c"); // ordinal 1 quarantined
-        assert_eq!(r.finish(), vec!["a", "c"]);
-    }
-
-    #[test]
-    fn pair_collect_keeps_original_ordinals() {
-        let mut r = PairCollect::with_capacity(3);
-        r.push(0, "a");
-        r.push(3, "d");
-        assert_eq!(r.finish(), vec![(0, "a"), (3, "d")]);
-    }
-
-    #[test]
-    fn shard_failure_display_names_the_site() {
-        let plain = ShardFailure {
-            ordinal: 4,
-            shard_seed: None,
-            payload: "boom".to_owned(),
-        };
-        assert_eq!(plain.to_string(), "shard 4 panicked: boom");
-        let seeded = ShardFailure {
-            shard_seed: Some(0xDEAD),
-            ..plain
-        };
-        assert!(seeded.to_string().contains("shard_seed=0x000000000000dead"));
     }
 }

@@ -326,8 +326,8 @@ pub fn plan_from_env() -> Result<Option<FaultPlan>, String> {
 /// Panics iff the installed plan injects a task panic at `ordinal`.
 ///
 /// Task runners call this once per task; the engine's panic isolation
-/// converts the unwind into a `ShardFailure` with this exact payload,
-/// which tests match on.
+/// delivers the unwind as an `Err` with this exact payload (the matrix's
+/// `ShardFailure`), which tests match on.
 pub fn maybe_task_panic(ordinal: usize) {
     if let Some(plan) = installed() {
         if plan.task_panic_at(ordinal) {
@@ -412,8 +412,18 @@ mod tests {
         assert_eq!(plan.io_errors, replay.io_errors);
     }
 
+    /// The fault-plan slot is process-global, so every test that
+    /// installs a plan serializes on this lock; otherwise one test's
+    /// plan fires inside another.
+    fn plan_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn install_slot_round_trips() {
+        let _serial = plan_guard();
         assert!(installed().is_none());
         let plan = Arc::new(FaultPlan::parse("panic@1").unwrap());
         install(Arc::clone(&plan));
@@ -424,6 +434,7 @@ mod tests {
 
     #[test]
     fn maybe_task_panic_panics_only_at_site() {
+        let _serial = plan_guard();
         install(Arc::new(FaultPlan::parse("panic@2").unwrap()));
         maybe_task_panic(0);
         maybe_task_panic(1);

@@ -12,7 +12,7 @@
 //!   byte-identical across worker counts.
 //! * **Wall-clock time** — intervals stamped relative to the recorder's
 //!   construction instant, grouped by thread label: [`ObsSpan`]
-//!   begin/end pairs and engine worker activity (run/steal/idle).
+//!   begin/end pairs and engine worker activity (run/fault/idle).
 //!   These describe the host execution and naturally vary run to run.
 //!
 //! The [`trace_event`](crate::trace_event) module exports both

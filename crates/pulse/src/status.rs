@@ -11,7 +11,7 @@
 //! progress, throughput and ETA over the sampler's recent-rate window,
 //! and per-worker utilization derived from the engine's live
 //! `engine.worker.<n>.busy_us`/`idle_us` counters (the same
-//! run/steal/idle accounting the flight recorder draws as wall
+//! run/fault/idle accounting the flight recorder draws as wall
 //! slices).
 
 use crate::sampler::Sampler;
@@ -113,7 +113,7 @@ pub struct WorkerStat {
     pub worker: u64,
     /// Microseconds spent executing tasks.
     pub busy_us: u64,
-    /// Microseconds spent idle (no local or stealable work).
+    /// Microseconds spent idle: each pool call's tail after the queue empties.
     pub idle_us: u64,
     /// Tasks executed so far.
     pub tasks_executed: u64,

@@ -20,7 +20,7 @@
 //! matrix jobs. That buys three guarantees at once — captured stdout
 //! is exactly the CLI's, cancellation is a kill, and a job that
 //! panics (e.g. under `--faults panic@N`, quarantined by the engine's
-//! `try_map` path inside the child) burns down only its own process:
+//! panic isolation inside the child) burns down only its own process:
 //! the job is reported `failed` and the daemon keeps serving.
 //!
 //! Every admission and completion is fsynced to a journal

@@ -14,8 +14,8 @@
 //! Each drive gets an hour series (via [`HourSeriesSpec`]) and the
 //! lifetime record accumulated from it, exactly the way drive firmware
 //! accumulates its lifetime counters. Generation runs through the
-//! [`spindle_engine`] work-stealing pool; each drive is a shard seeded
-//! by [`spindle_engine::shard_seed`]`(seed, index)`, so the output is
+//! [`spindle_engine`] pool; each drive is a shard seeded by
+//! [`spindle_engine::shard_seed`]`(seed, index)`, so the output is
 //! identical regardless of worker count.
 
 use crate::hourgen::{HourSeriesSpec, WEEK_HOURS};
