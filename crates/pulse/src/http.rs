@@ -14,6 +14,10 @@
 //!   back as a typed [`HttpError`], never a panic.
 //! * [`respond`] / [`respond_with_headers`] write one
 //!   `Connection: close` response.
+//! * [`Acceptor`] runs the handler threads: each blocks in `accept`
+//!   on one listener, so a request is served the moment it arrives,
+//!   and [`Acceptor::stop`] wakes them with one loopback connect
+//!   each ([`wake`]).
 //!
 //! The parser is deliberately narrow: no chunked transfer encoding, no
 //! keep-alive, no continuation lines — embedded tool endpoints answer
@@ -21,6 +25,11 @@
 //! a clean 4xx rather than undefined behavior.
 
 use std::io::{self, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 8192;
@@ -251,6 +260,116 @@ pub fn respond_with_headers<W: Write>(
     stream.write_all(head.as_bytes())?;
     stream.write_all(body.as_bytes())?;
     stream.flush()
+}
+
+/// Pause after a failed `accept`, so that a persistent error such as
+/// running out of file descriptors cannot spin a handler thread.
+const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(10);
+
+/// Bound on one wake connect; only a full accept queue makes it wait,
+/// and then the queued connections wake the handlers anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Makes one connection to the listener bound at `bound` and closes it,
+/// so that a thread blocked in `accept` there returns. An unspecified
+/// bind address (`0.0.0.0`, `::`) is reached on loopback at that port.
+/// The caller must still hold the listener: a freed port may have been
+/// bound by another process, or by another job's sink.
+pub fn wake(bound: SocketAddr) {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, bound.port()), WAKE_TIMEOUT);
+}
+
+/// Handler threads blocked in `accept` on one listener, each serving
+/// one connection at a time, until [`Acceptor::stop`] or drop. The
+/// acceptor holds the listener until every thread has joined, so the
+/// wakes of a stop reach no other listener.
+#[derive(Debug)]
+pub struct Acceptor {
+    listener: TcpListener,
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl Acceptor {
+    /// Binds `addr` (port 0 asks the OS for a free port) and starts
+    /// `threads` threads named `name-N` that pass each connection to
+    /// `handle`.
+    ///
+    /// # Errors
+    ///
+    /// The bind, clone or spawn error; threads already started stop.
+    pub fn start<F>(addr: &str, threads: usize, name: &str, handle: F) -> io::Result<Acceptor>
+    where
+        F: Fn(TcpStream) + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        let acceptor = Acceptor {
+            addr: listener.local_addr()?,
+            listener,
+            stop: Arc::default(),
+            threads: Mutex::default(),
+        };
+        let handle = Arc::new(handle);
+        for i in 0..threads {
+            let listener = acceptor.listener.try_clone()?;
+            let (stop, handle) = (Arc::clone(&acceptor.stop), Arc::clone(&handle));
+            let thread = std::thread::Builder::new()
+                .name(format!("{name}-{i}"))
+                .spawn(move || loop {
+                    let accepted = listener.accept();
+                    // Acquire pairs with the Release in `stop`, which
+                    // happens before its wakes connect.
+                    if stop.load(Ordering::Acquire) {
+                        return;
+                    }
+                    match accepted {
+                        Ok((stream, _)) => handle(stream),
+                        Err(_) => std::thread::sleep(ACCEPT_ERROR_PAUSE),
+                    }
+                })?;
+            acceptor.threads().push(thread);
+        }
+        Ok(acceptor)
+    }
+
+    /// The address actually bound (resolves port 0).
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stops every handler thread and waits for it: a request being
+    /// served finishes first, a thread blocked in `accept` is woken.
+    /// Idempotent. One wake per thread suffices: a thread leaves at the
+    /// first connection it accepts after the flag is set.
+    pub fn stop(&self) {
+        let threads = std::mem::take(&mut *self.threads());
+        self.stop.store(true, Ordering::Release);
+        for _ in &threads {
+            wake(self.addr);
+        }
+        for thread in threads {
+            let _ = thread.join();
+        }
+    }
+
+    /// The handle list; every update leaves it whole, so a poisoned
+    /// lock still holds a valid one.
+    fn threads(&self) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
+        self.threads.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Drop for Acceptor {
+    fn drop(&mut self) {
+        self.stop();
+    }
 }
 
 #[cfg(test)]

@@ -24,24 +24,19 @@
 //! not a web service, and serialising requests keeps the code free of
 //! connection bookkeeping.
 //!
-//! The listener is opened in non-blocking mode and polled, so
-//! [`PulseServer::stop`] takes effect within one poll interval without
-//! needing a self-connect wakeup.
+//! The serving thread blocks in `accept` (an [`Acceptor`] of one
+//! thread), so a scrape is answered as soon as it connects;
+//! [`PulseServer::stop`] wakes the thread with one loopback connect.
 
-use crate::http::{read_request, respond, HttpError};
+use crate::http::{read_request, respond, Acceptor, HttpError};
 use crate::sampler::Sampler;
 use crate::status::{status_json, RunStatus};
 use spindle_obs::json::Json;
 use spindle_obs::{MetricsRegistry, MetricsSink, PromSink};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// How long the accept loop sleeps when no connection is pending.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Per-connection socket timeout; a stalled client gets cut off rather
 /// than wedging the serving thread.
@@ -52,9 +47,7 @@ const CLIENT_TIMEOUT: Duration = Duration::from_millis(500);
 /// Dropping the server stops the serving thread.
 #[derive(Debug)]
 pub struct PulseServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Mutex<Option<JoinHandle<()>>>,
+    acceptor: Acceptor,
 }
 
 impl PulseServer {
@@ -72,55 +65,24 @@ impl PulseServer {
         status: Arc<RunStatus>,
         sampler: Arc<Sampler>,
     ) -> io::Result<PulseServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("pulse-serve".to_owned())
-            .spawn(move || {
-                while !thread_stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _peer)) => {
-                            // One request at a time; errors on a single
-                            // connection never take the server down.
-                            let _ = serve_connection(stream, registry, &status, &sampler);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => std::thread::sleep(POLL_INTERVAL),
-                    }
-                }
-            })?;
-        Ok(PulseServer {
-            addr: local,
-            stop,
-            handle: Mutex::new(Some(handle)),
-        })
+        // One request at a time; errors on a single connection never
+        // take the server down.
+        let acceptor = Acceptor::start(addr, 1, "pulse-serve", move |stream| {
+            let _ = serve_connection(stream, registry, &status, &sampler);
+        })?;
+        Ok(PulseServer { acceptor })
     }
 
     /// The address actually bound (resolves port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.local_addr()
     }
 
     /// Stops the serving thread and waits for it to exit. Idempotent;
-    /// also called on drop.
+    /// also done on drop.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-        let handle = self.handle.lock().expect("server handle lock").take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for PulseServer {
-    fn drop(&mut self) {
-        self.stop();
+        self.acceptor.stop();
     }
 }
 
@@ -176,10 +138,6 @@ fn serve_connection(
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
     stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    // The listener is non-blocking, and accepted sockets inherit that
-    // on some platforms; switch back to blocking so the timeouts above
-    // govern I/O instead of instant WouldBlock.
-    stream.set_nonblocking(false)?;
 
     // The shared parser handles head/body framing and hostile input;
     // a malformed request earns a 400 instead of a dropped connection.
@@ -363,6 +321,29 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
         server.stop();
         server.stop();
+        sampler.stop();
+    }
+
+    #[test]
+    fn stop_wakes_the_thread_blocked_in_accept() {
+        let registry: &'static MetricsRegistry = Box::leak(Box::default());
+        let status = Arc::new(RunStatus::new(1));
+        let sampler = Sampler::start(registry, Duration::from_secs(3600), 8);
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let server =
+                PulseServer::start(bind, registry, Arc::clone(&status), Arc::clone(&sampler))
+                    .expect("bind an ephemeral port");
+            let port = server.local_addr().port();
+            let (head, _) = fetch(SocketAddr::from(([127, 0, 0, 1], port)), "/healthz");
+            assert!(head.starts_with("HTTP/1.1 200"), "{bind}: {head}");
+            let t = std::time::Instant::now();
+            server.stop();
+            assert!(
+                t.elapsed() < Duration::from_secs(1),
+                "{bind}: stop took {:?}",
+                t.elapsed()
+            );
+        }
         sampler.stop();
     }
 }

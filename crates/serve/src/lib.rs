@@ -526,9 +526,8 @@ impl Shared {
 /// order (listener, queue, runners, sampler).
 #[derive(Debug)]
 pub struct ServeHandle {
-    addr: std::net::SocketAddr,
     shared: Arc<Shared>,
-    accept_threads: Vec<std::thread::JoinHandle<()>>,
+    http: spindle_pulse::http::Acceptor,
     runner_threads: Vec<std::thread::JoinHandle<()>>,
     watchdog: std::thread::JoinHandle<()>,
 }
@@ -537,7 +536,7 @@ impl ServeHandle {
     /// The bound address (resolves port 0).
     #[must_use]
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.http.local_addr()
     }
 
     /// Stops accepting, drains nothing further from the queue, waits
@@ -545,9 +544,7 @@ impl ServeHandle {
     pub fn stop(self) {
         self.shared.stop.store(true, Ordering::Release);
         self.shared.queue.close();
-        for h in self.accept_threads {
-            let _ = h.join();
-        }
+        self.http.stop();
         for h in self.runner_threads {
             let _ = h.join();
         }
@@ -697,14 +694,13 @@ pub fn serve_with_registry(
     shared.refresh_gauges();
 
     let addr = shared.config.addr.clone();
-    let (local, accept_threads) =
+    let http =
         server::start(&addr, &shared).map_err(|e| format!("cannot serve jobs on `{addr}`: {e}"))?;
     let runner_threads = runner::spawn(&shared, shared.config.parallel.max(1));
     let watchdog = supervise::spawn_watchdog(&shared);
     Ok(ServeHandle {
-        addr: local,
         shared,
-        accept_threads,
+        http,
         runner_threads,
         watchdog,
     })
@@ -720,9 +716,12 @@ mod tests {
     /// A stand-in job binary: deterministic output from its argv, a
     /// long sleep for "blocker" jobs (span >= 1000), a synthetic
     /// failure for span 666, a SIGKILL suicide for span 888 (poison),
-    /// and a once-then-fine SIGKILL for span 777 (transient, keyed on
-    /// a marker file per seed). Tests never spawn the real CLI (under
-    /// `cargo test` the current executable is the test harness).
+    /// a once-then-fine SIGKILL for span 777 (transient, keyed on
+    /// a marker file per seed), and for span 555 a child that writes
+    /// its telemetry sink address to `$0.sink.SEED` and waits for
+    /// `$0.go.SEED`, so the test can stream frames on its behalf.
+    /// Tests never spawn the real CLI (under `cargo test` the current
+    /// executable is the test harness).
     fn fake_bin(dir: &std::path::Path) -> PathBuf {
         use std::os::unix::fs::PermissionsExt;
         let path = dir.join("fake-spindle.sh");
@@ -734,6 +733,9 @@ mod tests {
              if [ \"$span\" -ge 1000 ]; then sleep 20; fi\n\
              if [ \"$span\" = \"666\" ]; then echo synthetic-failure >&2; exit 3; fi\n\
              if [ \"$span\" = \"888\" ]; then kill -9 $$; fi\n\
+             if [ \"$span\" = \"555\" ]; then\n  \
+             echo \"$SPINDLE_TELEMETRY_SINK\" > \"$0.sink.$seed\"\n  \
+             while [ ! -f \"$0.go.$seed\" ]; do sleep 0.01; done\nfi\n\
              if [ \"$span\" = \"777\" ]; then\n  marker=\"$0.marker.$seed\"\n  \
              if [ ! -f \"$marker\" ]; then touch \"$marker\"; kill -9 $$; fi\nfi\n\
              echo \"fake:$*\"\n",
@@ -1692,6 +1694,136 @@ mod tests {
         request(&addr, "DELETE", &format!("/jobs/{id}"), None).unwrap();
         wait_for("cancelled", || job_state(&addr, &id) == "cancelled");
         drop(streams);
+        handle.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn job_id(r: &Response) -> String {
+        assert_eq!(r.status, 201, "{}", r.body);
+        spindle_obs::json::parse(r.body.trim())
+            .unwrap()
+            .get("id")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_owned()
+    }
+
+    #[test]
+    fn stop_wakes_handlers_blocked_in_accept() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let (handle, _, dir) = test_daemon_with("stop-wake", 4, 1, |c| {
+                c.addr = bind.to_owned();
+            });
+            let port = handle.local_addr().port();
+            let r = request(&format!("127.0.0.1:{port}"), "GET", "/healthz", None).unwrap();
+            assert_eq!(r.status, 200, "{bind}: {}", r.body);
+            let t = Instant::now();
+            handle.stop();
+            assert!(
+                t.elapsed() < Duration::from_secs(1),
+                "{bind}: stop took {:?}",
+                t.elapsed()
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn back_to_back_jobs_finish_well_inside_one_child_poll() {
+        let (handle, addr, dir) = test_daemon("back-to-back", 4, 1);
+        let mut secs = Vec::new();
+        for seed in 0..20 {
+            let id = job_id(&submit(
+                &addr,
+                &format!(r#"{{"kind":"generate","env":"web","span":10,"seed":{seed}}}"#),
+            ));
+            wait_for("job done", || job_state(&addr, &id) == "done");
+            let r = request(
+                &addr,
+                "GET",
+                &format!("/jobs/{id}/artifacts/result.json"),
+                None,
+            )
+            .unwrap();
+            let doc = spindle_obs::json::parse(r.body.trim()).unwrap();
+            secs.push(doc.get("secs").and_then(Json::as_f64).expect("secs"));
+        }
+        secs.sort_by(f64::total_cmp);
+        let median = secs[secs.len() / 2];
+        // A runner that slept a whole poll before its first look could
+        // not report a job under one poll.
+        assert!(
+            median < runner::CHILD_POLL.as_secs_f64(),
+            "median attempt {median}s, all {secs:?}"
+        );
+        handle.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_silent_job_never_ends_a_parallel_jobs_stream() {
+        let (handle, addr, dir) = test_daemon("parallel-sinks", 4, 2);
+        let bin = dir.join("fake-spindle.sh");
+        let marker = |kind: &str| PathBuf::from(format!("{}.{kind}.5", bin.display()));
+        let streamer = job_id(&submit(
+            &addr,
+            r#"{"kind":"generate","env":"web","span":555,"seed":5}"#,
+        ));
+        let mut sink = None;
+        wait_for("the streamer's sink address", || {
+            sink = std::fs::read_to_string(marker("sink"))
+                .ok()
+                .and_then(|a| a.trim().parse::<std::net::SocketAddr>().ok());
+            sink.is_some()
+        });
+        // A job whose child never connects runs start to finish while
+        // the streamer's sink still waits for its connection: the
+        // silent job's wake must land on its own sink only.
+        let silent = job_id(&submit(
+            &addr,
+            r#"{"kind":"generate","env":"web","span":10,"seed":6}"#,
+        ));
+        wait_for("silent job done", || job_state(&addr, &silent) == "done");
+
+        let mut wire = spindle_obs::frame::Frame::Hello {
+            pid: 1,
+            label: "streamer".to_owned(),
+            epoch_ns: 0,
+        }
+        .encode();
+        wire.extend(
+            spindle_obs::frame::Frame::Progress {
+                completed: 1,
+                total: 1,
+                phase: "done".to_owned(),
+            }
+            .encode(),
+        );
+        wire.extend(
+            spindle_obs::frame::Frame::Bye {
+                frames_sent: 2,
+                spans_dropped: 0,
+            }
+            .encode(),
+        );
+        let mut stream = std::net::TcpStream::connect(sink.expect("parsed")).unwrap();
+        std::io::Write::write_all(&mut stream, &wire).unwrap();
+        drop(stream);
+        std::fs::write(marker("go"), "").unwrap();
+        wait_for("streamer done", || job_state(&addr, &streamer) == "done");
+
+        for (id, frames) in [(&streamer, 3), (&silent, 0)] {
+            let r = request(&addr, "GET", &format!("/jobs/{id}/timescales"), None).unwrap();
+            let doc = spindle_obs::json::parse(r.body.trim()).unwrap();
+            assert_eq!(
+                doc.get("frames").and_then(Json::as_u64),
+                Some(frames),
+                "{}",
+                r.body
+            );
+            assert_eq!(doc.get("decode_errors").and_then(Json::as_u64), Some(0));
+            assert_eq!(doc.get("torn"), Some(&Json::Bool(false)), "{}", r.body);
+        }
         handle.stop();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,4 +1,8 @@
 //! Job runners: N threads draining the queue into child processes.
+//! A runner parks while its child runs and asks `try_wait`, the only
+//! authority on exit, each time it wakes: when the job's ingest thread
+//! unparks it at the end of the child's telemetry stream, or on the
+//! backoff of [`CHILD_POLL`].
 
 use crate::job::{JobState, KillReason};
 use crate::telemetry::Sink;
@@ -10,9 +14,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often a runner polls its child for exit and for a cancel
-/// request.
-const CHILD_POLL: Duration = Duration::from_millis(25);
+/// The longest a runner parks between looks at its child's exit and
+/// at a kill request. After a spawn, and after the unpark at the end
+/// of the child's stream, it parks [`FIRST_NAP`] and doubles from
+/// there, so a quick child that never connects, or one that closes its
+/// stream before it exits, is seen soon.
+pub(crate) const CHILD_POLL: Duration = Duration::from_millis(25);
+const FIRST_NAP: Duration = Duration::from_millis(1);
 
 /// How long a runner blocks on the queue before re-checking the stop
 /// flag.
@@ -128,7 +136,7 @@ fn run_job(shared: &Shared, id: &str) {
     };
     // Each child gets a private loopback telemetry sink; a child built
     // on the pulse exporter connects back and streams progress, one
-    // that isn't just leaves the listener idle for the job's lifetime.
+    // that isn't leaves ingest in `accept` until the runner's wake.
     let sink = Sink::bind().ok();
     let sink_addr = sink.as_ref().map(Sink::addr);
     let spawn = || -> Result<std::process::Child, String> {
@@ -186,11 +194,15 @@ fn run_job(shared: &Shared, id: &str) {
         vec![("attempt".to_owned(), Json::Uint(u64::from(attempt_no)))],
     );
     let child_done = Arc::new(AtomicBool::new(false));
-    let ingest =
-        sink.map(|s| s.spawn_ingest(Arc::clone(&tel), shared.registry, Arc::clone(&child_done)));
+    let ingest = sink.and_then(|s| {
+        let tel = Arc::clone(&tel);
+        let handle = s.spawn_ingest(tel, shared.registry, Arc::clone(&child_done));
+        Some((s, handle.ok()?))
+    });
 
     let heartbeat = Duration::from_millis(shared.config.heartbeat_ms.max(1));
     let mut last_beat = Instant::now();
+    let mut nap = FIRST_NAP;
     let outcome = loop {
         // A finished child beats a pending kill request: the work is
         // already done, so a racing DELETE or drain changes nothing.
@@ -215,14 +227,22 @@ fn run_job(shared: &Shared, id: &str) {
                 vec![("elapsed_secs", Json::Num(started.elapsed().as_secs_f64()))],
             );
         }
-        std::thread::sleep(CHILD_POLL);
+        let parked = Instant::now();
+        std::thread::park_timeout(nap);
+        // An early wake is the unpark at the end of the stream (or a
+        // spurious one, which costs one early look).
+        nap = if parked.elapsed() < nap {
+            FIRST_NAP
+        } else {
+            (nap * 2).min(CHILD_POLL)
+        };
     };
     let secs = started.elapsed().as_secs_f64();
     // Let ingest drain the child's final flush (the socket EOFs once
     // the child is gone) before the terminal event is published.
     child_done.store(true, Ordering::Release);
-    if let Some(handle) = ingest {
-        let _ = handle.join();
+    if let Some((sink, handle)) = ingest {
+        sink.finish(handle);
     }
     // One `attempt` span per run, spawn to exit, recorded after ingest
     // joins so child spans (and the Hello clock offset) are already in

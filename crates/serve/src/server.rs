@@ -2,9 +2,11 @@
 //!
 //! Built on the shared [`spindle_pulse::http`] parser (Content-Length
 //! body framing, 1 MiB cap, structured 400s on malformed input). A
-//! small pool of handler threads accepts on a cloned non-blocking
-//! listener — submissions and lifecycle queries are cheap; the heavy
-//! work happens on the runner threads.
+//! small pool of handler threads blocks in `accept` on one listener
+//! (a [`spindle_pulse::http::Acceptor`]), so a submit or a status poll
+//! is served the moment it connects; `ServeHandle::stop` wakes the pool
+//! with one loopback connect per thread. Submissions and lifecycle
+//! queries are cheap; the heavy work happens on the runner threads.
 //!
 //! Routes:
 //!
@@ -48,20 +50,18 @@
 use crate::job::{CancelVerdict, JobState};
 use crate::{Admission, Shared};
 use spindle_obs::json::Json;
-use spindle_pulse::http::{read_request, respond, respond_with_headers, HttpError, Request};
+use spindle_pulse::http::{
+    read_request, respond, respond_with_headers, Acceptor, HttpError, Request,
+};
 use spindle_pulse::server::telemetry_route;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Handler threads sharing the listener.
 const HANDLER_THREADS: usize = 4;
-
-/// Accept-poll interval while idle.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Per-connection socket timeout.
 const CLIENT_TIMEOUT: Duration = Duration::from_millis(2000);
@@ -84,40 +84,13 @@ const JSON_TYPE: &str = "application/json; charset=utf-8";
 const TEXT_TYPE: &str = "text/plain; charset=utf-8";
 
 /// Binds `addr` and spawns the handler pool.
-pub(crate) fn start(
-    addr: &str,
-    shared: &Arc<Shared>,
-) -> io::Result<(SocketAddr, Vec<JoinHandle<()>>)> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let local = listener.local_addr()?;
-    let mut threads = Vec::new();
-    for i in 0..HANDLER_THREADS {
-        let listener = listener.try_clone()?;
-        let shared = Arc::clone(shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("serve-http-{i}"))
-                .spawn(move || accept_loop(&listener, &shared))?,
-        );
-    }
-    Ok((local, threads))
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // One request per connection; a broken client never
-                // takes the handler down.
-                let _ = handle(stream, shared);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
+pub(crate) fn start(addr: &str, shared: &Arc<Shared>) -> io::Result<Acceptor> {
+    let shared = Arc::clone(shared);
+    Acceptor::start(addr, HANDLER_THREADS, "serve-http", move |stream| {
+        // One request per connection; a broken client never takes the
+        // handler down.
+        let _ = handle(stream, &shared);
+    })
 }
 
 /// Responders hand their status line back so the caller can feed the
@@ -197,7 +170,6 @@ fn observe_http(shared: &Shared, route: &'static str, started: Instant, status: 
 fn handle(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
     stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
     stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.set_nonblocking(false)?;
     let started = Instant::now();
     let request = match read_request(&mut stream) {
         Ok(r) => r,

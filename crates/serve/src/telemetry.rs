@@ -18,10 +18,13 @@
 //!   byte counters, and the bounded trace-span store behind
 //!   `GET /jobs/ID/trace`.
 //! * [`Sink`] — the per-job listener plus the ingest thread that
-//!   decodes the stream. Hostile bytes can never hurt the daemon: a
-//!   decode error is counted, noted on the event stream, and ends
-//!   ingest for that job (the framing has no resync point), nothing
-//!   more.
+//!   blocks in `accept` for the child's one connection, decodes the
+//!   stream and unparks the runner when it ends. A child that never
+//!   connects is ended by the runner's one loopback wake after the
+//!   child exits ([`Sink::finish`]). Hostile bytes can never hurt the
+//!   daemon: a decode error is counted, noted on the event stream, and
+//!   ends ingest for that job (the framing has no resync point),
+//!   nothing more.
 //!
 //! Backpressure policy, receiver side: the event ring is bounded, and
 //! a consumer that falls behind loses the oldest events — never the
@@ -35,7 +38,7 @@ use spindle_obs::MetricsRegistry;
 use spindle_pulse::sampler::SampleWindow;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -49,9 +52,6 @@ pub(crate) const DEFAULT_EVENT_RING_CAP: usize = 256;
 /// pushed while a child runs, so even a child that never speaks the
 /// frame protocol produces a live event stream.
 pub(crate) const DEFAULT_HEARTBEAT_MS: u64 = 250;
-
-/// Accept-poll interval on the per-job sink listener.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
 /// Read timeout on an accepted ingest stream (bounds how long the
 /// ingest thread takes to notice the child is gone).
@@ -486,17 +486,19 @@ impl TelemetryMap {
 }
 
 /// The per-job telemetry sink: a loopback listener whose address the
-/// runner hands the child via `SPINDLE_TELEMETRY_SINK`, plus the
-/// ingest thread that decodes whatever connects.
+/// runner hands the child via `SPINDLE_TELEMETRY_SINK`. The runner
+/// keeps it until ingest has joined ([`Sink::finish`]), so the port
+/// stays bound: under `--parallel 2+` a port released early could be
+/// bound again by another job's sink, and the wake would then end that
+/// job's stream.
 pub(crate) struct Sink {
     listener: TcpListener,
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
 }
 
 impl Sink {
     pub(crate) fn bind() -> std::io::Result<Sink> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(Sink { listener, addr })
     }
@@ -505,49 +507,38 @@ impl Sink {
         self.addr.to_string()
     }
 
-    /// Accepts the child's single connection and ingests it to EOF.
-    /// `child_done` flips when the child process exits; the thread
-    /// stops waiting shortly after (children that never connect —
-    /// e.g. specs on binaries without the exporter — cost nothing).
+    /// Starts the ingest thread on a second handle to the listener: it
+    /// blocks in `accept` for the child's single connection, ingests it
+    /// to EOF, then unparks the calling (runner) thread, since the
+    /// child is finishing. `child_done` flips when the child process
+    /// exits; it bounds how long ingest drains a stream left open.
     pub(crate) fn spawn_ingest(
-        self,
+        &self,
         tel: Arc<JobTelemetry>,
         registry: &'static MetricsRegistry,
         child_done: Arc<AtomicBool>,
-    ) -> JoinHandle<()> {
+    ) -> std::io::Result<JoinHandle<()>> {
+        let listener = self.listener.try_clone()?;
+        let runner = std::thread::current();
         std::thread::Builder::new()
             .name("serve-ingest".to_owned())
             .spawn(move || {
-                let mut done_polls = 0u32;
-                loop {
-                    match self.listener.accept() {
-                        Ok((stream, _)) => {
-                            ingest_stream(stream, &tel, registry, &child_done);
-                            return;
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            if child_done.load(Ordering::Acquire) {
-                                // A connect that raced the exit lands
-                                // in the accept queue; two more polls
-                                // cover it.
-                                done_polls += 1;
-                                if done_polls > 2 {
-                                    return;
-                                }
-                            }
-                            std::thread::sleep(ACCEPT_POLL);
-                        }
-                        Err(_) => return,
-                    }
+                if let Ok((stream, _)) = listener.accept() {
+                    ingest_stream(stream, &tel, registry, &child_done);
                 }
+                runner.unpark();
             })
-            .expect("spawn ingest thread")
     }
-}
 
-impl std::fmt::Debug for Sink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sink").field("addr", &self.addr).finish()
+    /// Ends ingest once the child has exited, and joins it. A child
+    /// that never connected leaves the thread in `accept`: this one
+    /// loopback connect ends it with zero frames, not torn. A connect
+    /// the child made before it exited is queued ahead of this one, so
+    /// it is the one ingested; when ingest already has it, the wake
+    /// waits unaccepted until the listener closes.
+    pub(crate) fn finish(self, ingest: JoinHandle<()>) {
+        spindle_pulse::http::wake(self.addr);
+        let _ = ingest.join();
     }
 }
 
@@ -562,7 +553,6 @@ pub(crate) fn ingest_stream(
     registry: &MetricsRegistry,
     child_done: &AtomicBool,
 ) {
-    let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
@@ -986,5 +976,29 @@ mod tests {
             registry.snapshot().counter("serve.telemetry.torn_streams"),
             None
         );
+    }
+
+    #[test]
+    fn a_child_that_never_connects_ends_ingest_at_the_wake() {
+        let registry: &'static MetricsRegistry = Box::leak(Box::default());
+        let tel = Arc::new(JobTelemetry::new(16));
+        let sink = Sink::bind().unwrap();
+        let ingest = sink
+            .spawn_ingest(Arc::clone(&tel), registry, Arc::new(AtomicBool::new(true)))
+            .unwrap();
+        assert!(
+            !ingest.is_finished(),
+            "ingest waits in accept for the child"
+        );
+        let t = Instant::now();
+        sink.finish(ingest);
+        assert!(
+            t.elapsed() < Duration::from_millis(500),
+            "the wake ends ingest at once, took {:?}",
+            t.elapsed()
+        );
+        assert_eq!(tel.frames.load(Ordering::Relaxed), 0);
+        assert_eq!(tel.decode_errors.load(Ordering::Relaxed), 0);
+        assert!(!tel.torn.load(Ordering::Relaxed));
     }
 }

@@ -311,6 +311,49 @@ else
             echo "FAILED: orphaned job not flagged as re-adopted after --resume-dir" >&2
             fail=1
         fi
+        # Served budget (ROADMAP item 2): a served analyze attempt,
+        # spawn to exit as the job's `attempt` span records it, costs
+        # at most 3x the same run straight on the CLI. Medians of five
+        # runs each, on one ten-minute Mail stream (the scale of the
+        # perfbench served_jobs input); both land in artifacts/.
+        echo "==> served attempt budget (median attempt <= 3x median direct analyze)"
+        BUDGET_IN="$PWD/artifacts/served-analyze.bin"
+        run "$SPINDLE" generate --env mail --span 600 --seed 7 --out "$BUDGET_IN" --quiet
+        DIRECT_US=""
+        for _ in 1 2 3 4 5; do
+            start_ns=$(date +%s%N)
+            "$SPINDLE" analyze --in "$BUDGET_IN" > /dev/null
+            DIRECT_US="$DIRECT_US $((($(date +%s%N) - start_ns) / 1000))"
+        done
+        ATTEMPT_US=""
+        for _ in 1 2 3 4 5; do
+            BUDGET_ID=$(curl -s -X POST "http://$ADDR/jobs" \
+                -d "{\"kind\":\"analyze\",\"input\":\"$BUDGET_IN\"}" \
+                | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+            if [ -z "$BUDGET_ID" ] || ! poll_job_state "$BUDGET_ID" done; then
+                break
+            fi
+            dur=$(curl -s "http://$ADDR/jobs/$BUDGET_ID/trace" | sed -n \
+                's/.*"name":"attempt","cat":"daemon","ph":"X","ts":[0-9.]*,"dur":\([0-9]*\).*/\1/p')
+            ATTEMPT_US="$ATTEMPT_US $dur"
+        done
+        rm -f "$BUDGET_IN"
+        DIRECT_MED=$(printf '%s\n' $DIRECT_US | sort -n | sed -n 3p)
+        ATTEMPT_MED=$(printf '%s\n' $ATTEMPT_US | sort -n | sed -n 3p)
+        if [ "$(printf '%s\n' $ATTEMPT_US | grep -c .)" -ne 5 ]; then
+            echo "FAILED: served budget: only got attempt spans '$ATTEMPT_US' of 5 jobs" >&2
+            fail=1
+        else
+            printf '{"direct_ms":%d.%03d,"attempt_ms":%d.%03d,"limit_ratio":3,"runs":5}\n' \
+                $((DIRECT_MED / 1000)) $((DIRECT_MED % 1000)) \
+                $((ATTEMPT_MED / 1000)) $((ATTEMPT_MED % 1000)) \
+                > artifacts/served-attempt-time.json
+            echo "served attempt: median $ATTEMPT_MED us; direct analyze: median $DIRECT_MED us"
+            if [ "$ATTEMPT_MED" -gt $((3 * DIRECT_MED)) ]; then
+                echo "FAILED: served attempt $ATTEMPT_MED us is over 3x direct $DIRECT_MED us" >&2
+                fail=1
+            fi
+        fi
         run sh -c "$SPINDLE loadtest http://$ADDR --clients 50 --jobs 100 --span 2 \
             --out artifacts/loadtest.json > artifacts/loadtest.txt"
         if ! grep -q '"drained":true' artifacts/loadtest.json; then
