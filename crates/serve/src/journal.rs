@@ -1,15 +1,16 @@
 //! Crash-recovery journal for the job service.
 //!
-//! The daemon appends one fsynced JSON line per lifecycle event:
-//! `submitted` when a job is admitted (carrying the full spec),
-//! `attempt` when supervision re-enqueues it after a transient
+//! The daemon appends one fsynced JSON line for each lifecycle
+//! [`Transition`] a restart needs: `submitted` for an admission
+//! (carrying the full spec), `attempt` for a re-queue after a transient
 //! failure (carrying the retry ordinal, reason, and backoff), and
-//! `finished` when it reaches a terminal state. A daemon killed
-//! mid-job therefore leaves a journal whose `submitted`-without-
-//! `finished` entries are exactly the jobs that still owe work; a
-//! restart with `--resume-dir` re-adopts them (re-enqueues, in the
-//! original submit order, with their retry budget already spent)
-//! and replays terminal entries into the job table as history.
+//! `finished` for a terminal outcome. `running` and `drained` write
+//! nothing. A daemon killed mid-job therefore leaves a journal whose
+//! `submitted`-without-`finished` entries are exactly the jobs that
+//! still owe work; a restart with `--resume-dir` re-adopts them
+//! (re-enqueues, in the original submit order, with their retry budget
+//! already spent) and replays terminal entries into the job table as
+//! history.
 //!
 //! The file is a [`spindle_obs::jsonl`] log, so it has the same damage
 //! policy as the bench checkpoint journal: a torn *final* line (what
@@ -19,7 +20,7 @@
 //! damage: loading refuses, naming the job and the rejection, wherever
 //! the line sits.
 
-use crate::job::JobState;
+use crate::job::{JobState, Transition};
 use crate::spec::{JobSpec, SpecError};
 use spindle_obs::json::Json;
 use spindle_obs::jsonl::{self, AppendLog};
@@ -80,79 +81,36 @@ impl Journal {
         Ok(Journal { log })
     }
 
-    /// Journals an admission.
+    /// Appends the line `t` writes for job `id`, if any, fsynced.
     ///
     /// # Errors
     ///
     /// Propagates write/sync failures.
-    pub fn submitted(&mut self, id: &str, spec: &JobSpec) -> Result<(), String> {
-        let doc = Json::Obj(vec![
-            ("event".to_owned(), Json::Str("submitted".to_owned())),
-            ("id".to_owned(), Json::Str(id.to_owned())),
-            ("spec".to_owned(), spec.to_json()),
-        ]);
-        self.log
-            .append(&doc)
-            .map_err(|e| format!("cannot journal submission of `{id}`: {e}"))
-    }
-
-    /// Journals a retry: the job is back in the queue for attempt
-    /// number `attempt` (1-based count of retries consumed), after
-    /// `backoff_ms` of delay, because of `reason`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write/sync failures.
-    pub fn attempt(
-        &mut self,
-        id: &str,
-        attempt: u32,
-        reason: &str,
-        backoff_ms: u64,
-        secs: f64,
-    ) -> Result<(), String> {
-        let doc = Json::Obj(vec![
-            ("event".to_owned(), Json::Str("attempt".to_owned())),
-            ("id".to_owned(), Json::Str(id.to_owned())),
-            ("attempt".to_owned(), Json::Uint(u64::from(attempt))),
-            ("reason".to_owned(), Json::Str(reason.to_owned())),
-            ("backoff_ms".to_owned(), Json::Uint(backoff_ms)),
-            // Wall seconds the failed attempt ran — lets `/jobs/ID/trace`
+    pub fn append(&mut self, id: &str, spec: &JobSpec, t: &Transition) -> Result<(), String> {
+        let (event, mut fields) = match t {
+            Transition::Queued { retry: None, .. } => ("submitted", vec![("spec", spec.to_json())]),
+            // A failed attempt's wall seconds let `/jobs/ID/trace`
             // consumers cross-check attempt spans against the journal.
-            // Replay ignores it (parse reads only id + attempt), so the
-            // schema stays forward- and backward-compatible.
-            ("secs".to_owned(), Json::Num(secs)),
-        ]);
-        self.log
-            .append(&doc)
-            .map_err(|e| format!("cannot journal retry of `{id}`: {e}"))
-    }
-
-    /// Journals a terminal outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write/sync failures.
-    pub fn finished(
-        &mut self,
-        id: &str,
-        state: JobState,
-        exit: Option<i32>,
-        secs: f64,
-    ) -> Result<(), String> {
-        let doc = Json::Obj(vec![
-            ("event".to_owned(), Json::Str("finished".to_owned())),
-            ("id".to_owned(), Json::Str(id.to_owned())),
-            ("state".to_owned(), Json::Str(state.as_str().to_owned())),
-            (
-                "exit".to_owned(),
-                exit.map_or(Json::Null, |c| Json::Int(i64::from(c))),
+            // Replay ignores them (parse reads only id + attempt), so
+            // the schema stays forward- and backward-compatible.
+            Transition::Queued { retry: Some(r), .. } => (
+                "attempt",
+                [t.fields(), vec![("secs", Json::Num(r.secs))]].concat(),
             ),
-            ("secs".to_owned(), Json::Num(secs)),
-        ]);
+            Transition::Terminal(_) => ("finished", t.fields()),
+            Transition::Running { .. } | Transition::Drained => return Ok(()),
+        };
+        fields.splice(
+            0..0,
+            [
+                ("event", Json::Str(event.to_owned())),
+                ("id", Json::Str(id.to_owned())),
+            ],
+        );
+        let doc = Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect());
         self.log
             .append(&doc)
-            .map_err(|e| format!("cannot journal completion of `{id}`: {e}"))
+            .map_err(|e| format!("cannot journal the `{event}` of `{id}`: {e}"))
     }
 }
 
@@ -248,11 +206,46 @@ fn parse_event(doc: &Json) -> Option<Event> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::job::{Outcome, Retry};
 
     fn spec() -> JobSpec {
         JobSpec::parse(r#"{"kind":"generate","env":"web","span":30,"seed":5}"#).unwrap()
+    }
+
+    /// Journals the admission of `id` with `spec`.
+    pub(crate) fn submitted(journal: &mut Journal, id: &str, spec: &JobSpec) {
+        let t = Transition::Queued {
+            attempt: 0,
+            retry: None,
+        };
+        journal.append(id, spec, &t).unwrap();
+    }
+
+    /// Journals a retry of `id`.
+    fn attempt(journal: &mut Journal, id: &str, attempt: u32, reason: &str, backoff_ms: u64) {
+        let retry = Retry {
+            reason: reason.to_owned(),
+            backoff_ms,
+            secs: 0.5,
+        };
+        let t = Transition::Queued {
+            attempt,
+            retry: Some(retry),
+        };
+        journal.append(id, &spec(), &t).unwrap();
+    }
+
+    /// Journals the terminal outcome of `id`.
+    pub(crate) fn finished(journal: &mut Journal, id: &str, state: JobState, secs: f64) {
+        let t = Transition::Terminal(Outcome {
+            state,
+            exit: Some(if state == JobState::Done { 0 } else { 101 }),
+            secs,
+            error: None,
+        });
+        journal.append(id, &spec(), &t).unwrap();
     }
 
     #[test]
@@ -261,11 +254,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(JOURNAL_FILE);
         let mut journal = Journal::open(&path).unwrap();
-        journal.submitted("job-0001", &spec()).unwrap();
-        journal.submitted("job-0002", &spec()).unwrap();
-        journal
-            .finished("job-0001", JobState::Done, Some(0), 1.5)
-            .unwrap();
+        submitted(&mut journal, "job-0001", &spec());
+        submitted(&mut journal, "job-0002", &spec());
+        finished(&mut journal, "job-0001", JobState::Done, 1.5);
         drop(journal);
 
         let jobs = load(&path).unwrap();
@@ -285,9 +276,7 @@ mod tests {
 
         // Re-open for append (the resume path) and finish the orphan.
         let mut journal = Journal::open(&path).unwrap();
-        journal
-            .finished("job-0002", JobState::Failed, Some(101), 0.5)
-            .unwrap();
+        finished(&mut journal, "job-0002", JobState::Failed, 0.5);
         drop(journal);
         let jobs = load(&path).unwrap();
         assert_eq!(
@@ -303,7 +292,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(JOURNAL_FILE);
         let mut journal = Journal::open(&path).unwrap();
-        journal.submitted("job-0001", &spec()).unwrap();
+        submitted(&mut journal, "job-0001", &spec());
         drop(journal);
 
         // A SIGKILL mid-write leaves a torn final line: harmless.
@@ -331,13 +320,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(JOURNAL_FILE);
         let mut journal = Journal::open(&path).unwrap();
-        journal.submitted("job-0001", &spec()).unwrap();
-        journal
-            .attempt("job-0001", 1, "child killed by signal", 512, 1.25)
-            .unwrap();
-        journal
-            .attempt("job-0001", 2, "telemetry stalled", 1024, 0.75)
-            .unwrap();
+        submitted(&mut journal, "job-0001", &spec());
+        attempt(&mut journal, "job-0001", 1, "child killed by signal", 512);
+        attempt(&mut journal, "job-0001", 2, "telemetry stalled", 1024);
         drop(journal);
 
         let jobs = load(&path).unwrap();
@@ -364,7 +349,7 @@ mod tests {
         // An attempt for an unknown id is a structured refusal.
         std::fs::remove_file(&path).unwrap();
         let mut bad = Journal::open(&path).unwrap();
-        bad.attempt("job-0404", 1, "ghost", 1, 0.0).unwrap();
+        attempt(&mut bad, "job-0404", 1, "ghost", 1);
         drop(bad);
         assert!(load(&path).unwrap_err().contains("never submitted"));
         std::fs::remove_dir_all(&dir).ok();

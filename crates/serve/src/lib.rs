@@ -66,7 +66,7 @@ mod supervise;
 mod telemetry;
 pub mod trace;
 
-use crate::job::{Job, JobState, JobTable};
+use crate::job::{Job, JobState, JobTable, Outcome, Transition};
 use crate::journal::{Journal, JOURNAL_FILE};
 use crate::queue::{JobQueue, PushError};
 use crate::spec::{JobSpec, SpecError};
@@ -76,6 +76,7 @@ use spindle_pulse::{RunStatus, Sampler};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Default bind address for the job service (one above the pulse
 /// telemetry default, so a job daemon and a `--serve` run coexist).
@@ -214,9 +215,10 @@ pub(crate) struct Shared {
     pub config: ServeConfig,
     /// The advertised admission bound. The queue's own capacity can be
     /// larger after a resume (re-adopted jobs bypass admission), so
-    /// `admit` checks depth against this, not [`JobQueue::bound`].
+    /// `admit` checks depth against this, not the queue's capacity.
     pub admission_bound: usize,
     pub queue: JobQueue,
+    /// Every job's record: its transitions and its telemetry.
     pub table: JobTable,
     journal: Mutex<Journal>,
     /// Serializes id allocation + journal append + enqueue so journal
@@ -225,11 +227,9 @@ pub(crate) struct Shared {
     pub registry: &'static MetricsRegistry,
     pub status: Arc<RunStatus>,
     pub sampler: Arc<Sampler>,
-    /// Per-job telemetry: event rings, progress, liveness, spans.
-    pub telemetry: telemetry::TelemetryMap,
     /// The daemon-wide timeline origin `/trace` aligns every job's
     /// telemetry epoch against.
-    pub epoch: std::time::Instant,
+    pub epoch: Instant,
     /// Live `GET /jobs/ID/events` streams (bounded; excess gets 503).
     pub event_streams: AtomicUsize,
     /// EWMA of completed-job wall time in milliseconds (drives
@@ -277,16 +277,17 @@ impl Shared {
         Ok(())
     }
 
-    /// Admits a validated spec: allocates the next id, journals the
-    /// submission, inserts the table record, and enqueues — or turns
-    /// a full queue into a `Retry-After` verdict.
+    /// Admits a validated spec: allocates the next id, inserts the
+    /// record, records its `queued` transition (the journal fsync
+    /// happens there, before the 201), and enqueues — or turns a full
+    /// queue into a `Retry-After` verdict.
     ///
     /// # Errors
     ///
     /// Returns a message (HTTP 500/503 material) when the artifact
     /// dir or journal cannot be written, or the daemon is stopping.
     pub fn admit(&self, spec: JobSpec) -> Result<Admission, String> {
-        let admit_start = std::time::Instant::now();
+        let admit_start = Instant::now();
         if self.supervisor.is_draining() {
             self.registry.counter("serve.jobs_rejected").inc();
             return Ok(Admission::Draining {
@@ -318,36 +319,35 @@ impl Shared {
             .map_err(|e| format!("cannot create artifact dir `{}`: {e}", dir.display()))?;
         std::fs::write(dir.join("spec.json"), format!("{}\n", spec.to_json()))
             .map_err(|e| format!("cannot write spec.json for `{id}`: {e}"))?;
-        self.journal
-            .lock()
-            .expect("journal lock")
-            .submitted(&id, &spec)?;
-        let mut job = Job::new(id.clone(), spec);
+        let mut job = Job::new(id.clone(), spec, self.config.event_ring_cap);
         job.deadline_secs = self.effective_deadline(job.spec.deadline_secs);
+        let tel = Arc::clone(&job.telemetry);
         self.table.insert(job);
-        // The event stream exists from `queued` on, so a watcher that
-        // connects before the runner claims the job misses nothing.
-        let tel = self.job_telemetry(&id);
-        tel.event("state", vec![("state", Json::Str("queued".to_owned()))]);
-        // Trace bookkeeping: the admission decision is the first span
-        // on the job's daemon timeline, and the queue wait starts now.
-        tel.trace_span(
-            "daemon",
+        if let Err(e) = self.record(
+            &id,
+            Transition::Queued {
+                attempt: 0,
+                retry: None,
+            },
+        ) {
+            self.table.remove(&id);
+            return Err(e);
+        }
+        // The admission decision is the first span on the job's daemon
+        // timeline.
+        let admit = Some(admit_start.elapsed());
+        tel.daemon_span(
             "admit",
             admit_start,
-            admit_start.elapsed(),
-            vec![("id".to_owned(), Json::Str(id.clone()))],
+            admit,
+            vec![("id", Json::Str(id.clone()))],
         );
-        tel.mark_runnable(std::time::Instant::now());
         match self.queue.push(id.clone()) {
             Ok(()) => {}
             Err(PushError::Full) => unreachable!("depth checked under the admission lock"),
             Err(PushError::Closed) => return Err("server is shutting down".to_owned()),
         }
         drop(seq);
-        self.registry.counter("serve.jobs_accepted").inc();
-        self.status.add_total(1);
-        self.refresh_gauges();
         Ok(Admission::Accepted(id))
     }
 
@@ -359,120 +359,150 @@ impl Shared {
             .map(|d| d.min(self.config.max_deadline_secs.max(1)))
     }
 
-    /// Re-adopts or replays one journal-loaded job (resume path);
-    /// returns whether it was re-enqueued.
+    /// Re-adopts or replays one journal-loaded job (resume path): its
+    /// journaled transitions go through [`Shared::replay`], and a
+    /// finished job gets back the spans it persisted. Returns whether
+    /// it was re-enqueued.
     fn adopt(&self, loaded: journal::LoadedJob) -> bool {
-        let mut job = Job::new(loaded.id.clone(), loaded.spec);
-        self.status.add_total(1);
-        match loaded.finished {
-            Some(f) => {
-                job.state = f.state;
-                job.exit = f.exit;
-                job.secs = Some(f.secs);
-                self.table.insert(job);
-                self.status.complete_one();
-                false
-            }
-            None => {
-                job.readopted = true;
-                // Resume replays the attempt history: the re-run picks
-                // up at the journaled ordinal, so its backoff schedule
-                // and retry budget continue where the dead daemon's
-                // left off.
-                job.attempt = loaded.attempts;
-                job.deadline_secs = self.effective_deadline(job.spec.deadline_secs);
-                self.table.insert(job);
-                let tel = self.job_telemetry(&loaded.id);
-                tel.event("state", vec![("state", Json::Str("queued".to_owned()))]);
-                tel.mark_runnable(std::time::Instant::now());
-                self.queue
-                    .push(loaded.id)
-                    .expect("resume queue sized for every incomplete job");
-                true
-            }
-        }
-    }
-
-    /// Marks `id` terminal: table update, journal append, counters,
-    /// EWMA feed, progress tick.
-    pub fn finish_job(
-        &self,
-        id: &str,
-        state: JobState,
-        exit: Option<i32>,
-        secs: f64,
-        error: Option<String>,
-    ) {
-        // Terminal event and counter first, table second: a watcher
-        // that observes the terminal state is guaranteed the `end`
-        // event is already in the ring (so the stream can close
-        // without losing it) and the terminal counter is already on
-        // `/metrics` (so state and counters never disagree — the
-        // journal fsync below is a wide window to scrape through).
-        self.job_telemetry(id).event(
-            "end",
-            vec![
-                ("state", Json::Str(state.as_str().to_owned())),
-                ("exit", exit.map_or(Json::Null, |c| Json::Int(i64::from(c)))),
-                ("secs", Json::Num(secs)),
-                ("error", error.clone().map_or(Json::Null, Json::Str)),
-            ],
+        let id = loaded.id;
+        let mut job = Job::new(id.clone(), loaded.spec, self.config.event_ring_cap);
+        job.readopted = loaded.finished.is_none();
+        job.deadline_secs = self.effective_deadline(job.spec.deadline_secs);
+        let tel = Arc::clone(&job.telemetry);
+        self.table.insert(job);
+        // Resume replays the attempt history: a re-run picks up at the
+        // journaled ordinal, so its backoff schedule and retry budget
+        // continue where the dead daemon's left off.
+        self.replay(
+            &id,
+            Transition::Queued {
+                attempt: loaded.attempts,
+                retry: None,
+            },
         );
-        let counter = match state {
-            JobState::Done => "serve.jobs_completed",
-            JobState::Failed => "serve.jobs_failed",
-            JobState::TimedOut => "serve.jobs_timed_out",
-            JobState::Stalled => "serve.jobs_stalled",
-            JobState::Quarantined => "serve.jobs_quarantined",
-            _ => "serve.jobs_cancelled",
+        let Some(f) = loaded.finished else {
+            self.queue
+                .push(id)
+                .expect("resume queue sized for every incomplete job");
+            return true;
         };
-        self.registry.counter(counter).inc();
-        self.table.update(id, |job| {
-            job.state = state;
-            job.exit = exit;
-            job.secs = Some(secs);
-            job.error = error;
-        });
-        if let Err(e) = self
-            .journal
-            .lock()
-            .expect("journal lock")
-            .finished(id, state, exit, secs)
-        {
-            eprintln!("# serve: {e}");
+        // A missing or damaged span file leaves the store empty.
+        if let Ok(spans) = trace::load_spans(&self.job_dir(&id).join(trace::SPANS_FILE)) {
+            tel.restore(spans);
         }
-        if state == JobState::Done {
-            let ms = (secs * 1000.0).clamp(1.0, 86_400_000.0) as u64;
-            let prev = self.ewma_ms.load(Ordering::Relaxed);
-            let next = if prev == 0 {
-                ms
-            } else {
-                (7 * prev + 3 * ms) / 10
-            };
-            self.ewma_ms.store(next.max(1), Ordering::Relaxed);
-        }
-        self.status.complete_one();
-        self.refresh_gauges();
+        let outcome = Outcome {
+            state: f.state,
+            exit: f.exit,
+            secs: f.secs,
+            error: None,
+        };
+        self.replay(&id, Transition::Terminal(outcome));
+        false
     }
 
-    /// Journals a retry attempt (best effort, like `finished`: the
-    /// table is authoritative for live state, the journal for resume).
-    pub(crate) fn journal_attempt(
-        &self,
-        id: &str,
-        attempt: u32,
-        reason: &str,
-        backoff_ms: u64,
-        secs: f64,
-    ) {
-        if let Err(e) = self
-            .journal
-            .lock()
-            .expect("journal lock")
-            .attempt(id, attempt, reason, backoff_ms, secs)
-        {
-            eprintln!("# serve: {e}");
+    /// Records one lifecycle transition of `id` and derives every view
+    /// of the job from it, in this order: a `submitted` or `attempt`
+    /// journal line (a submission that cannot be journaled fails and
+    /// changes nothing); for the end of a running attempt its `attempt`
+    /// span and, when it ends the job, [`runner::finalize`]; the SSE
+    /// event and the serve counter, before the table changes so a
+    /// watcher that sees the new state has both; the record, which
+    /// `/jobs` reads; a `finished` journal line, after the flip so a
+    /// client polling for the outcome does not wait on its fsync; then
+    /// the `queue.wait` or `retry.backoff` span, the `/status` totals,
+    /// the EWMA behind `Retry-After`, and the gauges. Returns the
+    /// transition's timestamp.
+    pub(crate) fn record(&self, id: &str, t: Transition) -> Result<Instant, String> {
+        self.apply(id, t, true)
+    }
+
+    /// Replays a journaled transition on resume: like [`Shared::record`]
+    /// but without the journal line and the serve counters, which
+    /// belong to the daemon that lived it.
+    fn replay(&self, id: &str, t: Transition) {
+        let _ = self.apply(id, t, false);
+    }
+
+    fn apply(&self, id: &str, t: Transition, live: bool) -> Result<Instant, String> {
+        let Some((tel, spec, running, runnable)) = self.table.with(id, |j| {
+            let tel = Arc::clone(&j.telemetry);
+            (tel, Arc::clone(&j.spec), j.running(), j.runnable_at())
+        }) else {
+            return Err(format!("no such job `{id}`"));
+        };
+        let terminal = matches!(t, Transition::Terminal(_));
+        let journal = || {
+            self.journal
+                .lock()
+                .expect("journal lock")
+                .append(id, &spec, &t)
+        };
+        // `running` and `drained` write no line, so they never wait on
+        // another job's fsync.
+        if live && matches!(t, Transition::Queued { .. }) {
+            if let Err(e) = journal() {
+                if matches!(t, Transition::Queued { retry: None, .. }) {
+                    return Err(e);
+                }
+                eprintln!("# serve: {e}");
+            }
         }
+        let at = Instant::now();
+        if let Some((started, attempt)) = running {
+            let secs = match &t {
+                Transition::Queued { retry: Some(r), .. } => r.secs,
+                Transition::Terminal(o) => o.secs,
+                _ => at.saturating_duration_since(started).as_secs_f64(),
+            };
+            let dur = Some(Duration::from_secs_f64(secs.max(0.0)));
+            let args = vec![("attempt", Json::Uint(u64::from(attempt)))];
+            tel.daemon_span("attempt", started, dur, args);
+            runner::finalize(self, id, &tel, &t);
+        }
+        let (kind, fields) = t.event();
+        tel.event(kind, fields);
+        if let Some(counter) = t.counter().filter(|_| live) {
+            self.registry.counter(&counter).inc();
+        }
+        self.table.update(id, |j| j.push(at, t.clone()));
+        if live && terminal {
+            if let Err(e) = journal() {
+                eprintln!("# serve: {e}");
+            }
+        }
+        match &t {
+            Transition::Queued { retry: None, .. } => self.status.add_total(1),
+            Transition::Queued { retry: Some(r), .. } => {
+                let dur = Some(Duration::from_millis(r.backoff_ms));
+                tel.daemon_span("retry.backoff", at, dur, t.fields());
+            }
+            Transition::Running { attempt } => {
+                // Queue wait: from the instant the job last became
+                // runnable (admission, or a retry's due time) to now.
+                let runnable = runnable.unwrap_or(at);
+                let dur = Some(at.saturating_duration_since(runnable));
+                let args = vec![("attempt", Json::Uint(u64::from(*attempt)))];
+                tel.daemon_span("queue.wait", runnable, dur, args);
+            }
+            Transition::Drained => {}
+            Transition::Terminal(o) => {
+                if o.state == JobState::Done {
+                    let ms = (o.secs * 1000.0).clamp(1.0, 86_400_000.0) as u64;
+                    let prev = self.ewma_ms.load(Ordering::Relaxed);
+                    let next = if prev == 0 {
+                        ms
+                    } else {
+                        (7 * prev + 3 * ms) / 10
+                    };
+                    self.ewma_ms.store(next.max(1), Ordering::Relaxed);
+                }
+                self.status.complete_one();
+            }
+        }
+        if live {
+            self.refresh_gauges();
+        }
+        Ok(at)
     }
 
     /// The `Retry-After` estimate for a rejected submit: the queue's
@@ -483,29 +513,21 @@ impl Shared {
         (backlog_ms.div_ceil(1000)).clamp(1, MAX_RETRY_AFTER_SECS)
     }
 
-    /// The job's telemetry record, created on first touch.
-    pub(crate) fn job_telemetry(&self, id: &str) -> Arc<telemetry::JobTelemetry> {
-        self.telemetry.ensure(id, self.config.event_ring_cap)
-    }
-
     /// The server's ETA estimate for a running job. A job streaming
     /// its own progress frames gets a first-person estimate — rate
     /// over a steady sample window, the same clamp `/status` applies —
     /// and only jobs with no telemetry fall back to the queue-wide
     /// EWMA minus elapsed (`None` before any completion fed it).
     pub fn job_eta_secs(&self, job: &Job) -> Option<f64> {
-        if job.state != JobState::Running {
-            return None;
-        }
-        if let Some(eta) = self.telemetry.get(&job.id).and_then(|t| t.eta_secs()) {
+        let (started, _) = job.running()?;
+        if let Some(eta) = job.telemetry.eta_secs() {
             return Some(eta);
         }
         let ewma = self.ewma_ms.load(Ordering::Relaxed);
         if ewma == 0 {
             return None;
         }
-        let elapsed = job.started.map_or(0.0, |t| t.elapsed().as_secs_f64());
-        Some((ewma as f64 / 1000.0 - elapsed).max(0.0))
+        Some((ewma as f64 / 1000.0 - started.elapsed().as_secs_f64()).max(0.0))
     }
 
     /// Publishes queue-depth / active-jobs gauges and flips the
@@ -569,19 +591,19 @@ impl ServeHandle {
     /// restart with `--resume-dir` re-adopts all of them losslessly.
     pub fn drain(self, timeout: std::time::Duration) {
         self.begin_drain();
-        let deadline = std::time::Instant::now() + timeout;
-        while std::time::Instant::now() < deadline {
+        let deadline = Instant::now() + timeout;
+        while Instant::now() < deadline {
             let (_, running) = self.shared.table.active_counts();
             if running == 0 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(25));
         }
-        for job in self.shared.table.snapshot() {
-            if job.state == JobState::Running {
+        self.shared.table.for_each(|job| {
+            if job.state() == JobState::Running {
                 job.request_kill(crate::job::KillReason::Drain);
             }
-        }
+        });
         self.stop();
     }
 
@@ -638,25 +660,6 @@ pub fn serve_with_registry(
         .filter_map(|j| j.id.strip_prefix("job-")?.parse::<u64>().ok())
         .max()
         .unwrap_or(0);
-    // Seed the admission EWMA from journaled completions, replayed in
-    // journal order: a resumed daemon's `Retry-After` advice reflects
-    // observed job durations from the first rejection instead of
-    // restarting at the cold default.
-    let mut ewma_seed = 0u64;
-    for loaded in &adopted {
-        if let Some(f) = &loaded.finished {
-            if f.state == JobState::Done {
-                let ms = (f.secs * 1000.0).clamp(1.0, 86_400_000.0) as u64;
-                ewma_seed = if ewma_seed == 0 {
-                    ms
-                } else {
-                    (7 * ewma_seed + 3 * ms) / 10
-                }
-                .max(1);
-            }
-        }
-    }
-
     let status = Arc::new(RunStatus::new(0));
     status.set_phase("idle");
     status.set_progress_counter(registry.counter(spindle_pulse::status::PROGRESS_METRIC));
@@ -678,16 +681,17 @@ pub fn serve_with_registry(
         registry,
         status,
         sampler,
-        telemetry: telemetry::TelemetryMap::default(),
-        epoch: std::time::Instant::now(),
+        epoch: Instant::now(),
         event_streams: AtomicUsize::new(0),
-        ewma_ms: AtomicU64::new(ewma_seed),
-        supervisor: supervise::Supervisor::new(),
+        ewma_ms: AtomicU64::new(0),
+        supervisor: supervise::Supervisor::default(),
         stop: AtomicBool::new(false),
         config,
     });
     // The admission bound stays the configured one even though the
     // deque is larger: `admit` checks depth against `admission_bound`.
+    // Replaying journaled completions in journal order also seeds the
+    // `Retry-After` EWMA with the durations they observed.
     for loaded in adopted {
         shared.adopt(loaded);
     }
@@ -710,6 +714,7 @@ pub fn serve_with_registry(
 mod tests {
     use super::*;
     use crate::client::{request, Response};
+    use crate::journal::tests::{finished, submitted};
     use spindle_obs::json::Json;
     use std::time::{Duration, Instant};
 
@@ -993,11 +998,9 @@ mod tests {
         // A journal a killed daemon would leave: one finished job, one
         // submitted-but-unfinished.
         let mut journal = Journal::open(&dir.join("data").join(JOURNAL_FILE)).unwrap();
-        journal.submitted("job-0001", &spec).unwrap();
-        journal
-            .finished("job-0001", JobState::Done, Some(0), 0.5)
-            .unwrap();
-        journal.submitted("job-0002", &spec).unwrap();
+        submitted(&mut journal, "job-0001", &spec);
+        finished(&mut journal, "job-0001", JobState::Done, 0.5);
+        submitted(&mut journal, "job-0002", &spec);
         drop(journal);
 
         let mut config = ServeConfig::new("127.0.0.1:0", dir.join("data"));
@@ -1040,6 +1043,65 @@ mod tests {
         assert_eq!(r.status, 201);
         assert!(r.body.contains("job-0003"), "{}", r.body);
         wait_for("new job done", || job_state(&addr, "job-0003") == "done");
+        handle.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_keeps_finished_jobs_traces_and_attempts() {
+        let (handle, addr, dir) = test_daemon_with("resume-history", 4, 1, |c| {
+            c.retry_base_ms = 10;
+        });
+        let done = job_id(&submit(
+            &addr,
+            r#"{"kind":"generate","env":"web","span":10,"seed":1}"#,
+        ));
+        wait_for("job done", || job_state(&addr, &done) == "done");
+        // Span 777 SIGKILLs itself once, then behaves: one retry.
+        let retried = job_id(&submit(
+            &addr,
+            r#"{"kind":"generate","env":"web","span":777,"seed":2}"#,
+        ));
+        wait_for("retried job done", || job_state(&addr, &retried) == "done");
+        // Stopping writes nothing to the journal: it is left as a kill
+        // -9 leaves it once both jobs are done.
+        handle.stop();
+
+        let mut config = ServeConfig::new("127.0.0.1:0", dir.join("data"));
+        config.spindle_bin = fake_bin(&dir);
+        config.experiments_bin = None;
+        config.resume = true;
+        let registry: &'static MetricsRegistry = Box::leak(Box::default());
+        let handle = serve_with_registry(config, registry).expect("resume starts");
+        let addr = handle.local_addr().to_string();
+        for id in [&done, &retried] {
+            let r = request(&addr, "GET", &format!("/jobs/{id}/trace"), None).unwrap();
+            let live = spindle_obs::json::parse(r.body.trim()).unwrap();
+            let offline = crate::trace::assemble_dir(&dir.join("data").join(id)).unwrap();
+            assert_eq!(live.get("traceEvents"), offline.get("traceEvents"), "{id}");
+            let Some(Json::Arr(events)) = live.get("traceEvents") else {
+                panic!("{id}: no traceEvents in {}", r.body);
+            };
+            assert!(
+                events
+                    .iter()
+                    .any(|e| e.get("name").and_then(Json::as_str) == Some("attempt")),
+                "{id}: replayed trace lost its daemon spans: {}",
+                r.body
+            );
+        }
+        let detail = request(&addr, "GET", &format!("/jobs/{retried}"), None).unwrap();
+        let doc = spindle_obs::json::parse(detail.body.trim()).unwrap();
+        assert_eq!(
+            doc.get("attempt").and_then(Json::as_u64),
+            Some(1),
+            "{}",
+            detail.body
+        );
+        let merged = request(&addr, "GET", "/trace", None).unwrap();
+        let merged = spindle_obs::json::parse(merged.body.trim()).unwrap();
+        let jobs = merged.get("otherData").and_then(|m| m.get("jobs"));
+        assert_eq!(jobs.and_then(Json::as_u64), Some(2));
         handle.stop();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1588,10 +1650,8 @@ mod tests {
             spec::JobSpec::parse(r#"{"kind":"generate","env":"dev","span":10,"seed":9}"#).unwrap();
         // History says jobs take ~30s each.
         let mut journal = Journal::open(&dir.join("data").join(JOURNAL_FILE)).unwrap();
-        journal.submitted("job-0001", &spec).unwrap();
-        journal
-            .finished("job-0001", JobState::Done, Some(0), 30.0)
-            .unwrap();
+        submitted(&mut journal, "job-0001", &spec);
+        finished(&mut journal, "job-0001", JobState::Done, 30.0);
         drop(journal);
 
         let mut config = ServeConfig::new("127.0.0.1:0", dir.join("data"));
@@ -1824,6 +1884,236 @@ mod tests {
             assert_eq!(doc.get("decode_errors").and_then(Json::as_u64), Some(0));
             assert_eq!(doc.get("torn"), Some(&Json::Bool(false)), "{}", r.body);
         }
+        handle.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The serve counters a lifecycle transition moves, then the
+    /// `/status` total.
+    const LIFECYCLE_COUNTERS: [&str; 8] = [
+        "serve_jobs_accepted",
+        "serve_jobs_retried",
+        "serve_jobs_completed",
+        "serve_jobs_failed",
+        "serve_jobs_cancelled",
+        "serve_jobs_timed_out",
+        "serve_jobs_stalled",
+        "serve_jobs_quarantined",
+    ];
+
+    fn lifecycle_counters(addr: &str) -> Vec<u64> {
+        let metrics = request(addr, "GET", "/metrics", None).unwrap().body;
+        let mut out: Vec<u64> = LIFECYCLE_COUNTERS
+            .iter()
+            .map(|name| {
+                metrics
+                    .lines()
+                    .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                    .unwrap_or(0)
+            })
+            .collect();
+        let status = request(addr, "GET", "/status", None).unwrap().body;
+        let status = spindle_obs::json::parse(status.trim()).unwrap();
+        out.push(status.get("total").and_then(Json::as_u64).expect("total"));
+        out
+    }
+
+    /// The counter deltas a settled job must have caused: one
+    /// admission, one retry per attempt past the first, one terminal
+    /// counter, one `/status` total.
+    fn expected_delta(views: &[&JobViews]) -> Vec<u64> {
+        let mut delta = vec![0; LIFECYCLE_COUNTERS.len() + 1];
+        for v in views {
+            delta[0] += 1;
+            delta[1] += v.attempt;
+            let terminal = match v.state.as_str() {
+                "done" => Some(2),
+                "failed" => Some(3),
+                "cancelled" => Some(4),
+                "timed_out" => Some(5),
+                "stalled" => Some(6),
+                "quarantined" => Some(7),
+                _ => None,
+            };
+            if let Some(i) = terminal {
+                delta[i] += 1;
+            }
+            delta[LIFECYCLE_COUNTERS.len()] += 1;
+        }
+        delta
+    }
+
+    /// One job's lifecycle as each view tells it.
+    #[derive(Debug)]
+    struct JobViews {
+        /// `GET /jobs/ID`.
+        state: String,
+        attempt: u64,
+        /// The journal's `attempt` lines and last `finished` state.
+        journal_retries: u64,
+        journal_end: Option<String>,
+        /// The SSE `retry` events and the `end` event's state.
+        sse_retries: u64,
+        sse_end: Option<String>,
+        /// The trace's daemon `retry.backoff` and `attempt` slices.
+        backoff_spans: u64,
+        attempt_spans: u64,
+        /// `GET /jobs/ID/result`'s state (None while not terminal).
+        result: Option<String>,
+    }
+
+    fn job_views(addr: &str, dir: &std::path::Path, id: &str, sse_until: &str) -> JobViews {
+        let doc = |path: String| {
+            let r = request(addr, "GET", &path, None).unwrap();
+            (r.status, spindle_obs::json::parse(r.body.trim()).unwrap())
+        };
+        let str_of = |j: &Json, key: &str| j.get(key).and_then(Json::as_str).map(str::to_owned);
+        let (_, detail) = doc(format!("/jobs/{id}"));
+        let (status, result) = doc(format!("/jobs/{id}/result"));
+        let (_, trace) = doc(format!("/jobs/{id}/trace"));
+
+        let journal = std::fs::read_to_string(dir.join("data").join(JOURNAL_FILE)).unwrap();
+        let (mut journal_retries, mut journal_end) = (0, None);
+        for line in journal.lines().skip(1) {
+            let rec = spindle_obs::json::parse(line).unwrap();
+            if str_of(&rec, "id").as_deref() != Some(id) {
+                continue;
+            }
+            match str_of(&rec, "event").as_deref() {
+                Some("attempt") => journal_retries += 1,
+                Some("finished") => journal_end = str_of(&rec, "state"),
+                _ => {}
+            }
+        }
+
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        {
+            use std::io::Write;
+            write!(stream, "GET /jobs/{id}/events HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        }
+        let mut raw = String::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !raw.contains(sse_until) && Instant::now() < deadline {
+            raw.push_str(&read_sse(
+                &mut stream,
+                Instant::now() + Duration::from_millis(300),
+            ));
+        }
+        let (mut sse_retries, mut sse_end) = (0, None);
+        for data in raw.lines().filter_map(|l| l.strip_prefix("data: ")) {
+            let event = spindle_obs::json::parse(data).unwrap();
+            match str_of(&event, "type").as_deref() {
+                Some("retry") => sse_retries += 1,
+                Some("end") => sse_end = str_of(&event, "state"),
+                _ => {}
+            }
+        }
+
+        let Some(Json::Arr(events)) = trace.get("traceEvents") else {
+            panic!("no traceEvents for {id}: {trace}");
+        };
+        let daemon_slices = |name: &str| {
+            events
+                .iter()
+                .filter(|e| str_of(e, "name").as_deref() == Some(name))
+                .filter(|e| str_of(e, "ph").as_deref() == Some("X"))
+                .count() as u64
+        };
+        JobViews {
+            state: str_of(&detail, "state").expect("state"),
+            attempt: detail
+                .get("attempt")
+                .and_then(Json::as_u64)
+                .expect("attempt"),
+            journal_retries,
+            journal_end,
+            sse_retries,
+            sse_end,
+            backoff_spans: daemon_slices("retry.backoff"),
+            attempt_spans: daemon_slices("attempt"),
+            result: (status == 200).then(|| str_of(&result, "state")).flatten(),
+        }
+    }
+
+    /// Asserts the views agree with each other and with `/jobs/ID`.
+    fn assert_views_agree(id: &str, v: &JobViews, state: &str, ran: bool) {
+        assert_eq!(v.state, state, "{id}: {v:?}");
+        assert_eq!(v.journal_retries, v.attempt, "{id}: journal {v:?}");
+        assert_eq!(v.sse_retries, v.attempt, "{id}: SSE {v:?}");
+        assert_eq!(v.backoff_spans, v.attempt, "{id}: spans {v:?}");
+        let attempts = if ran { v.attempt + 1 } else { 0 };
+        assert_eq!(v.attempt_spans, attempts, "{id}: attempt spans {v:?}");
+        let end = JobState::parse(state)
+            .filter(|s| s.is_terminal())
+            .map(|s| s.as_str().to_owned());
+        assert_eq!(v.journal_end, end, "{id}: journal {v:?}");
+        assert_eq!(v.sse_end, end, "{id}: SSE {v:?}");
+        assert_eq!(v.result, end, "{id}: result {v:?}");
+    }
+
+    #[test]
+    fn journal_events_spans_counters_and_job_detail_agree_for_every_outcome() {
+        let (handle, addr, dir) = test_daemon_with("five-views", 4, 1, |c| {
+            c.retry_base_ms = 1;
+            c.max_retries = 1;
+        });
+        let spec = |span: u64, seed: u64, extra: &str| {
+            format!(r#"{{"kind":"generate","env":"web","span":{span},"seed":{seed}{extra}}}"#)
+        };
+        let end = "event: end";
+        // One job per outcome, run one after another on the single
+        // runner: (span, seed, extra spec fields, final state, retries).
+        for (span, seed, extra, state, retries) in [
+            (10, 1, "", "done", 0),
+            (666, 2, "", "failed", 0),
+            (777, 3, "", "done", 1),
+            (888, 4, "", "quarantined", 1),
+            (2000, 5, r#","deadline_secs":1"#, "timed_out", 0),
+        ] {
+            let before = lifecycle_counters(&addr);
+            let id = job_id(&submit(&addr, &spec(span, seed, extra)));
+            wait_for(state, || job_state(&addr, &id) == state);
+            let v = job_views(&addr, &dir, &id, end);
+            assert_eq!(v.attempt, retries, "{id}: {v:?}");
+            assert_views_agree(&id, &v, state, true);
+            let after = lifecycle_counters(&addr);
+            let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+            assert_eq!(delta, expected_delta(&[&v]), "{id}: counters {v:?}");
+        }
+
+        // Cancelled while running, and cancelled while queued behind it.
+        let before = lifecycle_counters(&addr);
+        let running = job_id(&submit(&addr, &spec(2000, 6, "")));
+        wait_for("running", || job_state(&addr, &running) == "running");
+        let queued = job_id(&submit(&addr, &spec(10, 7, "")));
+        let r = request(&addr, "DELETE", &format!("/jobs/{queued}"), None).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        let r = request(&addr, "DELETE", &format!("/jobs/{running}"), None).unwrap();
+        assert_eq!(r.status, 202, "{}", r.body);
+        wait_for("cancelled", || job_state(&addr, &running) == "cancelled");
+        let v_running = job_views(&addr, &dir, &running, end);
+        let v_queued = job_views(&addr, &dir, &queued, end);
+        assert_views_agree(&running, &v_running, "cancelled", true);
+        assert_views_agree(&queued, &v_queued, "cancelled", false);
+        let after = lifecycle_counters(&addr);
+        let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(delta, expected_delta(&[&v_running, &v_queued]));
+
+        // Drained: the attempt ends, the job does not.
+        let before = lifecycle_counters(&addr);
+        let drained = job_id(&submit(&addr, &spec(2000, 8, "")));
+        wait_for("running", || job_state(&addr, &drained) == "running");
+        handle.begin_drain();
+        let job = handle.shared.table.get(&drained).expect("drained job");
+        assert!(job.request_kill(crate::job::KillReason::Drain));
+        wait_for("queued", || job_state(&addr, &drained) == "queued");
+        let v = job_views(&addr, &dir, &drained, "\"state\":\"drained\"");
+        assert!(v.sse_end.is_none(), "{v:?}");
+        assert_views_agree(&drained, &v, "queued", true);
+        let after = lifecycle_counters(&addr);
+        let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        assert_eq!(delta, expected_delta(&[&v]));
+
         handle.stop();
         std::fs::remove_dir_all(&dir).ok();
     }

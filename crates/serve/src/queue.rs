@@ -47,12 +47,6 @@ impl JobQueue {
         }
     }
 
-    /// The admission bound.
-    #[must_use]
-    pub fn bound(&self) -> usize {
-        self.bound
-    }
-
     /// Jobs currently queued.
     #[must_use]
     pub fn depth(&self) -> usize {

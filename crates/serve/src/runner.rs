@@ -4,8 +4,8 @@
 //! unparks it at the end of the child's telemetry stream, or on the
 //! backoff of [`CHILD_POLL`].
 
-use crate::job::{JobState, KillReason};
-use crate::telemetry::Sink;
+use crate::job::{JobState, KillReason, Outcome, Transition};
+use crate::telemetry::{JobTelemetry, Sink};
 use crate::{supervise, Shared};
 use spindle_obs::json::Json;
 use std::process::{Command, Stdio};
@@ -86,43 +86,32 @@ fn run_job(shared: &Shared, id: &str) {
     let Some(job) = shared.table.get(id) else {
         return;
     };
-    let started = Instant::now();
-    shared.table.update(id, |j| {
-        j.state = JobState::Running;
-        j.started = Some(started);
-    });
-    shared.refresh_gauges();
-
-    // A kill request that raced the pop: honor it before spawning.
+    // A kill request that raced the pop: honor it before the attempt.
     match job.kill_reason() {
         Some(KillReason::Cancel) => {
-            shared.finish_job(id, JobState::Cancelled, None, 0.0, None);
+            let _ = shared.record(id, Transition::Terminal(Outcome::cancelled()));
             return;
         }
         Some(KillReason::Drain) => {
-            requeue_for_resume(shared, id);
+            let _ = shared.record(id, Transition::Drained);
             return;
         }
         _ => {}
     }
 
-    let tel = shared.job_telemetry(id);
+    let tel = Arc::clone(&job.telemetry);
     // Each attempt gets a fresh liveness clock: a retry must not be
     // judged stalled by the previous attempt's last frame time.
     tel.mark_alive();
-    tel.event("state", vec![("state", Json::Str("running".to_owned()))]);
-    let attempt_no = job.attempt;
-    // Queue wait: from the instant the job last became runnable
-    // (admission, or a retry's due time) to this attempt's start.
-    if let Some(runnable) = tel.runnable_at() {
-        tel.trace_span(
-            "daemon",
-            "queue.wait",
-            runnable,
-            started.saturating_duration_since(runnable),
-            vec![("attempt".to_owned(), Json::Uint(u64::from(attempt_no)))],
-        );
-    }
+    let attempt_no = job.attempt();
+    let Ok(started) = shared.record(
+        id,
+        Transition::Running {
+            attempt: attempt_no,
+        },
+    ) else {
+        return;
+    };
 
     let dir = shared.job_dir(id);
     let program = if job.spec.uses_experiments() {
@@ -170,29 +159,22 @@ fn run_job(shared: &Shared, id: &str) {
     let mut child = match spawn() {
         Ok(c) => c,
         Err(e) => {
-            tel.trace_instant(
-                "daemon",
-                "spawn.failed",
-                vec![("error".to_owned(), Json::Str(e.clone()))],
-            );
-            persist_spans(shared, id, &tel);
-            shared.finish_job(
+            let args = vec![("error", Json::Str(e.clone()))];
+            tel.daemon_span("spawn.failed", Instant::now(), None, args);
+            let _ = shared.record(
                 id,
-                JobState::Failed,
-                None,
-                started.elapsed().as_secs_f64(),
-                Some(e),
+                Transition::Terminal(Outcome {
+                    state: JobState::Failed,
+                    exit: None,
+                    secs: started.elapsed().as_secs_f64(),
+                    error: Some(e),
+                }),
             );
             return;
         }
     };
-    tel.trace_span(
-        "daemon",
-        "spawn",
-        spawn_start,
-        spawn_start.elapsed(),
-        vec![("attempt".to_owned(), Json::Uint(u64::from(attempt_no)))],
-    );
+    let args = vec![("attempt", Json::Uint(u64::from(attempt_no)))];
+    tel.daemon_span("spawn", spawn_start, Some(spawn_start.elapsed()), args);
     let child_done = Arc::new(AtomicBool::new(false));
     let ingest = sink.and_then(|s| {
         let tel = Arc::clone(&tel);
@@ -239,28 +221,19 @@ fn run_job(shared: &Shared, id: &str) {
     };
     let secs = started.elapsed().as_secs_f64();
     // Let ingest drain the child's final flush (the socket EOFs once
-    // the child is gone) before the terminal event is published.
+    // the child is gone) before the attempt's end is recorded, so child
+    // spans (and the Hello clock offset) are already in the store when
+    // a terminal outcome persists it.
     child_done.store(true, Ordering::Release);
     if let Some((sink, handle)) = ingest {
         sink.finish(handle);
     }
-    // One `attempt` span per run, spawn to exit, recorded after ingest
-    // joins so child spans (and the Hello clock offset) are already in
-    // the store when a terminal attempt persists it. Retried attempts
-    // accumulate in the same store, so the final trace shows them all.
-    tel.trace_span(
-        "daemon",
-        "attempt",
-        started,
-        Duration::from_secs_f64(secs.max(0.0)),
-        vec![("attempt".to_owned(), Json::Uint(u64::from(attempt_no)))],
-    );
 
     // A drain kill ends the attempt, not the job: no terminal journal
     // record, no artifact promotion. The next --resume-dir daemon
     // re-adopts and re-runs it; determinism makes that lossless.
     if matches!(outcome, Attempt::Killed(KillReason::Drain)) {
-        requeue_for_resume(shared, id);
+        let _ = shared.record(id, Transition::Drained);
         return;
     }
 
@@ -315,39 +288,61 @@ fn run_job(shared: &Shared, id: &str) {
             Some("cannot poll the child process".to_owned()),
         ),
     };
+    let _ = shared.record(
+        id,
+        Transition::Terminal(Outcome {
+            state,
+            exit,
+            secs,
+            error,
+        }),
+    );
+}
+
+/// Closes out the artifacts of an attempt that ends the job in `t`,
+/// before the job goes terminal: the `retries.exhausted` instant of a
+/// spent retry budget, the promotion of the stdout capture (the
+/// `finalize` span), `spans.jsonl`, and last `result.json`, so its
+/// artifact list includes the span file and offline `trace assemble`
+/// sees the whole lifecycle. An attempt that the job outlives leaves
+/// its artifacts alone.
+pub(crate) fn finalize(shared: &Shared, id: &str, tel: &JobTelemetry, t: &Transition) {
+    let Transition::Terminal(outcome) = t else {
+        return;
+    };
+    let state = Json::Str(outcome.state.as_str().to_owned());
+    if let (JobState::Quarantined | JobState::Stalled, Some(reason)) = (
+        outcome.state,
+        outcome
+            .error
+            .as_deref()
+            .and_then(supervise::exhausted_reason),
+    ) {
+        let args = vec![
+            ("reason", Json::Str(reason.to_owned())),
+            ("state", state.clone()),
+        ];
+        tel.daemon_span("retries.exhausted", Instant::now(), None, args);
+    }
     // Promote the capture to its final name only now, so a crashed
     // daemon's leftover `stdout.partial` is never mistaken for a
     // completed job's output.
+    let dir = shared.job_dir(id);
     let finalize_start = Instant::now();
     let _ = std::fs::rename(dir.join("stdout.partial"), dir.join("stdout.txt"));
-    tel.trace_span(
-        "daemon",
-        "finalize",
-        finalize_start,
-        finalize_start.elapsed(),
-        vec![("state".to_owned(), Json::Str(state.as_str().to_owned()))],
-    );
-    // Spans persist before result.json is written so the artifact list
-    // includes spans.jsonl, and offline `trace assemble` sees the whole
-    // lifecycle through finalization.
-    persist_spans(shared, id, &tel);
-    write_result(shared, id, state, exit, secs);
-    shared.finish_job(id, state, exit, secs, error);
+    let dur = Some(finalize_start.elapsed());
+    tel.daemon_span("finalize", finalize_start, dur, vec![("state", state)]);
+    persist_spans(shared, id, tel);
+    write_result(shared, id, t);
 }
 
 /// Persists the job's accumulated trace spans as `spans.jsonl` (best
 /// effort, like `result.json`: the journal stays authoritative).
-fn persist_spans(shared: &Shared, id: &str, tel: &crate::telemetry::JobTelemetry) {
-    let (spans, dropped) = tel.trace_spans();
-    if spans.is_empty() && dropped == 0 {
+fn persist_spans(shared: &Shared, id: &str, tel: &JobTelemetry) {
+    let job = tel.trace_spans(id);
+    if job.spans.is_empty() && job.dropped == 0 {
         return;
     }
-    let job = crate::trace::JobSpans {
-        id: id.to_owned(),
-        spans,
-        offset_ns: tel.child_offset_ns(),
-        dropped,
-    };
     let path = shared.job_dir(id).join(crate::trace::SPANS_FILE);
     if let Err(e) = crate::trace::write_spans(&path, &job) {
         eprintln!("# serve: {e}");
@@ -356,21 +351,6 @@ fn persist_spans(shared: &Shared, id: &str, tel: &crate::telemetry::JobTelemetry
 
 /// The 128+SIGKILL exit convention: treated like a signal death.
 const KILLED_EXIT: i32 = 137;
-
-/// Puts a drain-interrupted job back to `queued` in the table (it is
-/// deliberately *not* re-enqueued: the run queue dies with this
-/// daemon, the journal's missing terminal record survives).
-fn requeue_for_resume(shared: &Shared, id: &str) {
-    shared.table.update(id, |j| {
-        j.state = JobState::Queued;
-        j.started = None;
-        j.clear_kill();
-    });
-    shared
-        .job_telemetry(id)
-        .event("state", vec![("state", Json::Str("drained".to_owned()))]);
-    shared.refresh_gauges();
-}
 
 /// A bounded tail of the job's stderr, for the failure report.
 fn stderr_tail(dir: &std::path::Path) -> String {
@@ -388,10 +368,10 @@ fn stderr_tail(dir: &std::path::Path) -> String {
     trimmed[tail_start..].to_owned()
 }
 
-/// Writes the `result.json` artifact (best effort; the journal is the
-/// durable record).
-fn write_result(shared: &Shared, id: &str, state: JobState, exit: Option<i32>, secs: f64) {
-    use spindle_obs::json::Json;
+/// Writes the `result.json` artifact — the outcome's state, exit and
+/// secs as its `finished` journal line has them, and the artifact list
+/// (best effort; the journal is the durable record).
+fn write_result(shared: &Shared, id: &str, t: &Transition) {
     let dir = shared.job_dir(id);
     let mut artifacts: Vec<String> = std::fs::read_dir(&dir)
         .map(|entries| {
@@ -403,18 +383,11 @@ fn write_result(shared: &Shared, id: &str, state: JobState, exit: Option<i32>, s
         })
         .unwrap_or_default();
     artifacts.sort();
-    let doc = Json::Obj(vec![
-        ("id".to_owned(), Json::Str(id.to_owned())),
-        ("state".to_owned(), Json::Str(state.as_str().to_owned())),
-        (
-            "exit".to_owned(),
-            exit.map_or(Json::Null, |c| Json::Int(i64::from(c))),
-        ),
-        ("secs".to_owned(), Json::Num(secs)),
-        (
-            "artifacts".to_owned(),
-            Json::Arr(artifacts.into_iter().map(Json::Str).collect()),
-        ),
-    ]);
+    let artifacts = Json::Arr(artifacts.into_iter().map(Json::Str).collect());
+    let fields = [("id", Json::Str(id.to_owned()))]
+        .into_iter()
+        .chain(t.fields())
+        .chain([("artifacts", artifacts)]);
+    let doc = Json::Obj(fields.map(|(k, v)| (k.to_owned(), v)).collect());
     let _ = std::fs::write(dir.join("result.json"), format!("{doc}\n"));
 }

@@ -47,7 +47,7 @@
 //! route cardinality bounded to the known route set (anything else is
 //! `other`).
 
-use crate::job::{CancelVerdict, JobState};
+use crate::job::{CancelVerdict, Outcome, Transition};
 use crate::{Admission, Shared};
 use spindle_obs::json::Json;
 use spindle_pulse::http::{
@@ -112,37 +112,6 @@ fn error_response(
     json_response(stream, status, &doc)
 }
 
-/// Maps a request onto the bounded route vocabulary the per-endpoint
-/// metrics use. Unknown paths and methods all collapse into `other`,
-/// so hostile traffic cannot inflate metric cardinality.
-fn classify(method: &str, path: &str) -> &'static str {
-    match (method, path) {
-        ("POST", "/jobs") => "submit",
-        ("GET", "/jobs") => "jobs",
-        ("GET", "/healthz") => "healthz",
-        ("GET", "/metrics") => "metrics",
-        ("GET", "/status") => "status",
-        ("GET", "/timescales") => "timescales",
-        ("GET", "/trace") => "trace",
-        _ => {
-            if let Some(rest) = path.strip_prefix("/jobs/") {
-                let tail = rest.split_once('/').map(|(_, t)| t);
-                return match (method, tail) {
-                    ("GET", None) => "job",
-                    ("DELETE", None) => "cancel",
-                    ("GET", Some("result")) => "result",
-                    ("GET", Some("events")) => "events",
-                    ("GET", Some("timescales")) => "job_timescales",
-                    ("GET", Some("trace")) => "job_trace",
-                    ("GET", Some(t)) if t.starts_with("artifacts/") => "artifact",
-                    _ => "other",
-                };
-            }
-            "other"
-        }
-    }
-}
-
 /// Records one handled request: latency histogram plus request and
 /// status-class counters, all keyed by the bounded route label.
 fn observe_http(shared: &Shared, route: &'static str, started: Instant, status: &str) {
@@ -189,74 +158,78 @@ fn handle(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             return Ok(());
         }
     };
-    let label = classify(&request.method, &request.path);
-    // Event streams live as long as the job runs; they move off the
-    // small handler pool onto dedicated (bounded) threads.
-    if request.method == "GET" {
-        if let Some(id) = request
-            .path
-            .strip_prefix("/jobs/")
-            .and_then(|rest| rest.strip_suffix("/events"))
-        {
-            if !id.is_empty() && !id.contains('/') {
-                let status = events(stream, shared, id)?;
-                observe_http(shared, label, started, status);
-                return Ok(());
-            }
-        }
-    }
-    let status = route(&mut stream, shared, &request)?;
+    let (label, status) = route(stream, shared, &request)?;
     observe_http(shared, label, started, status);
     Ok(())
 }
 
+/// Dispatches one request. Returns the status line and the route label
+/// the per-endpoint metrics use: the known route set, with unknown
+/// paths and methods all collapsed into `other`, so hostile traffic
+/// cannot inflate metric cardinality.
 fn route(
-    stream: &mut TcpStream,
+    mut stream: TcpStream,
     shared: &Arc<Shared>,
     request: &Request,
-) -> io::Result<&'static str> {
-    let path = request.path.as_str();
-    let method = request.method.as_str();
-    if method == "GET" {
-        if let Some((content_type, mut body)) =
-            telemetry_route(path, shared.registry, &shared.status, &shared.sampler)
-        {
-            if path == "/metrics" {
-                body.push_str(&job_series(shared));
+) -> io::Result<(&'static str, &'static str)> {
+    let (method, path) = (request.method.as_str(), request.path.as_str());
+    let s = &mut stream;
+    let (label, status) = match (method, path) {
+        ("POST", "/jobs") => ("submit", submit(s, shared, request)),
+        ("GET", "/jobs") => ("jobs", list_jobs(s, shared)),
+        ("GET", "/trace") => ("trace", daemon_trace(s, shared)),
+        ("GET", "/healthz") => ("healthz", telemetry(s, shared, path)),
+        ("GET", "/metrics") => ("metrics", telemetry(s, shared, path)),
+        ("GET", "/status") => ("status", telemetry(s, shared, path)),
+        ("GET", "/timescales") => ("timescales", telemetry(s, shared, path)),
+        _ => match path.strip_prefix("/jobs/") {
+            // /jobs/ID[/result | /events | /artifacts/NAME | ...]
+            Some(rest) => {
+                let (id, tail) = rest
+                    .split_once('/')
+                    .map_or((rest, None), |(id, tail)| (id, Some(tail)));
+                match (method, tail) {
+                    ("GET", None) => ("job", job_detail(s, shared, id)),
+                    ("DELETE", None) => ("cancel", cancel(s, shared, id)),
+                    ("GET", Some("result")) => ("result", job_result(s, shared, id)),
+                    // Event streams live as long as the job runs; they
+                    // move off the small handler pool onto dedicated
+                    // (bounded) threads.
+                    ("GET", Some("events")) => ("events", events(stream, shared, id)),
+                    ("GET", Some("timescales")) => {
+                        ("job_timescales", job_timescales(s, shared, id))
+                    }
+                    ("GET", Some("trace")) => ("job_trace", job_trace(s, shared, id)),
+                    ("GET", Some(tail)) if tail.starts_with("artifacts/") => {
+                        let name = &tail["artifacts/".len()..];
+                        ("artifact", artifact(s, shared, id, name))
+                    }
+                    _ => ("other", not_allowed(s)),
+                }
             }
-            return respond(stream, "200 OK", content_type, &body).map(|()| "200 OK");
-        }
-    }
-    match (method, path) {
-        ("POST", "/jobs") => return submit(stream, shared, request),
-        ("GET", "/jobs") => return list_jobs(stream, shared),
-        ("GET", "/trace") => return daemon_trace(stream, shared),
-        _ => {}
-    }
-    // /jobs/ID[/result | /artifacts/NAME]
-    if let Some(rest) = path.strip_prefix("/jobs/") {
-        let (id, tail) = match rest.split_once('/') {
-            Some((id, tail)) => (id, Some(tail)),
-            None => (rest, None),
-        };
-        return match (method, tail) {
-            ("GET", None) => job_detail(stream, shared, id),
-            ("DELETE", None) => cancel(stream, shared, id),
-            ("GET", Some("result")) => job_result(stream, shared, id),
-            ("GET", Some("timescales")) => job_timescales(stream, shared, id),
-            ("GET", Some("trace")) => job_trace(stream, shared, id),
-            ("GET", Some(tail)) if tail.strip_prefix("artifacts/").is_some() => {
-                let name = tail.strip_prefix("artifacts/").expect("guard");
-                artifact(stream, shared, id, name)
+            None if matches!(method, "GET" | "POST" | "DELETE") => {
+                ("other", error_response(s, "404 Not Found", "not found"))
             }
-            _ => error_response(stream, "405 Method Not Allowed", "method not allowed"),
-        };
+            None => ("other", not_allowed(s)),
+        },
+    };
+    Ok((label, status?))
+}
+
+/// The pulse endpoint's telemetry routes for the daemon itself, with
+/// the active jobs' labeled series appended to `/metrics`.
+fn telemetry(stream: &mut TcpStream, shared: &Shared, path: &str) -> io::Result<&'static str> {
+    let (content_type, mut body) =
+        telemetry_route(path, shared.registry, &shared.status, &shared.sampler)
+            .expect("a telemetry path");
+    if path == "/metrics" {
+        body.push_str(&job_series(shared));
     }
-    if matches!(method, "GET" | "POST" | "DELETE") {
-        error_response(stream, "404 Not Found", "not found")
-    } else {
-        error_response(stream, "405 Method Not Allowed", "method not allowed")
-    }
+    respond(stream, "200 OK", content_type, &body).map(|()| "200 OK")
+}
+
+fn not_allowed(stream: &mut TcpStream) -> io::Result<&'static str> {
+    error_response(stream, "405 Method Not Allowed", "method not allowed")
 }
 
 fn submit(stream: &mut TcpStream, shared: &Shared, request: &Request) -> io::Result<&'static str> {
@@ -281,79 +254,69 @@ fn submit(stream: &mut TcpStream, shared: &Shared, request: &Request) -> io::Res
         Ok(Admission::Full {
             retry_after_secs,
             queued,
-        }) => {
-            let doc = Json::Obj(vec![
-                ("error".to_owned(), Json::Str("queue full".to_owned())),
-                ("queued".to_owned(), Json::Uint(queued as u64)),
-                (
-                    "bound".to_owned(),
-                    Json::Uint(shared.admission_bound as u64),
-                ),
-                ("retry_after_secs".to_owned(), Json::Uint(retry_after_secs)),
-            ]);
-            respond_with_headers(
-                stream,
-                "429 Too Many Requests",
-                JSON_TYPE,
-                &[("Retry-After", &retry_after_secs.to_string())],
-                &format!("{doc}\n"),
-            )
-            .map(|()| "429 Too Many Requests")
-        }
-        Ok(Admission::Draining { retry_after_secs }) => {
-            let doc = Json::Obj(vec![
-                (
-                    "error".to_owned(),
-                    Json::Str("server is draining".to_owned()),
-                ),
-                ("retry_after_secs".to_owned(), Json::Uint(retry_after_secs)),
-            ]);
-            respond_with_headers(
-                stream,
-                "503 Service Unavailable",
-                JSON_TYPE,
-                &[("Retry-After", &retry_after_secs.to_string())],
-                &format!("{doc}\n"),
-            )
-            .map(|()| "503 Service Unavailable")
-        }
+        }) => advise(
+            stream,
+            "429 Too Many Requests",
+            retry_after_secs,
+            vec![
+                ("error", Json::Str("queue full".to_owned())),
+                ("queued", Json::Uint(queued as u64)),
+                ("bound", Json::Uint(shared.admission_bound as u64)),
+            ],
+        ),
+        Ok(Admission::Draining { retry_after_secs }) => advise(
+            stream,
+            "503 Service Unavailable",
+            retry_after_secs,
+            vec![("error", Json::Str("server is draining".to_owned()))],
+        ),
         Ok(Admission::Poisoned {
             reason,
             retry_after_secs,
-        }) => {
-            let doc = Json::Obj(vec![
+        }) => advise(
+            stream,
+            "409 Conflict",
+            retry_after_secs,
+            vec![
                 (
-                    "error".to_owned(),
+                    "error",
                     Json::Str("spec quarantined by the poison breaker".to_owned()),
                 ),
-                ("reason".to_owned(), Json::Str(reason)),
-                ("retry_after_secs".to_owned(), Json::Uint(retry_after_secs)),
-            ]);
-            respond_with_headers(
-                stream,
-                "409 Conflict",
-                JSON_TYPE,
-                &[("Retry-After", &retry_after_secs.to_string())],
-                &format!("{doc}\n"),
-            )
-            .map(|()| "409 Conflict")
-        }
+                ("reason", Json::Str(reason)),
+            ],
+        ),
         Err(e) => error_response(stream, "503 Service Unavailable", &e),
     }
 }
 
+/// A refusal with advice: `fields` plus `retry_after_secs` as a JSON
+/// body, and the same figure as a `Retry-After` header.
+fn advise(
+    stream: &mut TcpStream,
+    status: &'static str,
+    retry_after_secs: u64,
+    mut fields: Vec<(&str, Json)>,
+) -> io::Result<&'static str> {
+    fields.push(("retry_after_secs", Json::Uint(retry_after_secs)));
+    let doc = Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect());
+    respond_with_headers(
+        stream,
+        status,
+        JSON_TYPE,
+        &[("Retry-After", &retry_after_secs.to_string())],
+        &format!("{doc}\n"),
+    )
+    .map(|()| status)
+}
+
 fn list_jobs(stream: &mut TcpStream, shared: &Shared) -> io::Result<&'static str> {
-    let jobs = shared.table.snapshot();
+    let mut jobs = Vec::new();
+    shared
+        .table
+        .for_each(|j| jobs.push(j.to_json(shared.job_eta_secs(j))));
     let (queued, running) = shared.table.active_counts();
     let doc = Json::Obj(vec![
-        (
-            "jobs".to_owned(),
-            Json::Arr(
-                jobs.iter()
-                    .map(|j| j.to_json(shared.job_eta_secs(j)))
-                    .collect(),
-            ),
-        ),
+        ("jobs".to_owned(), Json::Arr(jobs)),
         ("queued".to_owned(), Json::Uint(queued as u64)),
         ("running".to_owned(), Json::Uint(running as u64)),
         (
@@ -365,13 +328,15 @@ fn list_jobs(stream: &mut TcpStream, shared: &Shared) -> io::Result<&'static str
 }
 
 fn job_detail(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'static str> {
-    let Some(job) = shared.table.get(id) else {
+    // Rendered under the table lock: nothing of the record is cloned.
+    let Some((mut doc, spec)) = shared.table.with(id, |j| {
+        (j.to_json(shared.job_eta_secs(j)), j.spec.to_json())
+    }) else {
         return error_response(stream, "404 Not Found", &format!("no such job `{id}`"));
     };
-    let mut doc = job.to_json(shared.job_eta_secs(&job));
     if let Json::Obj(members) = &mut doc {
         members.push(("artifacts".to_owned(), artifact_names(shared, id)));
-        members.push(("spec".to_owned(), job.spec.to_json()));
+        members.push(("spec".to_owned(), spec));
     }
     json_response(stream, "200 OK", &doc)
 }
@@ -391,17 +356,16 @@ fn artifact_names(shared: &Shared, id: &str) -> Json {
 }
 
 fn job_result(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'static str> {
-    let Some(job) = shared.table.get(id) else {
+    let Some((state, mut doc)) = shared.table.with(id, |j| (j.state(), j.to_json(None))) else {
         return error_response(stream, "404 Not Found", &format!("no such job `{id}`"));
     };
-    if !job.state.is_terminal() {
+    if !state.is_terminal() {
         return error_response(
             stream,
             "409 Conflict",
-            &format!("job `{id}` is still {}", job.state.as_str()),
+            &format!("job `{id}` is still {}", state.as_str()),
         );
     }
-    let mut doc = job.to_json(None);
     if let Json::Obj(members) = &mut doc {
         members.push(("artifacts".to_owned(), artifact_names(shared, id)));
     }
@@ -414,7 +378,7 @@ fn artifact(
     id: &str,
     name: &str,
 ) -> io::Result<&'static str> {
-    if shared.table.get(id).is_none() {
+    if !shared.table.contains(id) {
         return error_response(stream, "404 Not Found", &format!("no such job `{id}`"));
     }
     // Artifact names are flat files inside the job dir; anything that
@@ -457,13 +421,13 @@ fn artifact(
 }
 
 fn cancel(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'static str> {
-    if shared.table.get(id).is_none() {
+    if !shared.table.contains(id) {
         return error_response(stream, "404 Not Found", &format!("no such job `{id}`"));
     }
     // Queued and still in the run queue: remove it (so no runner can
     // claim it from here on) and finish immediately.
     if shared.queue.remove(id) {
-        shared.finish_job(id, JobState::Cancelled, None, 0.0, None);
+        let _ = shared.record(id, Transition::Terminal(Outcome::cancelled()));
         let doc = Json::Obj(vec![
             ("id".to_owned(), Json::Str(id.to_owned())),
             ("state".to_owned(), Json::Str("cancelled".to_owned())),
@@ -499,61 +463,46 @@ fn cancel(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'sta
 fn job_series(shared: &Shared) -> String {
     use spindle_obs::prom::label_value;
     use std::fmt::Write as _;
-    let jobs = shared.table.snapshot();
-    let active: Vec<_> = jobs.iter().filter(|j| !j.state.is_terminal()).collect();
+    // (label, state, [completed, total, frames]) per active job.
+    let mut active = Vec::new();
+    shared.table.for_each(|j| {
+        let state = j.state();
+        if !state.is_terminal() {
+            let (_, completed, total) = j.telemetry.progress();
+            let frames = j.telemetry.frames.load(Ordering::Relaxed);
+            active.push((label_value(&j.id), state, [completed, total, frames]));
+        }
+    });
     if active.is_empty() {
         return String::new();
     }
     let mut out = String::new();
     out.push_str("# TYPE serve_job_state gauge\n");
-    for j in &active {
-        let _ = writeln!(
-            out,
-            "serve_job_state{{job=\"{}\",state=\"{}\"}} 1",
-            label_value(&j.id),
-            j.state.as_str()
-        );
+    for (id, state, _) in &active {
+        let state = state.as_str();
+        let _ = writeln!(out, "serve_job_state{{job=\"{id}\",state=\"{state}\"}} 1");
     }
-    let tels: Vec<_> = active
-        .iter()
-        .map(|j| (label_value(&j.id), shared.telemetry.get(&j.id)))
-        .collect();
-    out.push_str("# TYPE serve_job_progress gauge\n");
-    for (id, tel) in &tels {
-        let completed = tel.as_ref().map_or(0, |t| t.progress().1);
-        let _ = writeln!(out, "serve_job_progress{{job=\"{id}\"}} {completed}");
-    }
-    out.push_str("# TYPE serve_job_progress_total gauge\n");
-    for (id, tel) in &tels {
-        let total = tel.as_ref().map_or(0, |t| t.progress().2);
-        let _ = writeln!(out, "serve_job_progress_total{{job=\"{id}\"}} {total}");
-    }
-    out.push_str("# TYPE serve_job_telemetry_frames gauge\n");
-    for (id, tel) in &tels {
-        let frames = tel.as_ref().map_or(0, |t| t.frames.load(Ordering::Relaxed));
-        let _ = writeln!(out, "serve_job_telemetry_frames{{job=\"{id}\"}} {frames}");
+    let series = [
+        "serve_job_progress",
+        "serve_job_progress_total",
+        "serve_job_telemetry_frames",
+    ];
+    for (i, name) in series.into_iter().enumerate() {
+        let _ = writeln!(out, "# TYPE {name} gauge");
+        for (id, _, values) in &active {
+            let _ = writeln!(out, "{name}{{job=\"{id}\"}} {}", values[i]);
+        }
     }
     out
-}
-
-/// The retained span set of one job, packaged for trace assembly.
-fn collect_spans(id: &str, tel: &crate::telemetry::JobTelemetry) -> crate::trace::JobSpans {
-    let (spans, dropped) = tel.trace_spans();
-    crate::trace::JobSpans {
-        id: id.to_owned(),
-        spans,
-        offset_ns: tel.child_offset_ns(),
-        dropped,
-    }
 }
 
 /// `GET /jobs/ID/trace`: the job's causal trace as a self-contained
 /// Chrome trace-event document, loadable in Perfetto as-is.
 fn job_trace(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'static str> {
-    if shared.table.get(id).is_none() {
+    let Some(tel) = shared.table.telemetry(id) else {
         return error_response(stream, "404 Not Found", &format!("no such job `{id}`"));
-    }
-    let doc = crate::trace::job_trace_doc(&collect_spans(id, &shared.job_telemetry(id)));
+    };
+    let doc = crate::trace::job_trace_doc(&tel.trace_spans(id));
     json_response(stream, "200 OK", &doc)
 }
 
@@ -561,17 +510,18 @@ fn job_trace(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'
 /// each job shifted by its telemetry epoch's distance from the
 /// daemon's epoch, tracks prefixed with the job id.
 fn daemon_trace(stream: &mut TcpStream, shared: &Shared) -> io::Result<&'static str> {
+    let mut tels = Vec::new();
+    shared
+        .table
+        .for_each(|j| tels.push((j.id.clone(), Arc::clone(&j.telemetry))));
     let mut jobs = Vec::new();
-    for job in shared.table.snapshot() {
-        let Some(tel) = shared.telemetry.get(&job.id) else {
-            continue;
-        };
-        let collected = collect_spans(&job.id, &tel);
+    for (id, tel) in tels {
+        let collected = tel.trace_spans(&id);
         if collected.spans.is_empty() && collected.dropped == 0 {
             continue;
         }
         let shift_ns = tel
-            .epoch()
+            .epoch
             .checked_duration_since(shared.epoch)
             .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
         jobs.push((collected, shift_ns));
@@ -582,13 +532,15 @@ fn daemon_trace(stream: &mut TcpStream, shared: &Shared) -> io::Result<&'static 
 
 /// `GET /jobs/ID/timescales`: the job's telemetry stream counters.
 fn job_timescales(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'static str> {
-    let Some(job) = shared.table.get(id) else {
+    let Some((state, tel)) = shared
+        .table
+        .with(id, |j| (j.state(), Arc::clone(&j.telemetry)))
+    else {
         return error_response(stream, "404 Not Found", &format!("no such job `{id}`"));
     };
-    let tel = shared.job_telemetry(id);
     let doc = Json::Obj(vec![
         ("id".to_owned(), Json::Str(id.to_owned())),
-        ("state".to_owned(), Json::Str(job.state.as_str().to_owned())),
+        ("state".to_owned(), Json::Str(state.as_str().to_owned())),
         (
             "frames".to_owned(),
             Json::Uint(tel.frames.load(Ordering::Relaxed)),
@@ -613,7 +565,7 @@ fn job_timescales(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Resu
 /// thread and streams Server-Sent Events until the job is terminal
 /// (or the daemon stops, or the watcher goes away).
 fn events(mut stream: TcpStream, shared: &Arc<Shared>, id: &str) -> io::Result<&'static str> {
-    if shared.table.get(id).is_none() {
+    if !shared.table.contains(id) {
         return error_response(&mut stream, "404 Not Found", &format!("no such job `{id}`"));
     }
     if shared.event_streams.fetch_add(1, Ordering::AcqRel) >= MAX_EVENT_STREAMS {
@@ -657,7 +609,9 @@ fn stream_events(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Resul
         b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\
           Cache-Control: no-cache\r\nConnection: close\r\n\r\n",
     )?;
-    let tel = shared.job_telemetry(id);
+    let Some(tel) = shared.table.telemetry(id) else {
+        return Ok(());
+    };
     let mut cursor = 0u64;
     loop {
         let (dropped, batch, next) = tel.events_since(cursor);
@@ -678,7 +632,10 @@ fn stream_events(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Resul
             // The terminal `end` event is pushed before the table
             // flips terminal, so "terminal and fully drained" means
             // the watcher has seen it.
-            let terminal = shared.table.get(id).is_none_or(|j| j.state.is_terminal());
+            let terminal = shared
+                .table
+                .with(id, |j| j.state().is_terminal())
+                .unwrap_or(true);
             if terminal {
                 stream.write_all(b"event: end\ndata: {}\n\n")?;
                 return stream.flush();

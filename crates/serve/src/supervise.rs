@@ -15,8 +15,8 @@
 //! * **Retries** — transient failures (killed child, stall) re-enqueue
 //!   with exponential backoff plus deterministic jitter derived from
 //!   the job id and attempt ordinal, so a resumed daemon replays the
-//!   same schedule. Each retry is journaled as an `attempt` record
-//!   before the job re-queues.
+//!   same schedule. Each retry is the job's `queued` transition, which
+//!   journals it as an `attempt` record before the job can run again.
 //! * **Quarantine + breaker** — a spec that burns every attempt
 //!   finishes `quarantined` (or `stalled` when the last failure was a
 //!   stall) and opens a circuit breaker keyed by the spec fingerprint:
@@ -29,7 +29,7 @@
 //!   still-queued jobs write no terminal journal record, so a restart
 //!   with `--resume-dir` re-adopts every one of them.
 
-use crate::job::{JobState, KillReason};
+use crate::job::{Job, JobState, KillReason, Outcome, Retry, Transition};
 use crate::queue::PushError;
 use crate::Shared;
 use spindle_obs::hash::fnv1a64;
@@ -69,29 +69,14 @@ struct BreakerEntry {
 }
 
 /// Supervision state shared across the daemon.
+#[derive(Default)]
 pub(crate) struct Supervisor {
     draining: AtomicBool,
     pending: Mutex<Vec<PendingRetry>>,
     breaker: Mutex<Vec<BreakerEntry>>,
 }
 
-impl std::fmt::Debug for Supervisor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Supervisor")
-            .field("draining", &self.draining.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
 impl Supervisor {
-    pub(crate) fn new() -> Supervisor {
-        Supervisor {
-            draining: AtomicBool::new(false),
-            pending: Mutex::new(Vec::new()),
-            breaker: Mutex::new(Vec::new()),
-        }
-    }
-
     /// Whether the daemon is draining (admission and runner claims
     /// both check this).
     pub(crate) fn is_draining(&self) -> bool {
@@ -168,12 +153,21 @@ pub(crate) fn backoff_ms(base_ms: u64, attempt: u32, id: &str) -> u64 {
     exp.saturating_add(jitter).min(MAX_BACKOFF_MS)
 }
 
+/// The text joining a retryable failure's reason to the detail of a
+/// spent retry budget.
+const EXHAUSTED: &str = "; retries exhausted after ";
+
+/// The failure reason in the error of a job whose retries were spent.
+pub(crate) fn exhausted_reason(error: &str) -> Option<&str> {
+    error.split_once(EXHAUSTED).map(|(reason, _)| reason)
+}
+
 /// Decides what a retryable failure becomes. `None` means another
-/// attempt was scheduled: the `attempt` record is journaled, the table
-/// record reset to `queued`, and the job parked until its backoff
-/// elapses. `Some((state, detail))` means the retry budget is spent:
-/// the breaker is already open and the caller finishes the job as
-/// `state` — [`JobState::Stalled`] for stall kills,
+/// attempt was scheduled: the job's `queued` transition is recorded
+/// (journal line, SSE `retry` event, backoff span) and the job parked
+/// until its backoff elapses. `Some((state, detail))` means the retry
+/// budget is spent: the breaker is already open and the caller finishes
+/// the job as `state` — [`JobState::Stalled`] for stall kills,
 /// [`JobState::Quarantined`] otherwise — with `detail` as the error.
 pub(crate) fn handle_retryable(
     shared: &Shared,
@@ -183,66 +177,34 @@ pub(crate) fn handle_retryable(
     error: Option<&str>,
     attempt_secs: f64,
 ) -> Option<(JobState, String)> {
-    let job = shared.table.get(id)?;
-    let attempt = job.attempt;
+    let (attempt, spec) = shared
+        .table
+        .with(id, |j| (j.attempt(), Arc::clone(&j.spec)))?;
     if attempt >= shared.config.max_retries {
         let detail = format!(
-            "{reason}; retries exhausted after {} attempt(s){}",
+            "{reason}{EXHAUSTED}{} attempt(s){}",
             u64::from(attempt) + 1,
             error.map(|e| format!(": {e}")).unwrap_or_default()
         );
         shared
             .supervisor
-            .breaker_open(fingerprint(&job.spec), detail.clone(), BREAKER_COOLDOWN);
-        shared.job_telemetry(id).trace_instant(
-            "daemon",
-            "retries.exhausted",
-            vec![
-                ("reason".to_owned(), Json::Str(reason.to_owned())),
-                ("state".to_owned(), Json::Str(exhausted.as_str().to_owned())),
-            ],
-        );
+            .breaker_open(fingerprint(&spec), detail.clone(), BREAKER_COOLDOWN);
         return Some((exhausted, detail));
     }
-    let next = attempt + 1;
-    let backoff = backoff_ms(shared.config.retry_base_ms, attempt, id);
-    shared.journal_attempt(id, next, reason, backoff, attempt_secs);
-    shared.table.update(id, |j| {
-        j.attempt = next;
-        j.state = JobState::Queued;
-        j.started = None;
-        j.exit = None;
-        j.secs = None;
-        j.error = None;
-        j.clear_kill();
-    });
-    shared.job_telemetry(id).event(
-        "retry",
-        vec![
-            ("attempt", Json::Uint(u64::from(next))),
-            ("reason", Json::Str(reason.to_owned())),
-            ("backoff_ms", Json::Uint(backoff)),
-        ],
-    );
-    shared.registry.counter("serve.jobs_retried").inc();
-    let due = Instant::now() + Duration::from_millis(backoff);
-    // The backoff itself shows up on the trace as a span, and the next
-    // attempt's queue wait starts at the due time, not now.
-    let tel = shared.job_telemetry(id);
-    tel.trace_span(
-        "daemon",
-        "retry.backoff",
-        Instant::now(),
-        Duration::from_millis(backoff),
-        vec![
-            ("attempt".to_owned(), Json::Uint(u64::from(next))),
-            ("reason".to_owned(), Json::Str(reason.to_owned())),
-            ("backoff_ms".to_owned(), Json::Uint(backoff)),
-        ],
-    );
-    tel.mark_runnable(due);
-    shared.supervisor.schedule(id.to_owned(), due);
-    shared.refresh_gauges();
+    let backoff_ms = backoff_ms(shared.config.retry_base_ms, attempt, id);
+    let retry = Retry {
+        reason: reason.to_owned(),
+        backoff_ms,
+        secs: attempt_secs,
+    };
+    let queued = Transition::Queued {
+        attempt: attempt + 1,
+        retry: Some(retry),
+    };
+    if let Ok(at) = shared.record(id, queued) {
+        let due = at + Duration::from_millis(backoff_ms);
+        shared.supervisor.schedule(id.to_owned(), due);
+    }
     None
 }
 
@@ -265,31 +227,18 @@ pub(crate) fn spawn_watchdog(shared: &Arc<Shared>) -> std::thread::JoinHandle<()
 
 fn promote_due_retries(shared: &Shared) {
     let now = Instant::now();
-    let due: Vec<String> = {
-        let mut pending = shared
-            .supervisor
-            .pending
-            .lock()
-            .expect("pending retries lock");
-        let mut due = Vec::new();
-        pending.retain(|p| {
-            if p.due <= now {
-                due.push(p.id.clone());
-                false
-            } else {
-                true
-            }
-        });
-        due
-    };
-    for id in due {
-        let Some(job) = shared.table.get(&id) else {
+    let due: Vec<PendingRetry> = (shared.supervisor.pending.lock())
+        .expect("pending retries lock")
+        .extract_if(.., |p| p.due <= now)
+        .collect();
+    for PendingRetry { id, .. } in due {
+        let Some(kill) = shared.table.with(&id, Job::kill_reason) else {
             continue;
         };
-        if job.kill_reason() == Some(KillReason::Cancel) {
+        if kill == Some(KillReason::Cancel) {
             // Cancelled while waiting out the backoff: finish without
             // ever re-running.
-            shared.finish_job(&id, JobState::Cancelled, None, 0.0, None);
+            let _ = shared.record(&id, Transition::Terminal(Outcome::cancelled()));
             continue;
         }
         if shared.supervisor.is_draining() {
@@ -308,14 +257,18 @@ fn promote_due_retries(shared: &Shared) {
 }
 
 fn check_running(shared: &Shared) {
-    for job in shared.table.snapshot() {
-        if job.state != JobState::Running || job.kill_reason().is_some() {
-            continue;
+    shared.table.for_each(|job| {
+        let Some((t0, _)) = job.running() else {
+            return;
+        };
+        if job.kill_reason().is_some() {
+            return;
         }
-        if let (Some(deadline), Some(t0)) = (job.deadline_secs, job.started) {
+        let tel = &job.telemetry;
+        if let Some(deadline) = job.deadline_secs {
             if t0.elapsed().as_secs_f64() > deadline as f64 {
                 if job.request_kill(KillReason::Deadline) {
-                    shared.job_telemetry(&job.id).event(
+                    tel.event(
                         "watchdog",
                         vec![
                             ("action", Json::Str("deadline-kill".to_owned())),
@@ -323,28 +276,24 @@ fn check_running(shared: &Shared) {
                         ],
                     );
                 }
-                continue;
+                return;
             }
         }
-        if let Some(stall) = shared.config.stall_timeout_secs {
-            let Some(tel) = shared.telemetry.get(&job.id) else {
-                continue;
-            };
-            // Only children that spoke the frame protocol can stall;
-            // silence from a mute child means nothing.
-            if let Some(silence) = tel.frame_silence_secs() {
-                if silence > stall as f64 && job.request_kill(KillReason::Stall) {
-                    tel.event(
-                        "watchdog",
-                        vec![
-                            ("action", Json::Str("stall-kill".to_owned())),
-                            ("silence_secs", Json::Num(silence)),
-                        ],
-                    );
-                }
+        // Only children that spoke the frame protocol can stall;
+        // silence from a mute child means nothing.
+        let stall = shared.config.stall_timeout_secs;
+        if let (Some(stall), Some(silence)) = (stall, tel.frame_silence_secs()) {
+            if silence > stall as f64 && job.request_kill(KillReason::Stall) {
+                tel.event(
+                    "watchdog",
+                    vec![
+                        ("action", Json::Str("stall-kill".to_owned())),
+                        ("silence_secs", Json::Num(silence)),
+                    ],
+                );
             }
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -371,7 +320,7 @@ mod tests {
 
     #[test]
     fn breaker_opens_rejects_then_half_opens() {
-        let sup = Supervisor::new();
+        let sup = Supervisor::default();
         assert_eq!(sup.breaker_check(42), None, "closed by default");
         sup.breaker_open(42, "poison".to_owned(), Duration::from_secs(60));
         let (reason, retry_after) = sup.breaker_check(42).expect("open");
@@ -407,7 +356,7 @@ mod tests {
 
     #[test]
     fn drain_flag_flips_once() {
-        let sup = Supervisor::new();
+        let sup = Supervisor::default();
         assert!(!sup.is_draining());
         assert!(sup.begin_drain(), "first call flips");
         assert!(!sup.begin_drain(), "second call is a no-op");

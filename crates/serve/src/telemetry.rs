@@ -10,13 +10,16 @@
 //! timeline or into the span slots held back for it. The job's registry
 //! numbers are not on the stream: their one home is the `metrics.json`
 //! and `timescales.json` artifacts the run writes itself. This module
-//! owns everything the daemon keeps per job:
+//! holds the telemetry half of what the daemon keeps per job:
 //!
-//! * [`JobTelemetry`] — a bounded [`EventRing`] feeding
-//!   `GET /jobs/ID/events`, progress state driving the job ETA, the
-//!   liveness clock the stall watchdog reads, the stream's frame and
-//!   byte counters, and the bounded trace-span store behind
-//!   `GET /jobs/ID/trace`.
+//! * [`JobTelemetry`] — owned by the job's record in the job table — a
+//!   bounded [`EventRing`] feeding `GET /jobs/ID/events`, progress state
+//!   driving the job ETA, the liveness clock the stall watchdog reads,
+//!   the stream's frame and byte counters, and the bounded trace-span
+//!   store behind `GET /jobs/ID/trace`. The lifecycle events and spans
+//!   in it are written from the record's transitions; the rest comes
+//!   from the child's frames, the runner's heartbeats and the spans the
+//!   runner measures (admission, spawn, finalization).
 //! * [`Sink`] — the per-job listener plus the ingest thread that
 //!   blocks in `accept` for the child's one connection, decodes the
 //!   stream and unparks the runner when it ends. A child that never
@@ -32,11 +35,12 @@
 //! `received + dropped == produced` always holds, so a watcher can
 //! tell silence from loss.
 
+use crate::trace::JobSpans;
 use spindle_obs::frame::{render_args, Frame, FrameDecoder, SpanOrigin, TraceSpan};
 use spindle_obs::json::Json;
 use spindle_obs::MetricsRegistry;
 use spindle_pulse::sampler::SampleWindow;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -171,16 +175,6 @@ impl EventRing {
     }
 }
 
-impl std::fmt::Debug for EventRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventRing")
-            .field("cap", &self.cap)
-            .field("next_seq", &self.next_seq)
-            .field("retained", &self.events.len())
-            .finish()
-    }
-}
-
 /// Progress reported by the job's own frames, with the sample window
 /// the ETA is derived from.
 struct ProgressState {
@@ -194,7 +188,8 @@ struct ProgressState {
 
 /// Everything the daemon holds for one job's telemetry.
 pub(crate) struct JobTelemetry {
-    epoch: Instant,
+    /// The instant daemon-side trace spans are measured against.
+    pub(crate) epoch: Instant,
     events: Mutex<EventRing>,
     progress: Mutex<ProgressState>,
     pub(crate) frames: AtomicU64,
@@ -213,9 +208,6 @@ pub(crate) struct JobTelemetry {
     /// wall spans onto the daemon timeline.
     clock_offset_ns: AtomicI64,
     offset_known: AtomicBool,
-    /// When the job last became runnable (admission, or a retry's due
-    /// time); the queue-wait span runs from here to attempt start.
-    runnable_at: Mutex<Option<Instant>>,
 }
 
 impl JobTelemetry {
@@ -238,57 +230,26 @@ impl JobTelemetry {
             spans: Mutex::new(SpanStore::new(TRACE_SPAN_CAP)),
             clock_offset_ns: AtomicI64::new(0),
             offset_known: AtomicBool::new(false),
-            runnable_at: Mutex::new(None),
         }
     }
 
-    /// The instant daemon-side trace spans are measured against.
-    pub(crate) fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
-    /// Marks the instant the job became runnable (admission, or a
-    /// retry's scheduled due time).
-    pub(crate) fn mark_runnable(&self, at: Instant) {
-        *self.runnable_at.lock().expect("runnable lock") = Some(at);
-    }
-
-    /// The last recorded runnable instant, if any.
-    pub(crate) fn runnable_at(&self) -> Option<Instant> {
-        *self.runnable_at.lock().expect("runnable lock")
-    }
-
-    /// Records one daemon-side lifecycle span on the daemon timeline.
-    pub(crate) fn trace_span(
+    /// Records one daemon lifecycle span on the `daemon` track of the
+    /// daemon timeline; without a duration it is an instant event.
+    pub(crate) fn daemon_span(
         &self,
-        track: &str,
         name: &str,
         begin: Instant,
-        dur: Duration,
-        args: Vec<(String, Json)>,
+        dur: Option<Duration>,
+        args: Vec<(&str, Json)>,
     ) {
-        let begin_ns = begin
-            .checked_duration_since(self.epoch)
-            .map_or(0, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        let args: Vec<_> = args.into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
         self.push_span(TraceSpan {
             origin: SpanOrigin::Daemon,
-            track: track.to_owned(),
+            track: "daemon".to_owned(),
             name: name.to_owned(),
-            begin_ns,
-            dur_ns: Some(u64::try_from(dur.as_nanos()).unwrap_or(u64::MAX)),
-            args: render_args(&args),
-        });
-    }
-
-    /// Records one daemon-side instant event ("now", zero duration).
-    pub(crate) fn trace_instant(&self, track: &str, name: &str, args: Vec<(String, Json)>) {
-        let begin_ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.push_span(TraceSpan {
-            origin: SpanOrigin::Daemon,
-            track: track.to_owned(),
-            name: name.to_owned(),
-            begin_ns,
-            dur_ns: None,
+            begin_ns: begin.checked_duration_since(self.epoch).map_or(0, ns),
+            dur_ns: dur.map(ns),
             args: render_args(&args),
         });
     }
@@ -297,11 +258,30 @@ impl JobTelemetry {
         self.spans.lock().expect("span store lock").push(span);
     }
 
-    /// `(spans, dropped)` — everything retained for trace assembly,
-    /// with the exact count of spans the bound shed.
-    pub(crate) fn trace_spans(&self) -> (Vec<TraceSpan>, u64) {
+    /// Everything retained for trace assembly of job `id`, with the
+    /// exact count of spans the bound shed.
+    pub(crate) fn trace_spans(&self, id: &str) -> JobSpans {
         let store = self.spans.lock().expect("span store lock");
-        (store.spans.clone(), store.dropped)
+        JobSpans {
+            id: id.to_owned(),
+            spans: store.spans.clone(),
+            offset_ns: self.child_offset_ns(),
+            dropped: store.dropped,
+        }
+    }
+
+    /// Refills the span store from a persisted span set (a finished job
+    /// replayed on resume), so its trace reads as it did before.
+    pub(crate) fn restore(&self, job: JobSpans) {
+        let mut store = self.spans.lock().expect("span store lock");
+        for span in job.spans {
+            store.push(span);
+        }
+        store.dropped = store.dropped.saturating_add(job.dropped);
+        if let Some(offset) = job.offset_ns {
+            self.clock_offset_ns.store(offset, Ordering::Release);
+            self.offset_known.store(true, Ordering::Release);
+        }
     }
 
     /// The Hello-derived clock offset, once a child has said hello.
@@ -325,15 +305,11 @@ impl JobTelemetry {
         Some(now.saturating_sub(last) as f64 / 1000.0)
     }
 
-    /// Marks the liveness clock; called per decoded frame.
-    fn touch(&self) {
-        self.last_frame_ms.store(self.t_ms(), Ordering::Release);
-    }
-
-    /// Resets the liveness clock at an attempt start, so a retry is
-    /// not judged stalled by the previous attempt's last frame time.
+    /// Marks the liveness clock: per decoded frame, and at an attempt
+    /// start, so a retry is not judged stalled by the previous
+    /// attempt's last frame time.
     pub(crate) fn mark_alive(&self) {
-        self.touch();
+        self.last_frame_ms.store(self.t_ms(), Ordering::Release);
     }
 
     fn t_ms(&self) -> u64 {
@@ -457,34 +433,6 @@ impl std::fmt::Debug for JobTelemetry {
     }
 }
 
-/// The per-job telemetry table. Entries are created at admission (so
-/// the event stream exists from `queued` on) and live as long as the
-/// job record does.
-#[derive(Default, Debug)]
-pub(crate) struct TelemetryMap {
-    jobs: Mutex<BTreeMap<String, Arc<JobTelemetry>>>,
-}
-
-impl TelemetryMap {
-    pub(crate) fn ensure(&self, id: &str, ring_cap: usize) -> Arc<JobTelemetry> {
-        Arc::clone(
-            self.jobs
-                .lock()
-                .expect("telemetry map lock")
-                .entry(id.to_owned())
-                .or_insert_with(|| Arc::new(JobTelemetry::new(ring_cap))),
-        )
-    }
-
-    pub(crate) fn get(&self, id: &str) -> Option<Arc<JobTelemetry>> {
-        self.jobs
-            .lock()
-            .expect("telemetry map lock")
-            .get(id)
-            .cloned()
-    }
-}
-
 /// The per-job telemetry sink: a loopback listener whose address the
 /// runner hands the child via `SPINDLE_TELEMETRY_SINK`. The runner
 /// keeps it until ingest has joined ([`Sink::finish`]), so the port
@@ -568,7 +516,7 @@ pub(crate) fn ingest_stream(
                     match decoder.next_frame() {
                         Ok(Some(frame)) => {
                             registry.counter("serve.telemetry.frames").inc();
-                            tel.touch();
+                            tel.mark_alive();
                             tel.frames.fetch_add(1, Ordering::Relaxed);
                             tel.apply_frame(frame);
                         }
@@ -785,7 +733,7 @@ mod tests {
             frames_sent: total_sent,
             spans_dropped: child_shed,
         });
-        let (spans, dropped) = tel.trace_spans();
+        let JobSpans { spans, dropped, .. } = tel.trace_spans("t");
         let bulk_cap = TRACE_SPAN_CAP - DAEMON_SPAN_RESERVE;
         assert_eq!(spans.len(), bulk_cap, "bulk retention is bounded");
         assert!(
@@ -801,9 +749,13 @@ mod tests {
         // the reserve exists precisely so a chatty child cannot evict
         // the attempt/finalize story told at the end of a run.
         for i in 0..DAEMON_SPAN_RESERVE {
-            tel.trace_instant("daemon", &format!("late{i}"), Vec::new());
+            tel.daemon_span(&format!("late{i}"), Instant::now(), None, Vec::new());
         }
-        let (spans2, dropped2) = tel.trace_spans();
+        let JobSpans {
+            spans: spans2,
+            dropped: dropped2,
+            ..
+        } = tel.trace_spans("t");
         assert_eq!(spans2.len(), TRACE_SPAN_CAP, "reserve filled to cap");
         assert_eq!(dropped2, dropped, "no daemon span was shed");
         assert!(spans2
@@ -811,8 +763,12 @@ mod tests {
             .any(|s| s.origin == SpanOrigin::Daemon && s.name == "late0"));
         // Past the cap even daemon spans drop — but still exactly
         // accounted.
-        tel.trace_instant("daemon", "overflow", Vec::new());
-        let (spans3, dropped3) = tel.trace_spans();
+        tel.daemon_span("overflow", Instant::now(), None, Vec::new());
+        let JobSpans {
+            spans: spans3,
+            dropped: dropped3,
+            ..
+        } = tel.trace_spans("t");
         assert_eq!(spans3.len(), TRACE_SPAN_CAP);
         assert_eq!(dropped3, dropped + 1);
     }

@@ -144,31 +144,25 @@ pub fn load_spans(path: &Path) -> Result<JobSpans, String> {
 pub fn assemble_dir(dir: &Path) -> Result<Json, String> {
     let job = load_spans(&dir.join(SPANS_FILE))?;
     let mut doc = job_trace_doc(&job);
-    if let Some(parent) = dir.parent() {
-        let journal_path = parent.join(crate::journal::JOURNAL_FILE);
-        if journal_path.is_file() {
-            if let Ok(jobs) = crate::journal::load(&journal_path) {
-                if let Some(loaded) = jobs.iter().find(|j| j.id == job.id) {
-                    if let Json::Obj(members) = &mut doc {
-                        members.push((
-                            "journal".to_owned(),
-                            Json::Obj(vec![
-                                (
-                                    "attempts".to_owned(),
-                                    Json::Uint(u64::from(loaded.attempts)),
-                                ),
-                                (
-                                    "finished".to_owned(),
-                                    loaded.finished.as_ref().map_or(Json::Null, |f| {
-                                        Json::Str(f.state.as_str().to_owned())
-                                    }),
-                                ),
-                            ]),
-                        ));
-                    }
-                }
-            }
-        }
+    let journal = dir
+        .parent()
+        .map(|parent| parent.join(crate::journal::JOURNAL_FILE))
+        .filter(|path| path.is_file())
+        .and_then(|path| crate::journal::load(&path).ok());
+    let loaded = journal.iter().flatten().find(|j| j.id == job.id);
+    if let (Some(loaded), Json::Obj(members)) = (loaded, &mut doc) {
+        let finished = loaded.finished.as_ref();
+        let state = finished.map_or(Json::Null, |f| Json::Str(f.state.as_str().to_owned()));
+        members.push((
+            "journal".to_owned(),
+            Json::Obj(vec![
+                (
+                    "attempts".to_owned(),
+                    Json::Uint(u64::from(loaded.attempts)),
+                ),
+                ("finished".to_owned(), state),
+            ]),
+        ));
     }
     Ok(doc)
 }

@@ -311,6 +311,18 @@ else
             echo "FAILED: orphaned job not flagged as re-adopted after --resume-dir" >&2
             fail=1
         fi
+        # A job finished before the kill keeps its trace across the
+        # restart: the replayed record serves the same slices as the
+        # offline assembly of the spans.jsonl it persisted.
+        echo "==> replayed job trace (/jobs/job-0001/trace vs trace assemble)"
+        LIVE_SLICES=$(curl -s "http://$ADDR/jobs/job-0001/trace" | grep -o '"ph":"X"' | wc -l)
+        OFFLINE_SLICES=$("$SPINDLE" trace assemble --dir "$SERVE_DIR/job-0001" \
+            | grep -o '"ph":"X"' | wc -l)
+        if [ "$LIVE_SLICES" -eq 0 ] || [ "$LIVE_SLICES" -ne "$OFFLINE_SLICES" ]; then
+            echo "FAILED: replayed job-0001 trace has $LIVE_SLICES slices," \
+                "its spans.jsonl assembles to $OFFLINE_SLICES" >&2
+            fail=1
+        fi
         # Served budget (ROADMAP item 2): a served analyze attempt,
         # spawn to exit as the job's `attempt` span records it, costs
         # at most 3x the same run straight on the CLI. Medians of five
