@@ -441,7 +441,7 @@ fn serve_config(
     config.parallel = parallel;
     config.resume = resume;
     // Supervision knobs. A deadline of 0 means "no default"; a stall
-    // timeout of 0 disables the liveness watchdog entirely.
+    // timeout of 0 disables stall detection entirely.
     let default_deadline: u64 = opts.get_or("default-deadline", 0)?;
     config.default_deadline_secs = (default_deadline > 0).then_some(default_deadline);
     config.max_deadline_secs =

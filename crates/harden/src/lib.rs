@@ -241,8 +241,8 @@ impl FaultPlan {
 
     /// Should the telemetry exporter fall permanently silent once its
     /// tick counter reaches `tick`? Simulates a live child whose
-    /// telemetry stream wedges — the serve watchdog's stall detector
-    /// is the consumer.
+    /// telemetry stream wedges — the serve runner's stall check is the
+    /// consumer.
     #[must_use]
     pub fn stall_at(&self, tick: u64) -> bool {
         self.stalls.iter().any(|&s| s <= tick)

@@ -11,7 +11,7 @@
 //!
 //! * [`Frame::Progress`] — phase name plus completed/total work units,
 //!   sent on every export tick: it is both the progress report and the
-//!   heartbeat the daemon's stall watchdog reads.
+//!   heartbeat the daemon's stall check reads.
 //! * [`Frame::Span`] — one of the child's flight-recorder wall spans on
 //!   its monotonic clock, shipped at shutdown so the daemon can
 //!   assemble a causal cross-process trace. The body is a

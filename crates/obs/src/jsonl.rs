@@ -123,12 +123,40 @@ mod tests {
         doc.get("n")?.as_u64()
     }
 
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("spindle-jsonl-{}", std::process::id()));
+    /// A scratch path unique to this test process and tag. It sits in a
+    /// directory of its own, which goes, with everything the test wrote
+    /// next to the path, when the handle drops.
+    struct Scratch(PathBuf);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            if let Some(dir) = self.0.parent() {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    impl std::ops::Deref for Scratch {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for Scratch {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    fn temp_path(name: &str) -> Scratch {
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("spindle-jsonl-{pid}-{name}"));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join(name);
         let _ = std::fs::remove_file(&path);
-        path
+        Scratch(path)
     }
 
     fn load(path: &Path) -> Result<Vec<(u64, u64)>, String> {

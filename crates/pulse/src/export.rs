@@ -36,7 +36,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// How often the exporter ships a progress frame. Finer than the
-/// sampler's 250 ms so the daemon's stall watchdog hears a heartbeat
+/// sampler's 250 ms so the daemon's stall check hears a heartbeat
 /// well inside any timeout.
 pub const EXPORT_CADENCE: Duration = Duration::from_millis(100);
 
@@ -83,7 +83,7 @@ impl Shared {
         // An installed `stall@N` fault wedges the telemetry stream once
         // the tick counter reaches N: the socket stays open and the run
         // keeps going, but no further frame is ever written — the shape
-        // the serve watchdog's liveness detector exists to catch.
+        // the serve runner's stall check exists to catch.
         let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
         if let Some(plan) = spindle_harden::installed() {
             if plan.stall_at(tick) {

@@ -457,8 +457,8 @@ fn deadline(h: &mut Harness, seed: u64) -> Scenario {
 }
 
 /// A child that speaks the telemetry protocol (two frames) then goes
-/// silent while hung: the watchdog stall-kills it each attempt until
-/// the budget is spent and it lands `stalled`.
+/// silent while hung: its runner stall-kills it each attempt until the
+/// budget is spent and it lands `stalled`.
 fn stall(h: &mut Harness, seed: u64) -> Scenario {
     scenario(
         "stall",

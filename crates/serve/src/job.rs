@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// A job's lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
-    /// Accepted, waiting for a runner (including retry backoff).
+    /// Accepted, waiting in the run queue (including retry backoff).
     Queued,
     /// A runner is executing it.
     Running,
@@ -30,9 +30,9 @@ pub enum JobState {
     Failed,
     /// Cancelled before or during execution.
     Cancelled,
-    /// Killed by the watchdog for exceeding its deadline.
+    /// Killed by its runner for exceeding its deadline.
     TimedOut,
-    /// Killed by the watchdog for telemetry silence, retries exhausted.
+    /// Killed by its runner for telemetry silence, retries exhausted.
     Stalled,
     /// Exhausted every retry on transient-looking failures; the spec's
     /// fingerprint trips the poison circuit breaker.
@@ -80,11 +80,11 @@ impl JobState {
     }
 }
 
-/// Why a running child is being killed. The watchdog, the cancel
-/// endpoint, and drain all *request* a kill by setting the job's flag;
-/// the runner — sole owner of the `Child` — performs it and maps the
-/// reason to an outcome. First reason wins. The discriminant is the
-/// flag's value (0 = no request).
+/// Why a running child is being killed. The runner's deadline and
+/// stall checks, the cancel endpoint, and drain all *request* a kill
+/// by setting the job's flag; the runner — sole owner of the `Child` —
+/// performs it and maps the reason to an outcome. First reason wins.
+/// The discriminant is the flag's value (0 = no request).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum KillReason {
@@ -106,7 +106,7 @@ pub enum CancelVerdict {
     /// Already terminal — cancelling is a conflict, and the runner is
     /// guaranteed not to touch the (possibly completed) artifacts.
     Terminal(JobState),
-    /// Kill requested; the runner or watchdog will finish the job.
+    /// Kill requested; the runner will finish the job.
     Requested,
 }
 
@@ -239,7 +239,7 @@ pub struct Job {
     /// journal rather than submitted to this process.
     pub readopted: bool,
     /// Effective deadline (spec value or daemon default, clamped by
-    /// `--max-deadline`), enforced per attempt by the watchdog.
+    /// `--max-deadline`), enforced per attempt by the runner.
     pub deadline_secs: Option<u64>,
     /// Event ring, progress, liveness and spans.
     pub(crate) telemetry: Arc<JobTelemetry>,

@@ -4,7 +4,7 @@
 //! into a long-lived job service: clients `POST /jobs` a JSON spec
 //! naming one of the existing CLI verbs (simulate / analyze /
 //! generate / matrix), the daemon validates it, admits it
-//! into a bounded FIFO queue (HTTP 429 + `Retry-After` when full),
+//! into the run queue (HTTP 429 + `Retry-After` past its bound),
 //! and executes it with a configurable job-level parallelism cap.
 //!
 //! Each accepted job gets a deterministic id (`job-0001`, ...) and a
@@ -31,10 +31,11 @@
 //! resume, and because jobs are deterministic the second attempt's
 //! artifacts are byte-identical to what the first would have written.
 //!
-//! A supervision layer hardens the lifecycle: per-job deadlines and a
-//! telemetry-liveness watchdog kill hung children (`timed_out` /
-//! `stalled`), transient failures retry with deterministic exponential
-//! backoff (each attempt journaled, so resume replays the history),
+//! A supervision layer hardens the lifecycle: the runner that owns a
+//! child kills it past its deadline or after its telemetry goes silent
+//! (`timed_out` / `stalled`), transient failures wait in the run queue
+//! for a deterministic exponential backoff before they retry (each
+//! attempt journaled, so resume replays the history),
 //! specs that burn every attempt are `quarantined` behind a circuit
 //! breaker that fast-rejects identical resubmissions, and
 //! [`ServeHandle::drain`] turns SIGTERM into a graceful handoff:
@@ -68,7 +69,7 @@ pub mod trace;
 
 use crate::job::{Job, JobState, JobTable, Outcome, Transition};
 use crate::journal::{Journal, JOURNAL_FILE};
-use crate::queue::{JobQueue, PushError};
+use crate::queue::JobQueue;
 use crate::spec::{JobSpec, SpecError};
 use spindle_obs::json::Json;
 use spindle_obs::MetricsRegistry;
@@ -213,16 +214,17 @@ pub(crate) enum Admission {
 /// Shared daemon state: queue, table, journal, metrics, status.
 pub(crate) struct Shared {
     pub config: ServeConfig,
-    /// The advertised admission bound. The queue's own capacity can be
-    /// larger after a resume (re-adopted jobs bypass admission), so
-    /// `admit` checks depth against this, not the queue's capacity.
+    /// The admission bound on the run queue's depth (`--queue-bound`).
+    /// Re-adopted jobs and retries bypass it.
     pub admission_bound: usize,
+    /// Where every job waits to run, retries included; it also holds
+    /// the drain latch.
     pub queue: JobQueue,
     /// Every job's record: its transitions and its telemetry.
     pub table: JobTable,
     journal: Mutex<Journal>,
-    /// Serializes id allocation + journal append + enqueue so journal
-    /// order equals queue order.
+    /// Serializes the bound check, id allocation, journal append and
+    /// enqueue, so journal order equals queue order.
     admission: Mutex<u64>,
     pub registry: &'static MetricsRegistry,
     pub status: Arc<RunStatus>,
@@ -235,7 +237,7 @@ pub(crate) struct Shared {
     /// EWMA of completed-job wall time in milliseconds (drives
     /// `Retry-After`); 0 until the first completion.
     ewma_ms: AtomicU64,
-    /// Supervision state: drain flag, parked retries, poison breaker.
+    /// The poison-spec circuit breaker.
     pub supervisor: supervise::Supervisor,
     pub stop: AtomicBool,
 }
@@ -279,8 +281,8 @@ impl Shared {
 
     /// Admits a validated spec: allocates the next id, inserts the
     /// record, records its `queued` transition (the journal fsync
-    /// happens there, before the 201), and enqueues — or turns a full
-    /// queue into a `Retry-After` verdict.
+    /// happens there, before the 201), and enqueues it, due at once —
+    /// or turns a queue at its bound into a `Retry-After` verdict.
     ///
     /// # Errors
     ///
@@ -288,7 +290,7 @@ impl Shared {
     /// dir or journal cannot be written, or the daemon is stopping.
     pub fn admit(&self, spec: JobSpec) -> Result<Admission, String> {
         let admit_start = Instant::now();
-        if self.supervisor.is_draining() {
+        if self.queue.is_draining() {
             self.registry.counter("serve.jobs_rejected").inc();
             return Ok(Admission::Draining {
                 retry_after_secs: self.retry_after_secs(self.queue.depth().max(1)),
@@ -323,16 +325,13 @@ impl Shared {
         job.deadline_secs = self.effective_deadline(job.spec.deadline_secs);
         let tel = Arc::clone(&job.telemetry);
         self.table.insert(job);
-        if let Err(e) = self.record(
-            &id,
-            Transition::Queued {
-                attempt: 0,
-                retry: None,
-            },
-        ) {
-            self.table.remove(&id);
-            return Err(e);
-        }
+        let queued = Transition::Queued {
+            attempt: 0,
+            retry: None,
+        };
+        let at = self
+            .record(&id, queued)
+            .inspect_err(|_| self.table.remove(&id))?;
         // The admission decision is the first span on the job's daemon
         // timeline.
         let admit = Some(admit_start.elapsed());
@@ -342,10 +341,8 @@ impl Shared {
             admit,
             vec![("id", Json::Str(id.clone()))],
         );
-        match self.queue.push(id.clone()) {
-            Ok(()) => {}
-            Err(PushError::Full) => unreachable!("depth checked under the admission lock"),
-            Err(PushError::Closed) => return Err("server is shutting down".to_owned()),
+        if !self.queue.push(id.clone(), at) {
+            return Err("server is shutting down".to_owned());
         }
         drop(seq);
         Ok(Admission::Accepted(id))
@@ -361,9 +358,9 @@ impl Shared {
 
     /// Re-adopts or replays one journal-loaded job (resume path): its
     /// journaled transitions go through [`Shared::replay`], and a
-    /// finished job gets back the spans it persisted. Returns whether
-    /// it was re-enqueued.
-    fn adopt(&self, loaded: journal::LoadedJob) -> bool {
+    /// finished job gets back the spans it persisted, and one that
+    /// still owes work goes back in the run queue, due at once.
+    fn adopt(&self, loaded: journal::LoadedJob) {
         let id = loaded.id;
         let mut job = Job::new(id.clone(), loaded.spec, self.config.event_ring_cap);
         job.readopted = loaded.finished.is_none();
@@ -381,10 +378,8 @@ impl Shared {
             },
         );
         let Some(f) = loaded.finished else {
-            self.queue
-                .push(id)
-                .expect("resume queue sized for every incomplete job");
-            return true;
+            let _ = self.queue.push(id, Instant::now());
+            return;
         };
         // A missing or damaged span file leaves the store empty.
         if let Ok(spans) = trace::load_spans(&self.job_dir(&id).join(trace::SPANS_FILE)) {
@@ -397,7 +392,6 @@ impl Shared {
             error: None,
         };
         self.replay(&id, Transition::Terminal(outcome));
-        false
     }
 
     /// Records one lifecycle transition of `id` and derives every view
@@ -551,7 +545,6 @@ pub struct ServeHandle {
     shared: Arc<Shared>,
     http: spindle_pulse::http::Acceptor,
     runner_threads: Vec<std::thread::JoinHandle<()>>,
-    watchdog: std::thread::JoinHandle<()>,
 }
 
 impl ServeHandle {
@@ -561,8 +554,9 @@ impl ServeHandle {
         self.http.local_addr()
     }
 
-    /// Stops accepting, drains nothing further from the queue, waits
-    /// for in-flight jobs to finish, and stops the sampler.
+    /// Stops accepting, lets the runners finish their in-flight jobs
+    /// and whatever in the queue is already due (unless draining), and
+    /// stops the sampler.
     pub fn stop(self) {
         self.shared.stop.store(true, Ordering::Release);
         self.shared.queue.close();
@@ -570,7 +564,6 @@ impl ServeHandle {
         for h in self.runner_threads {
             let _ = h.join();
         }
-        let _ = self.watchdog.join();
         self.shared.sampler.stop();
     }
 
@@ -578,7 +571,7 @@ impl ServeHandle {
     /// `Retry-After`, runners stop claiming queued work, running jobs
     /// keep going. Idempotent.
     pub fn begin_drain(&self) {
-        if self.shared.supervisor.begin_drain() {
+        if self.shared.queue.begin_drain() {
             self.shared.registry.counter("serve.drains").inc();
             self.shared.status.set_phase("draining");
         }
@@ -654,7 +647,6 @@ pub fn serve_with_registry(
     };
     let journal = Journal::open(&journal_path)?;
 
-    let incomplete = adopted.iter().filter(|j| j.finished.is_none()).count();
     let max_seq = adopted
         .iter()
         .filter_map(|j| j.id.strip_prefix("job-")?.parse::<u64>().ok())
@@ -671,10 +663,7 @@ pub fn serve_with_registry(
 
     let shared = Arc::new(Shared {
         admission_bound: config.queue_bound.max(1),
-        // Re-adopted jobs bypass admission control: the queue must
-        // hold all of them plus the configured bound's worth of new
-        // work.
-        queue: JobQueue::new(config.queue_bound.max(1) + incomplete),
+        queue: JobQueue::new(),
         table: JobTable::new(),
         journal: Mutex::new(journal),
         admission: Mutex::new(max_seq),
@@ -688,10 +677,9 @@ pub fn serve_with_registry(
         stop: AtomicBool::new(false),
         config,
     });
-    // The admission bound stays the configured one even though the
-    // deque is larger: `admit` checks depth against `admission_bound`.
-    // Replaying journaled completions in journal order also seeds the
-    // `Retry-After` EWMA with the durations they observed.
+    // Re-adopted jobs bypass the admission bound. Replaying journaled
+    // completions in journal order also seeds the `Retry-After` EWMA
+    // with the durations they observed.
     for loaded in adopted {
         shared.adopt(loaded);
     }
@@ -701,12 +689,10 @@ pub fn serve_with_registry(
     let http =
         server::start(&addr, &shared).map_err(|e| format!("cannot serve jobs on `{addr}`: {e}"))?;
     let runner_threads = runner::spawn(&shared, shared.config.parallel.max(1));
-    let watchdog = supervise::spawn_watchdog(&shared);
     Ok(ServeHandle {
         shared,
         http,
         runner_threads,
-        watchdog,
     })
 }
 
@@ -1142,6 +1128,45 @@ mod tests {
         wait_for("blocker cancelled", || {
             job_state(&addr, &blocker_id) == "cancelled"
         });
+        handle.stop();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_job_backing_off_before_a_retry_cancels_immediately() {
+        // The first attempt's backoff is 1-2 s, long enough to cancel in.
+        let (handle, addr, dir) = test_daemon_with("cancel-backoff", 4, 1, |c| {
+            c.retry_base_ms = 1000;
+        });
+        // Span 777 SIGKILLs itself once, so the job backs off to retry.
+        let id = job_id(&submit(
+            &addr,
+            r#"{"kind":"generate","env":"web","span":777,"seed":21}"#,
+        ));
+        wait_for("the retry to back off", || {
+            let r = request(&addr, "GET", &format!("/jobs/{id}"), None).unwrap();
+            r.body.contains("\"state\":\"queued\"") && r.body.contains("\"attempt\":1")
+        });
+        let r = request(&addr, "DELETE", &format!("/jobs/{id}"), None).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(r.body.contains("\"state\":\"cancelled\""), "{}", r.body);
+        assert_eq!(job_state(&addr, &id), "cancelled");
+
+        // Past the backoff's end, the job still ran only once.
+        std::thread::sleep(Duration::from_millis(2100));
+        let v = job_views(&addr, &dir, &id, "event: end");
+        assert_eq!(v.state, "cancelled", "{v:?}");
+        assert_eq!((v.attempt, v.journal_retries, v.sse_retries), (1, 1, 1));
+        assert_eq!(v.journal_end.as_deref(), Some("cancelled"), "{v:?}");
+        assert_eq!(v.sse_end.as_deref(), Some("cancelled"), "{v:?}");
+        assert_eq!(v.attempt_spans, 1, "no second attempt: {v:?}");
+        let mut events = std::net::TcpStream::connect(&addr).unwrap();
+        {
+            use std::io::Write;
+            write!(events, "GET /jobs/{id}/events HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+        }
+        let raw = read_sse(&mut events, Instant::now() + Duration::from_secs(10));
+        assert_eq!(raw.matches("\"state\":\"running\"").count(), 1, "{raw}");
         handle.stop();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,10 +1,11 @@
-//! Job runners: N threads draining the queue into child processes.
-//! A runner parks while its child runs and asks `try_wait`, the only
-//! authority on exit, each time it wakes: when the job's ingest thread
-//! unparks it at the end of the child's telemetry stream, or on the
-//! backoff of [`CHILD_POLL`].
+//! Job runners: N threads draining the run queue into child
+//! processes. A runner parks while its child runs and, each time it
+//! wakes, asks `try_wait`, the only authority on exit, then checks the
+//! attempt's deadline and stall timeout and any kill request. It wakes
+//! when the job's ingest thread unparks it at the end of the child's
+//! telemetry stream, or on the backoff of [`CHILD_POLL`].
 
-use crate::job::{JobState, KillReason, Outcome, Transition};
+use crate::job::{Job, JobState, KillReason, Outcome, Transition};
 use crate::telemetry::{JobTelemetry, Sink};
 use crate::{supervise, Shared};
 use spindle_obs::json::Json;
@@ -14,16 +15,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The longest a runner parks between looks at its child's exit and
-/// at a kill request. After a spawn, and after the unpark at the end
-/// of the child's stream, it parks [`FIRST_NAP`] and doubles from
-/// there, so a quick child that never connects, or one that closes its
-/// stream before it exits, is seen soon.
+/// The longest a runner parks between looks at its child's exit, its
+/// deadline, its telemetry silence and a kill request. After a spawn,
+/// and after the unpark at the end of the child's stream, it parks
+/// [`FIRST_NAP`] and doubles from there, so a quick child that never
+/// connects, or one that closes its stream before it exits, is seen
+/// soon.
 pub(crate) const CHILD_POLL: Duration = Duration::from_millis(25);
 const FIRST_NAP: Duration = Duration::from_millis(1);
 
-/// How long a runner blocks on the queue before re-checking the stop
-/// flag.
+/// How long a runner blocks on the run queue before re-checking the
+/// stop flag.
 const QUEUE_POLL: Duration = Duration::from_millis(200);
 
 /// Bytes of stderr tail attached to a failed job's error field.
@@ -42,30 +44,18 @@ pub(crate) fn spawn(shared: &Arc<Shared>, n: usize) -> Vec<JoinHandle<()>> {
         .collect()
 }
 
+/// Runs jobs until the daemon stops. The queue hands out nothing while
+/// draining: queued work is the next daemon's, left `queued` with no
+/// terminal journal record so a `--resume-dir` restart re-adopts it.
+/// After a plain stop it still hands out what is due, so jobs that
+/// admission journaled and answered 201 before the stop run first.
 fn runner_loop(shared: &Shared) {
-    while !shared.stop.load(Ordering::Acquire) {
-        if shared.supervisor.is_draining() {
-            // Draining: queued work is the next daemon's. It stays in
-            // the table as `queued` with no terminal journal record,
-            // so a restart with --resume-dir re-adopts it.
-            std::thread::sleep(QUEUE_POLL);
-            continue;
+    loop {
+        match shared.queue.pop(QUEUE_POLL) {
+            Some(id) => run_job(shared, &id),
+            None if shared.stop.load(Ordering::Acquire) => return,
+            None => {}
         }
-        let Some(id) = shared.queue.pop(QUEUE_POLL) else {
-            if shared.queue.depth() == 0 && shared.stop.load(Ordering::Acquire) {
-                return;
-            }
-            continue;
-        };
-        run_job(shared, &id);
-    }
-    if shared.supervisor.is_draining() {
-        return;
-    }
-    // Drain what admission already accepted before the stop: those
-    // jobs were journaled as submitted and clients were told 201.
-    while let Some(id) = shared.queue.pop(Duration::ZERO) {
-        run_job(shared, &id);
     }
 }
 
@@ -197,6 +187,7 @@ fn run_job(shared: &Shared, id: &str) {
                 break Attempt::Broken;
             }
         }
+        request_overdue_kill(shared, &job, started);
         if let Some(reason) = job.kill_reason() {
             let _ = child.kill();
             let _ = child.wait();
@@ -297,6 +288,40 @@ fn run_job(shared: &Shared, id: &str) {
             error,
         }),
     );
+}
+
+/// Requests the kill of an attempt past its deadline, or of a child
+/// that spoke the frame protocol and then went silent for the stall
+/// timeout (silence from a mute child means nothing). The request is
+/// the same compare-and-swap a cancel or a drain makes, so the first
+/// reason wins; the winner gets a `watchdog` event.
+fn request_overdue_kill(shared: &Shared, job: &Job, started: Instant) {
+    if job.kill_reason().is_some() {
+        return;
+    }
+    let tel = &job.telemetry;
+    if let Some(deadline) = job.deadline_secs {
+        if started.elapsed().as_secs_f64() > deadline as f64 {
+            if job.request_kill(KillReason::Deadline) {
+                let args = vec![
+                    ("action", Json::Str("deadline-kill".to_owned())),
+                    ("deadline_secs", Json::Uint(deadline)),
+                ];
+                tel.event("watchdog", args);
+            }
+            return;
+        }
+    }
+    let stall = shared.config.stall_timeout_secs;
+    if let (Some(stall), Some(silence)) = (stall, tel.frame_silence_secs()) {
+        if silence > stall as f64 && job.request_kill(KillReason::Stall) {
+            let args = vec![
+                ("action", Json::Str("stall-kill".to_owned())),
+                ("silence_secs", Json::Num(silence)),
+            ];
+            tel.event("watchdog", args);
+        }
+    }
 }
 
 /// Closes out the artifacts of an attempt that ends the job in `t`,

@@ -16,8 +16,9 @@
 //! * `GET /jobs/ID` — one job's state/progress/ETA.
 //! * `GET /jobs/ID/result` — terminal outcome (409 while pending).
 //! * `GET /jobs/ID/artifacts/NAME` — one artifact file.
-//! * `DELETE /jobs/ID` — cancel (queued → cancelled immediately,
-//!   running → cooperative kill, terminal → 409).
+//! * `DELETE /jobs/ID` — cancel (queued, backing-off retries included
+//!   → cancelled immediately, running → cooperative kill, terminal →
+//!   409).
 //! * `GET /jobs/ID/events` — live Server-Sent Events: the job's
 //!   lifecycle, heartbeat and progress events as they happen, ending
 //!   with `event: end` once the job is terminal. Runs on a dedicated
@@ -158,20 +159,20 @@ fn handle(mut stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
             return Ok(());
         }
     };
-    let (label, status) = route(stream, shared, &request)?;
-    observe_http(shared, label, started, status);
-    Ok(())
+    route(stream, shared, &request, started)
 }
 
-/// Dispatches one request. Returns the status line and the route label
-/// the per-endpoint metrics use: the known route set, with unknown
-/// paths and methods all collapsed into `other`, so hostile traffic
-/// cannot inflate metric cardinality.
+/// Dispatches one request and observes it under its route label: the
+/// known route set, with unknown paths and methods all collapsed into
+/// `other`, so hostile traffic cannot inflate metric cardinality. The
+/// observation lands before the stream closes, so a client that read
+/// its response to the end finds the request counted on `/metrics`.
 fn route(
     mut stream: TcpStream,
     shared: &Arc<Shared>,
     request: &Request,
-) -> io::Result<(&'static str, &'static str)> {
+    started: Instant,
+) -> io::Result<()> {
     let (method, path) = (request.method.as_str(), request.path.as_str());
     let s = &mut stream;
     let (label, status) = match (method, path) {
@@ -213,7 +214,8 @@ fn route(
             None => ("other", not_allowed(s)),
         },
     };
-    Ok((label, status?))
+    observe_http(shared, label, started, status?);
+    Ok(())
 }
 
 /// The pulse endpoint's telemetry routes for the daemon itself, with
@@ -424,8 +426,9 @@ fn cancel(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'sta
     if !shared.table.contains(id) {
         return error_response(stream, "404 Not Found", &format!("no such job `{id}`"));
     }
-    // Queued and still in the run queue: remove it (so no runner can
-    // claim it from here on) and finish immediately.
+    // Waiting in the run queue, fresh or backing off before a retry:
+    // remove it (so no runner can claim it from here on) and finish
+    // immediately.
     if shared.queue.remove(id) {
         let _ = shared.record(id, Transition::Terminal(Outcome::cancelled()));
         let doc = Json::Obj(vec![
@@ -434,7 +437,7 @@ fn cancel(stream: &mut TcpStream, shared: &Shared, id: &str) -> io::Result<&'sta
         ]);
         return json_response(stream, "200 OK", &doc);
     }
-    // Claimed by a runner, parked for a retry, or racing completion:
+    // Claimed by a runner, drained, or racing completion:
     // the table decides under its own lock, so a cancel can never be
     // requested after the job went terminal (the DELETE/completion
     // race resolves to exactly one of 202 or 409).

@@ -134,8 +134,8 @@ pub struct JobSpec {
     pub trace: bool,
     /// `matrix`: capture the rollup document as `timescales.json`.
     pub timescales: bool,
-    /// Wall-clock budget per attempt in seconds; the watchdog kills
-    /// the child past it (`timed_out`). Defaults to the daemon's
+    /// Wall-clock budget per attempt in seconds; the runner kills the
+    /// child past it (`timed_out`). Defaults to the daemon's
     /// `--default-deadline` and is clamped by `--max-deadline`.
     pub deadline_secs: Option<u64>,
 }

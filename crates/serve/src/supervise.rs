@@ -1,47 +1,29 @@
-//! Per-job supervision: the watchdog thread, retry scheduling with
-//! deterministic backoff, the poison-spec circuit breaker, and
-//! graceful-drain state.
+//! Per-job supervision policy: retry scheduling with deterministic
+//! backoff and the poison-spec circuit breaker.
 //!
-//! The runner stays the sole owner of each child process; supervision
-//! only ever *requests* kills by setting a job's [`KillReason`] flag
-//! and decides what happens after an attempt ends:
+//! The runner stays the sole owner of each child process: it enforces
+//! the attempt's deadline and stall timeout itself, and calls in here
+//! to decide what a transient failure becomes:
 //!
-//! * **Deadlines** — a running job past its effective `deadline_secs`
-//!   is killed and finished `timed_out` (terminal; a deadline is a
-//!   budget, not a transient).
-//! * **Stalls** — a child that spoke the telemetry frame protocol and
-//!   then went silent for `--stall-timeout` seconds is killed; stalls
-//!   are treated as transient and retried.
-//! * **Retries** — transient failures (killed child, stall) re-enqueue
-//!   with exponential backoff plus deterministic jitter derived from
-//!   the job id and attempt ordinal, so a resumed daemon replays the
-//!   same schedule. Each retry is the job's `queued` transition, which
-//!   journals it as an `attempt` record before the job can run again.
+//! * **Retries** — transient failures (killed child, stall) go back in
+//!   the run queue, due after an exponential backoff plus deterministic
+//!   jitter derived from the job id and attempt ordinal, so a resumed
+//!   daemon replays the same schedule. Each retry is the job's `queued`
+//!   transition, which journals it as an `attempt` record before the
+//!   job can run again. A job backing off waits in the run queue like
+//!   any other, so cancelling it is immediate.
 //! * **Quarantine + breaker** — a spec that burns every attempt
 //!   finishes `quarantined` (or `stalled` when the last failure was a
 //!   stall) and opens a circuit breaker keyed by the spec fingerprint:
 //!   identical resubmissions are fast-rejected (409) until a cooldown
 //!   elapses, at which point the breaker half-opens and one attempt is
 //!   admitted again.
-//! * **Drain** — `begin_drain` stops admission (503 + `Retry-After`)
-//!   and stops runners from claiming queued work; running jobs get up
-//!   to the drain timeout before a `Drain` kill. Drain-killed and
-//!   still-queued jobs write no terminal journal record, so a restart
-//!   with `--resume-dir` re-adopts every one of them.
 
-use crate::job::{Job, JobState, KillReason, Outcome, Retry, Transition};
-use crate::queue::PushError;
+use crate::job::{JobState, Retry, Transition};
 use crate::Shared;
 use spindle_obs::hash::fnv1a64;
-use spindle_obs::json::Json;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Watchdog cadence: how often deadlines, stalls, and due retries are
-/// checked. Coarse enough to be free, fine enough that a 1-second
-/// deadline means roughly one second.
-const WATCHDOG_TICK: Duration = Duration::from_millis(100);
 
 /// How long a poison spec's circuit breaker stays open before it
 /// half-opens and admits one real attempt again.
@@ -54,13 +36,6 @@ const MAX_BACKOFF_MS: u64 = 30_000;
 /// hostile client cannot grow the breaker table without bound.
 const BREAKER_CAP: usize = 64;
 
-/// A job waiting out its retry backoff (it is in the table as
-/// `queued` but deliberately not in the run queue yet).
-struct PendingRetry {
-    id: String,
-    due: Instant,
-}
-
 /// One open breaker entry: a spec fingerprint and when it half-opens.
 struct BreakerEntry {
     fingerprint: u64,
@@ -68,34 +43,13 @@ struct BreakerEntry {
     reason: String,
 }
 
-/// Supervision state shared across the daemon.
+/// The poison-spec circuit breaker shared across the daemon.
 #[derive(Default)]
 pub(crate) struct Supervisor {
-    draining: AtomicBool,
-    pending: Mutex<Vec<PendingRetry>>,
     breaker: Mutex<Vec<BreakerEntry>>,
 }
 
 impl Supervisor {
-    /// Whether the daemon is draining (admission and runner claims
-    /// both check this).
-    pub(crate) fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    /// Flips to draining; `true` on the first call.
-    pub(crate) fn begin_drain(&self) -> bool {
-        !self.draining.swap(true, Ordering::AcqRel)
-    }
-
-    /// Parks a retry until `due`.
-    fn schedule(&self, id: String, due: Instant) {
-        self.pending
-            .lock()
-            .expect("pending retries lock")
-            .push(PendingRetry { id, due });
-    }
-
     /// Opens (or re-opens) the breaker for a fingerprint.
     pub(crate) fn breaker_open(&self, fingerprint: u64, reason: String, cooldown: Duration) {
         let mut breaker = self.breaker.lock().expect("breaker lock");
@@ -164,11 +118,12 @@ pub(crate) fn exhausted_reason(error: &str) -> Option<&str> {
 
 /// Decides what a retryable failure becomes. `None` means another
 /// attempt was scheduled: the job's `queued` transition is recorded
-/// (journal line, SSE `retry` event, backoff span) and the job parked
-/// until its backoff elapses. `Some((state, detail))` means the retry
-/// budget is spent: the breaker is already open and the caller finishes
-/// the job as `state` — [`JobState::Stalled`] for stall kills,
-/// [`JobState::Quarantined`] otherwise — with `detail` as the error.
+/// (journal line, SSE `retry` event, backoff span) and the job goes
+/// back in the run queue, due when its backoff elapses.
+/// `Some((state, detail))` means the retry budget is spent: the
+/// breaker is already open and the caller finishes the job as `state`
+/// — [`JobState::Stalled`] for stall kills, [`JobState::Quarantined`]
+/// otherwise — with `detail` as the error.
 pub(crate) fn handle_retryable(
     shared: &Shared,
     id: &str,
@@ -202,98 +157,12 @@ pub(crate) fn handle_retryable(
         retry: Some(retry),
     };
     if let Ok(at) = shared.record(id, queued) {
+        // A closed queue (the daemon is stopping) leaves the job queued
+        // with no terminal journal record, for `--resume-dir` to re-adopt.
         let due = at + Duration::from_millis(backoff_ms);
-        shared.supervisor.schedule(id.to_owned(), due);
+        let _ = shared.queue.push(id.to_owned(), due);
     }
     None
-}
-
-/// The watchdog thread body: promotes due retries into the run queue,
-/// kills running jobs past their deadline, and kills children whose
-/// telemetry went silent.
-pub(crate) fn spawn_watchdog(shared: &Arc<Shared>) -> std::thread::JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::Builder::new()
-        .name("serve-watchdog".to_owned())
-        .spawn(move || {
-            while !shared.stop.load(Ordering::Acquire) {
-                promote_due_retries(&shared);
-                check_running(&shared);
-                std::thread::sleep(WATCHDOG_TICK);
-            }
-        })
-        .expect("spawn watchdog thread")
-}
-
-fn promote_due_retries(shared: &Shared) {
-    let now = Instant::now();
-    let due: Vec<PendingRetry> = (shared.supervisor.pending.lock())
-        .expect("pending retries lock")
-        .extract_if(.., |p| p.due <= now)
-        .collect();
-    for PendingRetry { id, .. } in due {
-        let Some(kill) = shared.table.with(&id, Job::kill_reason) else {
-            continue;
-        };
-        if kill == Some(KillReason::Cancel) {
-            // Cancelled while waiting out the backoff: finish without
-            // ever re-running.
-            let _ = shared.record(&id, Transition::Terminal(Outcome::cancelled()));
-            continue;
-        }
-        if shared.supervisor.is_draining() {
-            // Deliberately dropped on the floor: the journal has no
-            // terminal record for it, so a resume restart re-adopts.
-            continue;
-        }
-        match shared.queue.push(id.clone()) {
-            Ok(()) => {}
-            // Queue momentarily full of fresh admissions: try again
-            // next tick.
-            Err(PushError::Full) => shared.supervisor.schedule(id, now),
-            Err(PushError::Closed) => {}
-        }
-    }
-}
-
-fn check_running(shared: &Shared) {
-    shared.table.for_each(|job| {
-        let Some((t0, _)) = job.running() else {
-            return;
-        };
-        if job.kill_reason().is_some() {
-            return;
-        }
-        let tel = &job.telemetry;
-        if let Some(deadline) = job.deadline_secs {
-            if t0.elapsed().as_secs_f64() > deadline as f64 {
-                if job.request_kill(KillReason::Deadline) {
-                    tel.event(
-                        "watchdog",
-                        vec![
-                            ("action", Json::Str("deadline-kill".to_owned())),
-                            ("deadline_secs", Json::Uint(deadline)),
-                        ],
-                    );
-                }
-                return;
-            }
-        }
-        // Only children that spoke the frame protocol can stall;
-        // silence from a mute child means nothing.
-        let stall = shared.config.stall_timeout_secs;
-        if let (Some(stall), Some(silence)) = (stall, tel.frame_silence_secs()) {
-            if silence > stall as f64 && job.request_kill(KillReason::Stall) {
-                tel.event(
-                    "watchdog",
-                    vec![
-                        ("action", Json::Str("stall-kill".to_owned())),
-                        ("silence_secs", Json::Num(silence)),
-                    ],
-                );
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -352,14 +221,5 @@ mod tests {
                 .unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b), "canonical rendering");
         assert_ne!(fingerprint(&a), fingerprint(&c));
-    }
-
-    #[test]
-    fn drain_flag_flips_once() {
-        let sup = Supervisor::default();
-        assert!(!sup.is_draining());
-        assert!(sup.begin_drain(), "first call flips");
-        assert!(!sup.begin_drain(), "second call is a no-op");
-        assert!(sup.is_draining());
     }
 }

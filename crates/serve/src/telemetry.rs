@@ -14,7 +14,7 @@
 //!
 //! * [`JobTelemetry`] — owned by the job's record in the job table — a
 //!   bounded [`EventRing`] feeding `GET /jobs/ID/events`, progress state
-//!   driving the job ETA, the liveness clock the stall watchdog reads,
+//!   driving the job ETA, the liveness clock the runner's stall check reads,
 //!   the stream's frame and byte counters, and the bounded trace-span
 //!   store behind `GET /jobs/ID/trace`. The lifecycle events and spans
 //!   in it are written from the record's transitions; the rest comes
@@ -198,7 +198,7 @@ pub(crate) struct JobTelemetry {
     pub(crate) torn: AtomicBool,
     closed: AtomicBool,
     /// Milliseconds since `epoch` when the last frame was decoded —
-    /// the liveness signal the watchdog's stall detector reads.
+    /// the liveness signal the runner's stall check reads.
     last_frame_ms: AtomicU64,
     /// Trace spans: daemon lifecycle spans plus whatever the child
     /// ships over the frame protocol.

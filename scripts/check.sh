@@ -39,6 +39,14 @@ fi
 # even after one fails, so one red binary cannot hide another.
 TEST_LIMIT="timeout --kill-after=30 1800"
 
+# The test scratch dirs a test process writes into the temp dir, one a
+# line, for the hygiene check after the test passes.
+scratch_dirs() {
+    find "${TMPDIR:-/tmp}" -maxdepth 1 \( -name 'spindle-teldet-*' \
+        -o -name 'spindle-resume-*' -o -name 'spindle-jsonl-*' \) | sort
+}
+SCRATCH_BEFORE=$(scratch_dirs)
+
 run cargo fmt --all -- --check
 run cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
 run $TEST_LIMIT cargo test $OFFLINE --workspace --no-fail-fast -q
@@ -57,6 +65,16 @@ run $TEST_LIMIT cargo test $OFFLINE -q -p spindle-bench --test checkpoint_resume
 # defaults its worker count must still produce sequential-identical
 # results with two workers.
 run env SPINDLE_JOBS=2 $TEST_LIMIT cargo test $OFFLINE --workspace --no-fail-fast -q
+
+# Test scratch hygiene: every scratch dir a test pass made is gone when
+# its test process ends (a leaked one holds up to a third of a
+# gigabyte, and a full disk fails whichever test writes next).
+SCRATCH_LEFT=$(comm -13 <(printf '%s\n' "$SCRATCH_BEFORE") <(scratch_dirs))
+if [ -n "$SCRATCH_LEFT" ]; then
+    echo "FAILED: the test passes left scratch dirs behind:" >&2
+    printf '%s\n' "$SCRATCH_LEFT" >&2
+    fail=1
+fi
 
 # Observability smoke: the flight recorder, run report and timescale
 # rollups must actually come out of the shipped binaries, end to end.

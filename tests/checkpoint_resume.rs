@@ -4,7 +4,7 @@
 //! experiments and produce stdout byte-identical to an uninterrupted
 //! run.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Exit status the binary uses for an injected kill (looks like
@@ -31,11 +31,38 @@ fn stderr(out: &Output) -> String {
     String::from_utf8(out.stderr.clone()).expect("stderr is UTF-8")
 }
 
-/// A scratch journal path unique to this test process.
-fn journal_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("spindle-resume-{}", std::process::id()));
+/// A scratch path unique to this test process and tag. It sits in a
+/// directory of its own, which goes, with everything the test wrote
+/// next to the path, when the handle drops.
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if let Some(dir) = self.0.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for Scratch {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+fn journal_path(tag: &str) -> Scratch {
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("spindle-resume-{pid}-{tag}"));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(format!("{tag}.jsonl"))
+    Scratch(dir.join(format!("{tag}.jsonl")))
 }
 
 #[test]

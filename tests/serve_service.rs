@@ -432,7 +432,7 @@ fn deadlines_and_retries_supervise_real_child_processes() {
     ]);
 
     // A week-long generate against a 1-second spec deadline: the
-    // watchdog kills the real child and the job lands timed_out.
+    // runner kills the real child and the job lands timed_out.
     let r = daemon.post(
         "/jobs",
         "{\"kind\":\"generate\",\"env\":\"web\",\"span\":604800,\"seed\":3,\"deadline_secs\":1}",

@@ -16,7 +16,7 @@ use spindle_obs::frame::{Frame, FrameDecoder, SpanOrigin, TraceSpan, SINK_ENV};
 use spindle_obs::json::{self, Json};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
 
@@ -24,11 +24,44 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_experiments")
 }
 
-/// Scratch path unique to this test process.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("spindle-teldet-{}", std::process::id()));
+/// A scratch path unique to this test process and tag. It sits in a
+/// directory of its own, which goes, with everything the test wrote
+/// next to the path, when the handle drops.
+struct Scratch(PathBuf);
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if let Some(dir) = self.0.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for Scratch {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<std::ffi::OsStr> for Scratch {
+    fn as_ref(&self) -> &std::ffi::OsStr {
+        self.0.as_os_str()
+    }
+}
+
+fn scratch(tag: &str) -> Scratch {
+    let pid = std::process::id();
+    let dir = std::env::temp_dir().join(format!("spindle-teldet-{pid}-{tag}"));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir.join(tag)
+    Scratch(dir.join(tag))
 }
 
 /// Runs a quick two-experiment matrix with a trace export; `telemetry`
